@@ -3,7 +3,8 @@ run verification suites, and run the extraspecial-group laboratory.
 
 Exit codes: 0 when every executed check passes, 1 when any check fails,
 2 on invalid arguments.  All output is deterministic; the only recognized
-environment variable is BASECHANGE_MAX_GROUP (size bound override).
+environment variable is BASECHANGE_MAX_GROUP (size bound override, a
+positive integer).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .cuspchar import (
     standard_table,
     u2_cuspidal,
 )
-from .ffield import MultChar, NormOneChar, make_field
-from .grpcore import table_to_csv, table_to_json
+from .ffield import MultChar, NormOneChar, _is_prime, make_field
+from .grpcore import max_group_order, table_to_csv, table_to_json
 from .verify import SUITES, report_to_json
 
 _SUITE_ALIASES = {
@@ -32,6 +33,27 @@ _SUITE_ALIASES = {
 }
 
 _FAMILIES = ("sl2", "gl2", "u2")
+
+
+def _int_or_zero(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        return 0
+
+
+def _odd_prime(raw: str) -> int:
+    q = _int_or_zero(raw)
+    if q == 2 or not _is_prime(q):
+        raise argparse.ArgumentTypeError("q must be an odd prime, got %r" % raw)
+    return q
+
+
+def _positive_int(raw: str) -> int:
+    n = _int_or_zero(raw)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %r" % raw)
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chartable", help="print the character table of a standard family"
     )
     p_table.add_argument("family", choices=_FAMILIES)
-    p_table.add_argument("--q", type=int, default=3, help="base field size (odd prime)")
+    p_table.add_argument("--q", type=_odd_prime, default=3, help="base field size (odd prime)")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -54,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cuspidal", help="print one cuspidal character built by formula"
     )
     p_cusp.add_argument("family", choices=_FAMILIES)
-    p_cusp.add_argument("--q", type=int, default=3, help="base field size (odd prime)")
+    p_cusp.add_argument("--q", type=_odd_prime, default=3, help="base field size (odd prime)")
     p_cusp.add_argument(
         "--theta",
         default=None,
@@ -70,9 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(_SUITE_ALIASES) + sorted(SUITES),
         help="suite name (short or full)",
     )
-    p_verify.add_argument("--q", type=int, default=3, help="base field size")
+    p_verify.add_argument("--q", type=_odd_prime, default=3, help="base field size (odd prime)")
     p_verify.add_argument(
-        "--threads", type=int, default=1, help="parameter-point fan-out bound"
+        "--threads", type=_positive_int, default=1, help="parameter-point fan-out bound"
     )
     p_verify.add_argument("--out", default=None, help="report path (default stdout)")
 
@@ -187,6 +209,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        max_group_order()  # reject a malformed BASECHANGE_MAX_GROUP up front
         return _COMMANDS[args.subcommand](args)
     except ValueError as e:
         sys.stderr.write("error: %s\n" % e)

@@ -27,6 +27,31 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _factorize(n: int) -> list[int]:
+    """The distinct prime divisors of n, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _primitive_root(r: int) -> int:
+    """The least generator of the multiplicative group of GF(r), r prime."""
+    primes = _factorize(r - 1)
+    g = 2
+    while True:
+        if all(pow(g, (r - 1) // p, r) != 1 for p in primes):
+            return g
+        g += 1
+
+
 # -- polynomial helpers over GF(p), coefficient lists low-to-high ------
 
 
@@ -83,6 +108,49 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
                 break
         a, b = b, r
     return a
+
+
+def _poly_monic(poly: list[int], p: int) -> list[int]:
+    inv_lead = pow(poly[-1], p - 2, p)
+    return [(c * inv_lead) % p for c in poly]
+
+
+def _poly_roots(poly: list[int], p: int, rng) -> list[int]:
+    """The distinct roots in GF(p) of poly (nonzero leading coefficient), ascending.
+
+    g = gcd(x^p - x, poly) is the product of the distinct linear factors;
+    it is split by equal-degree factorisation (Cantor-Zassenhaus): for a
+    random a, gcd((x + a)^((p-1)/2) - 1, g) and gcd((x + a)^((p-1)/2) + 1, g)
+    hold the roots lam with lam + a a nonzero square and a non-square.
+    """
+    f = _poly_monic(poly, p)
+    if len(f) < 2:
+        return []
+    xp = _poly_powmod([0, 1], p, f, p) + [0]
+    xp[1] = (xp[1] - 1) % p
+    stack = [_poly_monic(_poly_gcd(xp, f, p), p)]
+    roots = []
+    while stack:
+        g = stack.pop()
+        deg = len(g) - 1
+        if deg == 1:
+            roots.append(-g[0] % p)
+        if deg <= 1:
+            continue
+        a = rng.randrange(p)
+        h = _poly_powmod([a, 1], (p - 1) // 2, g, p)
+        parts = []
+        for sign in (1, -1):
+            hs = list(h)
+            hs[0] = (hs[0] - sign) % p
+            parts.append(_poly_monic(_poly_gcd(hs, g, p), p))
+        if max(map(len, parts)) == len(g):
+            stack.append(g)  # no split for this a; draw again
+            continue
+        if sum(len(u) - 1 for u in parts) < deg:
+            roots.append(-a % p)  # x + a divides g
+        stack.extend(parts)
+    return sorted(roots)
 
 
 def _is_irreducible(poly: list[int], p: int) -> bool:

@@ -10,17 +10,29 @@ import os
 import random
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 
-from .cyclo import ZERO, Cyclotomic, root_of_unity
+from .cyclo import ZERO, Cyclotomic, _reduce_dense
+from .ffield import _is_prime, _poly_roots, _primitive_root
 
 DEFAULT_MAX_GROUP = 10000
 _CHECK_SEED = 3735928559
 _FULL_CLOSURE_LIMIT = 1500
+_SPLIT_CLASSES = 4
 
 
 def max_group_order() -> int:
     """Size bound for the character-table oracle; BASECHANGE_MAX_GROUP overrides."""
-    return int(os.environ.get("BASECHANGE_MAX_GROUP", DEFAULT_MAX_GROUP))
+    raw = os.environ.get("BASECHANGE_MAX_GROUP")
+    if raw is None:
+        return DEFAULT_MAX_GROUP
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise ValueError("BASECHANGE_MAX_GROUP must be a positive integer, got %r" % raw)
+    return bound
 
 
 class GroupTable:
@@ -323,92 +335,6 @@ def induce(psi: ClassFunction, group: GroupTable) -> ClassFunction:
 # -- modular linear algebra over F_r ----------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _factorize(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _primitive_root(r: int) -> int:
-    primes = _factorize(r - 1)
-    g = 2
-    while True:
-        if all(pow(g, (r - 1) // p, r) != 1 for p in primes):
-            return g
-        g += 1
-
-
-def _mat_vec(m: list[list[int]], v: list[int], r: int) -> list[int]:
-    return [sum(row[l] * v[l] for l in range(len(v))) % r for row in m]
-
-
-def _mat_inv(m: list[list[int]], r: int) -> list[list[int]]:
-    n = len(m)
-    a = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col] % r != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], r - 2, r)
-        a[col] = [(x * inv) % r for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                c = a[i][col]
-                a[i] = [(x - c * y) % r for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
-
-
-def _charpoly(m: list[list[int]], r: int) -> list[int]:
-    # Newton's identities from power traces; valid since r > deg.
-    n = len(m)
-    powers = m
-    traces = [sum(m[i][i] for i in range(n)) % r]
-    for _ in range(n - 1):
-        powers = [
-            [sum(powers[i][k] * m[k][j] for k in range(n)) % r for j in range(n)]
-            for i in range(n)
-        ]
-        traces.append(sum(powers[i][i] for i in range(n)) % r)
-    e = [1] + [0] * n
-    for s in range(1, n + 1):
-        acc = 0
-        for i in range(1, s + 1):
-            term = (e[s - i] * traces[i - 1]) % r
-            acc = (acc - term) if i % 2 == 0 else (acc + term)
-        e[s] = (acc * pow(s, r - 2, r)) % r
-    # p(x) = sum_{s} (-1)^s e_s x^(n-s), coefficients low-to-high.
-    coeffs = [0] * (n + 1)
-    for s in range(n + 1):
-        c = e[s] if s % 2 == 0 else (-e[s]) % r
-        coeffs[n - s] = c % r
-    return coeffs
-
-
-def _poly_eval(coeffs: list[int], x: int, r: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % r
-    return acc
-
-
 def _nullspace(m: list[list[int]], r: int) -> list[list[int]]:
     n = len(m)
     a = [row[:] for row in m]
@@ -438,45 +364,172 @@ def _nullspace(m: list[list[int]], r: int) -> list[list[int]]:
     return basis
 
 
-def _pivot_rows(vectors: list[list[int]], r: int) -> list[int]:
-    # Row indices at which the given independent column vectors have pivots.
-    k = len(vectors[0])
+def _echelon(vectors: list[list[int]], r: int) -> tuple[list[list[int]], list[int]]:
+    # Reduced echelon form of independent reduced vectors: vector b is 1 at
+    # pivots[b] and 0 at every other pivot, so the coordinates of any w in
+    # their span are w[pivots[0]], w[pivots[1]], ...
     work = [list(v) for v in vectors]
     pivots = []
     for vi in range(len(work)):
-        piv = next(i for i in range(k) if work[vi][i] % r != 0 and i not in pivots)
+        piv = next(i for i, x in enumerate(work[vi]) if x)
         inv = pow(work[vi][piv], r - 2, r)
-        work[vi] = [(x * inv) % r for x in work[vi]]
+        row = work[vi] = [(x * inv) % r for x in work[vi]]
         for vj in range(len(work)):
-            if vj != vi and work[vj][piv]:
-                c = work[vj][piv]
-                work[vj] = [(x - c * y) % r for x, y in zip(work[vj], work[vi])]
+            c = work[vj][piv]
+            if vj != vi and c:
+                work[vj] = [(x - c * y) % r for x, y in zip(work[vj], row)]
         pivots.append(piv)
-    return pivots
+    return work, pivots
+
+
+def _hessenberg(m: list[list[int]], r: int) -> list[list[int]]:
+    """An upper Hessenberg matrix similar to m over F_r, by elimination
+    similarities: row i -= c_i * row j+1, then column j+1 += c_i * column i."""
+    d = len(m)
+    h = [list(row) for row in m]
+    for j in range(d - 2):
+        q = j + 1
+        p = next((i for i in range(q, d) if h[i][j]), None)
+        if p is None:
+            continue
+        if p != q:
+            h[p], h[q] = h[q], h[p]
+            for row in h:
+                row[p], row[q] = row[q], row[p]
+        inv = pow(h[q][j], r - 2, r)
+        pivot = h[q]
+        cs = [(h[i][j] * inv) % r for i in range(q + 1, d)]
+        if not any(cs):
+            continue
+        for i, c in enumerate(cs, q + 1):
+            if c:
+                h[i] = [(x - c * y) % r for x, y in zip(h[i], pivot)]
+        for row in h:
+            row[q] = (row[q] + sum(map(mul, cs, row[q + 1 :]))) % r
+    return h
+
+
+def _hessenberg_charpoly(h: list[list[int]], r: int) -> list[int]:
+    """det(x*I - h) for upper Hessenberg h, coefficients low-to-high.
+
+    Hessenberg recurrence: p_m = (x - h_mm) p_(m-1)
+    - sum_(i<m) h_im (h_(i+1,i) ... h_(m,m-1)) p_(i-1), 1-indexed.
+    """
+    polys = [[1]]
+    for m in range(len(h)):
+        prev = polys[-1]
+        new = [0] + prev
+        new[:-1] = [x - h[m][m] * y for x, y in zip(new, prev)]
+        t = 1
+        for i in range(m, 0, -1):
+            t = (t * h[i][i - 1]) % r
+            if not t:
+                break
+            c = (t * h[i - 1][m]) % r
+            if c:
+                lower = polys[i - 1]
+                new[: len(lower)] = [x - c * y for x, y in zip(new, lower)]
+        polys.append([x % r for x in new])
+    return polys[-1]
 
 
 # -- the character-table oracle ---------------------------------------
 
 
-def _class_matrix(group, classes, i: int) -> list[list[int]]:
+def _class_row(group, classes, combo: dict[int, int], j: int, r: int) -> list[int]:
+    # Row j of sum_i c_i M_i, where M_i[j][l] = #{x in C_i : x^-1 z_l in C_j}.
+    # Counting pairs in C_i x C_j with product in C_l two ways gives
+    # M_i[j][l] = |C_j| #{x in C_i : x y_j in C_l} / |C_l|, y_j in C_j, so a
+    # row costs |C_i| products instead of the |C_i| k of a whole matrix.
     k = len(classes)
-    m = [[0] * k for _ in range(k)]
-    inv_members = [group.inv(x) for x in classes.classes[i]]
-    for l, z in enumerate(classes.representatives):
-        for xi in inv_members:
-            j = classes.class_of[group.mul(xi, z)]
-            m[j][l] += 1
-    return m
+    sizes = classes.sizes
+    class_of = classes.class_of
+    yj = classes.representatives[j]
+    row = [0] * k
+    for ci, coeff in combo.items():
+        counts = [0] * k
+        for x in classes.classes[ci]:
+            counts[class_of[group.mul(x, yj)]] += 1
+        for l, hits in enumerate(counts):
+            if hits:
+                row[l] += coeff * (sizes[j] * hits // sizes[l])
+    return [x % r for x in row]
+
+
+def _split(group, classes, spaces, combo: dict[int, int], r: int, rng) -> list:
+    # Split every subspace of dimension > 1 into the eigenspaces of the
+    # combination sum_i c_i M_i restricted to it.
+    rows: dict[int, list[int]] = {}
+    out = []
+    for basis, pivots in spaces:
+        d = len(basis)
+        if d == 1:
+            out.append((basis, pivots))
+            continue
+        for p in pivots:
+            if p not in rows:
+                rows[p] = _class_row(group, classes, combo, p, r)
+        # Coordinates of M b in the echelon basis are its pivot entries.
+        rmat = [[sum(map(mul, rows[p], b)) % r for b in basis] for p in pivots]
+        lam = rmat[0][0]
+        if all(rmat[a][b] == (lam if a == b else 0) for a in range(d) for b in range(d)):
+            out.append((basis, pivots))
+            continue
+        charpoly = _hessenberg_charpoly(_hessenberg(rmat, r), r)
+        basis_cols = list(zip(*basis))
+        found = 0
+        for lam in _poly_roots(charpoly, r, rng):
+            shifted = [
+                [(x - lam) % r if a == b else x for b, x in enumerate(row)]
+                for a, row in enumerate(rmat)
+            ]
+            child = [
+                [sum(map(mul, coords, col)) % r for col in basis_cols]
+                for coords in _nullspace(shifted, r)
+            ]
+            found += len(child)
+            out.append(_echelon(child, r))
+        if found != d:
+            raise AssertionError("class matrix is not diagonalizable over F_r")
+    return out
+
+
+def _lift_table(classes, l: int, exponent: int, zgen: int, r: int):
+    # Eigenvalue multiplicities of rho(g), g in class l of order o:
+    # m_j = (1/o) sum_e chi(g^e) zeta_o^(-je).  Gather the e by the class
+    # of g^e, so m_j = sum_c coeff[j][c] * chi(class c) for each character.
+    o = classes.rep_orders[l]
+    power_classes = [classes.power_class(l, e) for e in range(o)]
+    targets = sorted(set(power_classes))
+    slot = {c: i for i, c in enumerate(targets)}
+    z_inv = pow(pow(zgen, exponent // o, r), r - 2, r)
+    z_pows = [pow(z_inv, t, r) for t in range(o)]
+    o_inv = pow(o, r - 2, r)
+    coeffs = []
+    for j in range(o):
+        acc = [0] * len(targets)
+        for e, c in enumerate(power_classes):
+            acc[slot[c]] += z_pows[(j * e) % o]
+        coeffs.append([(a * o_inv) % r for a in acc])
+    return o, targets, coeffs
 
 
 def character_table(group: GroupTable, bound: int | None = None) -> list[ClassFunction]:
     """All irreducible characters with exact cyclotomic values.
 
-    Class-sum eigenvector method: the column space of F_r^k is split into
-    common eigenspaces of the class matrices, with r = the smallest prime
-    r = 1 (mod exp G) exceeding 2*sqrt(|G|)*exp(G) so that eigenvalue data
-    determines character values; the values are then lifted exactly through
-    root-of-unity multiplicity sums.
+    Dixon-Schneider class-sum method over F_r, with r the smallest prime
+    r = 1 (mod exp G) exceeding 2*sqrt(|G|)*exp(G), so that eigenvalue data
+    determines character values.  F_r^k is split into common eigenspaces of
+    the class matrices M_i: first by one random F_r-combination of the
+    _SPLIT_CLASSES smallest classes, then by the other class matrices one
+    at a time on the subspaces still of dimension > 1.  Each split restricts
+    M_i to a subspace through the rows of M_i at the pivots of its echelon
+    basis, reduces the restriction to Hessenberg form, takes the
+    characteristic polynomial by the Hessenberg recurrence, and finds its
+    roots as gcd(x^r - x, f) split by Cantor-Zassenhaus equal-degree
+    factorisation.  The values are then lifted exactly through
+    root-of-unity multiplicity sums.  Randomness comes from a fixed seed;
+    the rows are sorted by (degree, serialized values).
     """
     if bound is None:
         bound = max_group_order()
@@ -500,94 +553,52 @@ def character_table(group: GroupTable, bound: int | None = None) -> list[ClassFu
     zgen = pow(_primitive_root(r), (r - 1) // exponent, r)
 
     inv_class = [classes.inverse_class(ci) for ci in range(k)]
-    subspaces = [[[1 if i == j else 0 for i in range(k)] for j in range(k)]]
-    for mi in range(1, k):
-        if all(len(b) == 1 for b in subspaces):
+    inv_size = [pow(size, r - 2, r) for size in classes.sizes]
+    rng = random.Random(_CHECK_SEED)
+    by_size = sorted(range(1, k), key=lambda ci: (classes.sizes[ci], ci))
+    mixed, rest = by_size[:_SPLIT_CLASSES], by_size[_SPLIT_CLASSES:]
+    spaces = [([[int(i == j) for i in range(k)] for j in range(k)], list(range(k)))]
+    combo = {ci: rng.randrange(1, r) for ci in mixed}
+    spaces = _split(group, classes, spaces, combo, r, rng)
+    # The mixed classes come last: they split only what the combination
+    # merged by an unlucky choice of coefficients.
+    for ci in rest + mixed:
+        if all(len(basis) == 1 for basis, _ in spaces):
             break
-        m = _class_matrix(group, classes, mi)
-        new_spaces = []
-        for basis in subspaces:
-            if len(basis) == 1:
-                new_spaces.append(basis)
-                continue
-            dim = len(basis)
-            images = [_mat_vec(m, v, r) for v in basis]
-            pivots = _pivot_rows(basis, r)
-            bp = [[basis[b][p] for b in range(dim)] for p in pivots]
-            mbp = [[images[b][p] for b in range(dim)] for p in pivots]
-            bp_inv = _mat_inv(bp, r)
-            rmat = [
-                [sum(bp_inv[i][t] * mbp[t][j] for t in range(dim)) % r for j in range(dim)]
-                for i in range(dim)
-            ]
-            poly = _charpoly(rmat, r)
-            found = 0
-            for lam in range(r):
-                if found == dim:
-                    break
-                if _poly_eval(poly, lam, r) != 0:
-                    continue
-                shifted = [
-                    [(rmat[i][j] - (lam if i == j else 0)) % r for j in range(dim)]
-                    for i in range(dim)
-                ]
-                null = _nullspace(shifted, r)
-                if not null:
-                    continue
-                found += len(null)
-                child = []
-                for nv in null:
-                    vec = [0] * k
-                    for b, c in enumerate(nv):
-                        if c:
-                            for i in range(k):
-                                vec[i] = (vec[i] + c * basis[b][i]) % r
-                    child.append(vec)
-                new_spaces.append(child)
-        subspaces = new_spaces
-    if any(len(b) != 1 for b in subspaces):
+        spaces = _split(group, classes, spaces, {ci: 1}, r, rng)
+    if any(len(basis) != 1 for basis, _ in spaces):
         raise AssertionError("class matrices failed to separate characters")
 
+    lifts = [_lift_table(classes, l, exponent, zgen, r) for l in range(k)]
     chars = []
     ident = classes.class_of[group.id]
-    for basis in subspaces:
-        w = basis[0]
+    for (w,), _ in spaces:
         if w[ident] % r == 0:
             raise AssertionError("eigenvector vanishes at the identity class")
         scale = pow(w[ident], r - 2, r)
         w = [(x * scale) % r for x in w]
         d2_sum = 0
         for l in range(k):
-            d2_sum += w[l] * w[inv_class[l]] * pow(classes.sizes[l], r - 2, r)
+            d2_sum += w[l] * w[inv_class[l]] * inv_size[l]
         d2_sum %= r
         deg_sq = (n * pow(d2_sum, r - 2, r)) % r
         deg = isqrt(deg_sq)
         if deg * deg != deg_sq or deg == 0 or n % deg != 0:
             raise AssertionError("character degree recovery failed")
-        modular = [
-            (deg * w[l] * pow(classes.sizes[l], r - 2, r)) % r for l in range(k)
-        ]
+        modular = [(deg * w[l] * inv_size[l]) % r for l in range(k)]
         values = []
-        for l in range(k):
-            o = classes.rep_orders[l]
-            zo = pow(zgen, exponent // o, r)
-            o_inv = pow(o, r - 2, r)
-            power_classes = [classes.power_class(l, e) for e in range(o)]
-            value = ZERO
-            total_mult = 0
-            for j in range(o):
-                acc = 0
-                for e in range(o):
-                    acc += modular[power_classes[e]] * pow(zo, (-j * e) % (r - 1), r)
-                mj = (acc * o_inv) % r
+        for o, targets, coeffs in lifts:
+            at_targets = [modular[c] for c in targets]
+            mults = []
+            for row in coeffs:
+                mj = sum(map(mul, row, at_targets)) % r
                 if mj > deg:
                     raise AssertionError("eigenvalue multiplicity lift out of range")
-                total_mult += mj
-                if mj:
-                    value = value + mj * root_of_unity(o, j)
-            if total_mult != deg:
+                mults.append(mj)
+            if sum(mults) != deg:
                 raise AssertionError("eigenvalue multiplicities do not sum to degree")
-            values.append(value)
+            # sum_j m_j zeta_o^j, reduced mod Phi_o.
+            values.append(Cyclotomic(o, 1, _reduce_dense(o, mults)))
         chars.append((deg, ClassFunction(classes, values)))
 
     if len(chars) != k:
@@ -600,15 +611,13 @@ def character_table(group: GroupTable, bound: int | None = None) -> list[ClassFu
     # Modular row orthonormality: cheap and strong; exact checks live in tests.
     mod_values = []
     for _, cf in chars:
-        row = []
-        for v in cf.values:
-            row.append(_cyclotomic_mod(v, exponent, zgen, r))
-        mod_values.append(row)
+        mod_values.append([_cyclotomic_mod(v, exponent, zgen, r) for v in cf.values])
+    weighted = [
+        [classes.sizes[l] * row[inv_class[l]] for l in range(k)] for row in mod_values
+    ]
     for a in range(k):
         for b in range(k):
-            acc = 0
-            for l in range(k):
-                acc += classes.sizes[l] * mod_values[a][l] * mod_values[b][inv_class[l]]
+            acc = sum(map(mul, mod_values[a], weighted[b]))
             if acc % r != (n if a == b else 0) % r:
                 raise AssertionError("modular orthonormality check failed")
     chars.sort(key=lambda item: (item[0], item[1].serialize()))
@@ -620,13 +629,16 @@ def _cyclotomic_mod(value: Cyclotomic, exponent: int, zgen: int, r: int) -> int:
     m = value.order
     if exponent % m != 0:
         raise AssertionError("value order does not divide the group exponent")
+    # The stored numerators share one normalized denominator, so every
+    # coefficient is an integer exactly when that denominator is 1.
+    if value._den != 1:
+        raise AssertionError("character value is not an algebraic integer")
     zm = pow(zgen, exponent // m, r)
-    acc = 0
-    for i, c in enumerate(value.coefficients):
-        if c.denominator != 1:
-            raise AssertionError("character value is not an algebraic integer")
-        acc = (acc + c.numerator * pow(zm, i, r)) % r
-    return acc
+    acc, z = 0, 1
+    for c in value._num:
+        acc += c * z
+        z = z * zm % r
+    return acc % r
 
 
 # -- export -----------------------------------------------------------

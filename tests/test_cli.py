@@ -1,6 +1,7 @@
 """Command-line interface: subcommand behavior, exit codes, output formats,
 and determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -39,6 +40,24 @@ class TestChartable:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chartable", "gl2", "--q", "9"],
+            ["cuspidal", "gl2", "--q", "9"],
+            ["verify", "restriction", "--q", "4"],
+            ["chartable", "sl2", "--q", "2"],
+            ["chartable", "sl2", "--q", "-3"],
+            ["verify", "level0", "--q", "abc"],
+        ],
+    )
+    def test_q_must_be_an_odd_prime(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "q must be an odd prime" in err
+        assert "p must be prime" not in err
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"
         code, out, _ = run(
@@ -47,6 +66,23 @@ class TestChartable:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("class,")
+
+
+# sha256 of `basechange chartable FAMILY --q 5 --format json`, as recorded
+# for the seed implementation of the oracle.
+SEED_Q5_JSON_SHA256 = {
+    "sl2": "c9792d4d138a4a5c72123068286f07b48036a2df99c7caa5154d334b2de6ae9a",
+    "gl2": "8f098ed5a8858916c768c67c1bc8dc7b089ffcd5d23ce5e743b79e8fd0e45122",
+    "u2": "41eab0b8b8dab303761a0d06e1f1219e9eb36c402624ee010c1b36029192f219",
+}
+
+
+class TestOracleOutput:
+    @pytest.mark.parametrize("family", sorted(SEED_Q5_JSON_SHA256))
+    def test_q5_json_table_matches_seed_digest(self, family, capsys):
+        code, out, _ = run(["chartable", family, "--q", "5", "--format", "json"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SEED_Q5_JSON_SHA256[family]
 
 
 class TestCuspidal:
@@ -132,6 +168,23 @@ class TestVerify:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["suite"] == "level0_basechange"
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "x"])
+    def test_threads_below_one_is_usage_error(self, threads, capsys):
+        code, out, err = run(["verify", "heis", "--threads", threads], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err and "positive integer" in err
+
+    @pytest.mark.parametrize("raw", ["-5", "0", "abc"])
+    def test_bad_max_group_env_exits_2(self, raw, monkeypatch, capsys):
+        monkeypatch.setenv("BASECHANGE_MAX_GROUP", raw)
+        for argv in (["chartable", "sl2", "--q", "3"], ["verify", "normbij", "--q", "3"]):
+            code, out, err = run(argv, capsys)
+            assert code == 2
+            assert out == ""
+            assert "BASECHANGE_MAX_GROUP must be a positive integer" in err
+            assert "invalid literal" not in err and "exceeds" not in err
 
     def test_thread_invariance_bytes(self, capsys):
         _, out1, _ = run(["verify", "heis", "--threads", "1"], capsys)

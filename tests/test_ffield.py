@@ -1,13 +1,20 @@
 """Tests for finite fields, norm/trace, and character groups."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basechange.cyclo import ZERO
 from basechange.ffield import (
     MultChar,
     NormOneChar,
+    _factorize,
+    _is_prime,
+    _poly_roots,
+    _primitive_root,
     make_field,
     mult_characters,
     norm,
@@ -257,3 +264,59 @@ class TestCharacters:
         th = NormOneChar(F9, F3, 1)
         u = norm_one_generator(F9, F3)
         assert th.serialize() == "(%s,1)" % F9.serialize_element(u)
+
+
+# -- prime and polynomial helpers ------------------------------------------
+
+
+def poly_value(poly, x, p):
+    return sum(c * pow(x, e, p) for e, c in enumerate(poly)) % p
+
+
+def poly_product(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@st.composite
+def split_products(draw):
+    """(p, poly, roots): random linear factors (with repeats) times random
+    irreducible quadratics and cubics over a small prime, scaled."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 31]))
+    roots = draw(st.lists(st.integers(0, p - 1), max_size=7))
+    poly = [draw(st.integers(1, p - 1))]
+    for x in roots:
+        poly = poly_product(poly, [-x % p, 1], p)
+    for degree in draw(st.lists(st.sampled_from([2, 3]), max_size=2)):
+        # Degree <= 3 without a root in GF(p) is irreducible.
+        factor = draw(
+            st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree)
+            .map(lambda cs: cs + [1])
+            .filter(lambda f: all(poly_value(f, x, p) for x in range(p)))
+        )
+        poly = poly_product(poly, factor, p)
+    return p, poly, roots
+
+
+class TestPrimeAndPolynomialHelpers:
+    def test_factorize(self):
+        assert _factorize(30240) == [2, 3, 5, 7]
+        assert _factorize(97) == [97]
+        assert _factorize(1) == []
+
+    def test_primitive_root(self):
+        for r in (3, 5, 7, 31, 30241, 35281):
+            g = _primitive_root(r)
+            assert all(pow(g, (r - 1) // q, r) != 1 for q in _factorize(r - 1))
+        assert [n for n in range(20) if _is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+    @given(split_products(), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_roots_are_the_distinct_roots(self, case, seed):
+        p, poly, roots = case
+        found = _poly_roots(poly, p, random.Random(seed))
+        assert found == sorted(set(roots))
+        assert found == [x for x in range(p) if poly_value(poly, x, p) == 0]

@@ -4,16 +4,21 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basechange.cyclo import ZERO, root_of_unity
 from basechange.grpcore import (
     ClassFunction,
     GroupTable,
+    _hessenberg,
+    _hessenberg_charpoly,
     character_table,
     conjugacy_classes,
     enumerate_group,
     induce,
     inner_product,
+    max_group_order,
     restrict,
     table_to_csv,
     table_to_json,
@@ -218,6 +223,14 @@ class TestCharacterTable:
         with pytest.raises(ValueError, match="bound 5"):
             character_table(cyclic(6))
 
+    @pytest.mark.parametrize("raw", ["-5", "0", "abc", "", "2.5"])
+    def test_env_override_must_be_a_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("BASECHANGE_MAX_GROUP", raw)
+        with pytest.raises(ValueError, match="BASECHANGE_MAX_GROUP must be a positive integer"):
+            max_group_order()
+        with pytest.raises(ValueError, match="BASECHANGE_MAX_GROUP"):
+            character_table(cyclic(6))
+
     def test_gl2_q3_degrees(self, gl2_q3):
         tab = character_table(gl2_q3)
         assert sorted(cf.degree.as_integer() for cf in tab) == [1, 1, 2, 2, 2, 3, 3, 4]
@@ -255,3 +268,54 @@ class TestExport:
         assert len(data["classes"]) == 4
         assert len(data["irreducibles"]) == 4
         assert all(len(row) == 4 for row in data["irreducibles"])
+
+
+# -- the oracle's linear algebra over F_r -------------------------------
+
+R = 30241  # the oracle prime of GL2(7)
+
+
+def det_mod(m, r):
+    a = [list(row) for row in m]
+    n, det = len(a), 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] % r), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det = det * a[c][c] % r
+        inv = pow(a[c][c], r - 2, r)
+        for i in range(c + 1, n):
+            f = a[i][c] * inv % r
+            a[i] = [(x - f * y) % r for x, y in zip(a[i], a[c])]
+    return det % r
+
+
+# Mostly-zero entries reach the reduced Hessenberg forms (zero subdiagonal
+# entries) that repeated eigenvalues force.
+entries = st.one_of(st.just(0), st.just(1), st.integers(0, R - 1))
+
+
+@st.composite
+def square_matrices(draw, max_size=7):
+    n = draw(st.integers(1, max_size))
+    return [[draw(entries) for _ in range(n)] for _ in range(n)]
+
+
+class TestOracleLinearAlgebra:
+    @given(square_matrices(), st.lists(st.integers(0, R - 1), min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_hessenberg_charpoly_is_det(self, m, lams):
+        h = _hessenberg(m, R)
+        assert all(h[i][j] == 0 for i in range(len(h)) for j in range(i - 1))
+        poly = _hessenberg_charpoly(h, R)
+        assert len(poly) == len(m) + 1 and poly[-1] == 1
+        for lam in lams:
+            shifted = [
+                [((lam if i == j else 0) - x) % R for j, x in enumerate(row)]
+                for i, row in enumerate(m)
+            ]
+            value = sum(c * pow(lam, e, R) for e, c in enumerate(poly)) % R
+            assert value == det_mod(shifted, R)
