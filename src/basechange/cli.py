@@ -2,7 +2,8 @@
 run verification suites, and run the extraspecial-group laboratory.
 
 Exit codes: 0 when every executed check passes, 1 when any check fails,
-2 on invalid arguments.  All output is deterministic; the only recognized
+2 on invalid arguments, 3 on an internal error (a one-line message on
+stderr, no traceback).  All output is deterministic; the only recognized
 environment variable is BASECHANGE_MAX_GROUP (size bound override, a
 positive integer).
 """
@@ -61,6 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="basechange",
         description="Exact verification laboratory for cuspidal characters "
         "of rank-one groups over small finite fields.",
+        epilog="exit codes: 0 every check passed, 1 a check failed, "
+        "2 invalid arguments, 3 internal error",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -94,7 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--q", type=_odd_prime, default=3, help="base field size (odd prime)")
     p_verify.add_argument(
-        "--threads", type=_positive_int, default=1, help="parameter-point fan-out bound"
+        "--threads",
+        type=_positive_int,
+        default=1,
+        help="accepted for compatibility (a positive integer); suites run serially",
     )
     p_verify.add_argument("--out", default=None, help="report path (default stdout)")
 
@@ -102,7 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
         "heis", help="run the extraspecial-group checks for one configuration"
     )
     p_heis.add_argument("--p", type=int, required=True, help="odd prime")
-    p_heis.add_argument("--a", type=int, default=1, help="half-rank of the space")
+    p_heis.add_argument(
+        "--a", type=int, default=1, help="half-rank of the space (only 1 is supported)"
+    )
     p_heis.add_argument("--d", type=int, required=True, help="torus order")
     p_heis.add_argument(
         "--realization", choices=("split", "nonsplit"), required=True
@@ -214,6 +222,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
+    except Exception as e:  # an invariant broke: report it, never as a failed check
+        sys.stderr.write("internal error: %s: %s\n" % (type(e).__name__, e))
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ classes; U2 values off the torus are read from the oracle, never guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from .cyclo import ZERO, Cyclotomic
@@ -26,18 +25,6 @@ from .rankone import (
     mat_scalar,
     u2_torus_element,
 )
-
-
-@dataclass
-class CuspidalTag:
-    """Bookkeeping for a constructed character: family, base q, parameters."""
-
-    family: str
-    q: int
-    params: dict = dc_field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, "q": self.q, "params": dict(self.params)}
 
 
 # -- shared contexts (built once per q) -------------------------------

@@ -339,13 +339,6 @@ class Cyclotomic:
     def __repr__(self) -> str:
         return self.serialize()
 
-    def to_complex(self) -> complex:
-        """Float shadow for debugging only; never use in assertions."""
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self._n)
-        return sum(float(c) * z**i for i, c in enumerate(self.coefficients))
-
 
 def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
     a = list(a)

@@ -55,6 +55,7 @@ class GroupTable:
             raise ValueError("not closed under inversion") from None
         self._orders: list[int | None] = [None] * self.order
         self._classes_cache = None
+        self._generators: tuple[int, ...] | None = None
         if check:
             self._check_axioms()
 
@@ -117,10 +118,6 @@ class GroupTable:
     def inv(self, i: int) -> int:
         return self.inv_table[i]
 
-    def conj(self, g: int, h: int) -> int:
-        """h^-1 g h."""
-        return self.mul(self.mul(self.inv_table[h], g), h)
-
     def power(self, g: int, e: int) -> int:
         if e < 0:
             g, e = self.inv_table[g], -e
@@ -146,13 +143,72 @@ class GroupTable:
     def key(self, i: int):
         return self.elements[i]
 
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, found greedily and cached: elements drawn from a
+        fixed seed, each outside the subgroup the earlier ones generate,
+        until the closure of the identity under them is the whole group."""
+        if self._generators is None:
+            rng = random.Random(_CHECK_SEED)
+            gens: list[int] = []
+            reached = [self.id]
+            seen = {self.id}
+            while len(reached) < self.order:
+                g = rng.randrange(self.order)
+                if g in seen:
+                    continue
+                gens.append(g)
+                # The old closure is closed under the old generators, so it
+                # needs products with g only; what is new needs them all.
+                new = []
+                for x in reached:
+                    y = self.mul(x, g)
+                    if y not in seen:
+                        seen.add(y)
+                        new.append(y)
+                for x in new:
+                    for h in gens:
+                        y = self.mul(x, h)
+                        if y not in seen:
+                            seen.add(y)
+                            new.append(y)
+                reached += new
+            self._generators = tuple(gens)
+        return self._generators
+
     def __repr__(self):
         return "GroupTable(%s, order=%d)" % (self.name, self.order)
 
 
-def enumerate_group(candidates, predicate, mul_key, inv_key, id_key, name="G") -> GroupTable:
-    """Filter a finite carrier by a subgroup predicate and build the table."""
-    return GroupTable.from_predicate(candidates, predicate, mul_key, inv_key, id_key, name)
+def orbits(group: GroupTable, moves, seeds=None) -> list[tuple[int, ...]]:
+    """Orbits of the maps x -> a x b, for index pairs (a, b) in moves, as
+    sorted tuples in order of least seed (every element when seeds is None).
+
+    Each orbit is its seed's closure under the moves.  When the moves are a
+    generating set's images under a group action, that closure is the whole
+    orbit under the group: every move permutes a finite set, so its inverse
+    is one of its powers.
+    """
+    index, elements, mul_key = group.index, group.elements, group._mul_key
+    key_moves = [(elements[a], elements[b]) for a, b in moves]
+    seen = bytearray(group.order)
+    out = []
+    for seed in range(group.order) if seeds is None else seeds:
+        if seen[seed]:
+            continue
+        seen[seed] = 1
+        orbit = [seed]
+        try:
+            for x in orbit:
+                kx = elements[x]
+                for ka, kb in key_moves:
+                    y = index[mul_key(mul_key(ka, kx), kb)]
+                    if not seen[y]:
+                        seen[y] = 1
+                        orbit.append(y)
+        except KeyError:
+            raise ValueError("not closed under multiplication") from None
+        out.append(tuple(sorted(orbit)))
+    return out
 
 
 class ConjClasses:
@@ -161,18 +217,7 @@ class ConjClasses:
     def __init__(self, group: GroupTable):
         self.group = group
         n = group.order
-        class_of = [-1] * n
-        raw: list[tuple[int, ...]] = []
-        for seed in range(n):
-            if class_of[seed] >= 0:
-                continue
-            orbit = {seed}
-            for h in range(n):
-                orbit.add(group.conj(seed, h))
-            cid = len(raw)
-            for x in orbit:
-                class_of[x] = cid
-            raw.append(tuple(sorted(orbit)))
+        raw = orbits(group, [(group.inv(g), g) for g in group.generators()])
         # Deterministic order: element order, then size, then least index.
         order_key = []
         for c in raw:
@@ -318,18 +363,16 @@ def induce(psi: ClassFunction, group: GroupTable) -> ClassFunction:
     sub = psi.group
     _require_subgroup(sub, group)
     classes = conjugacy_classes(group)
-    h_index = {k: i for i, k in enumerate(sub.elements)}
-    values = []
-    for rep in classes.representatives:
-        total = ZERO
-        for x in range(group.order):
-            y = group.mul(group.mul(x, rep), group.inv(x))
-            hk = group.key(y)
-            hi = h_index.get(hk)
-            if hi is not None:
-                total = total + psi.on_element(hi)
-        values.append(total * Fraction(1, sub.order))
-    return ClassFunction(classes, values)
+    # Frobenius class formula: Ind psi(g) = |C_G(g)|/|H| sum_{h in H ~ g} psi(h),
+    # summed over the classes of H by the G-class each one falls in.
+    sums = [ZERO] * len(classes)
+    for rep, size, value in zip(psi.classes.representatives, psi.classes.sizes, psi.values):
+        ci = classes.class_of[group.index[sub.key(rep)]]
+        sums[ci] = sums[ci] + value * size
+    return ClassFunction(
+        classes,
+        [s * Fraction(c, sub.order) for s, c in zip(sums, classes.centralizer_orders)],
+    )
 
 
 # -- modular linear algebra over F_r ----------------------------------

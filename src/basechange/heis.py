@@ -18,7 +18,7 @@ from math import gcd
 
 from .cyclo import ONE, ZERO, Cyclotomic, root_of_unity
 from .ffield import _is_prime, make_field, norm_one_generator
-from .grpcore import GroupTable, _nullspace
+from .grpcore import GroupTable, _nullspace, orbits
 from .rankone import embed_quadratic_torus
 
 _SAMPLE_SEED = 3735928559
@@ -203,6 +203,9 @@ class TorusAction:
             if len(self.powers) > 100000:
                 raise AssertionError("order computation runaway")
         self.order = len(self.powers)
+        # Preserving the form on every basis pair makes t a symplectic map,
+        # so (v, z) -> (t v, z) is a group automorphism; that is what makes
+        # the twisted moves h x (t.h)^-1 of the orbit checks a group action.
         basis = [tuple(1 if k == i else 0 for k in range(space.dim)) for i in range(space.dim)]
         for i in range(space.dim):
             ti = self.apply(basis[i])
@@ -597,6 +600,12 @@ def expected_multiplicity_multiset(p: int, a: int, d: int) -> list[int]:
 # -- the sign law and the action's consequences -----------------------
 
 
+def _twisted_moves(G: GroupTable, action: TorusAction, j: int):
+    # x -> h x (t^j . h)^-1 for h in a generating set: a left action of the
+    # group, since t^j acts by an automorphism (see TorusAction).
+    return [(h, G.index[action.act_key(G.key(G.inv(h)), j)]) for h in G.generators()]
+
+
 def lemma_H_verify(p: int, a: int, d: int, realization: str):
     """Build the (p, a) extraspecial group, the requested order-d torus
     realization, all d extensions, and check: each extension's traces on
@@ -606,6 +615,10 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str):
     supported exactly on elements conjugate into the center."""
     from .verify import Check, Report
 
+    if a != 1:
+        raise ValueError(
+            "a = %d is not supported: torus realizations are built only for a = 1" % a
+        )
     action = torus_realization(p, d, realization)
     rep = heisenberg_rep(p, a)
     group = rep.group
@@ -683,17 +696,18 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str):
     )
 
     # Coset support: tr lambda(t) eta(y) != 0 iff h y (t.h)^-1 reaches the
-    # center for some h, i.e. ty is conjugate into tZ within the group.
+    # center for some h, i.e. ty is conjugate into tZ within the group: iff
+    # y lies in the orbit of a central element under those moves.
     support_bad = None
     ext0 = exts[0]
-    center = set(group.center_keys)
-    for y in group.group.elements:
+    G = group.group
+    center = [G.index[k] for k in group.center_keys]
+    into_center = {
+        x for orbit in orbits(G, _twisted_moves(G, action, 1), seeds=center) for x in orbit
+    }
+    for yi, y in enumerate(G.elements):
         tr = rep.trace_product(ext0.op(1), y)
-        reachable = any(
-            group.mul_key(group.mul_key(h, y), action.act_key(group.inv_key(h)))
-            in center
-            for h in group.group.elements
-        )
+        reachable = yi in into_center
         if reachable != (not tr.is_zero()):
             support_bad = (y, reachable, tr.serialize())
             break
@@ -765,18 +779,16 @@ def torus_action_consequences(group: ExtraspecialGroup, action: TorusAction):
 
     # Semidirect-product conjugacy: conjugating ((0,z), t^j) by ((h), t^m)
     # gives ((h (0,z) (t^j . h)^-1), t^j); the torus part of the conjugator
-    # drops out because the center is action-invariant.
+    # drops out because the center is action-invariant.  So for each j the
+    # central elements must lie in distinct orbits of x -> h x (t^j . h)^-1.
     sep_bad = None
-    tz = [((space.zero, z), j) for z in range(p) for j in range(d)]
-    tz_set = set(tz)
-    for (g, j) in tz:
-        for h in group.group.elements:
-            other = (
-                group.mul_key(group.mul_key(h, g), action.act_key(group.inv_key(h), j)),
-                j,
-            )
-            if other in tz_set and other != (g, j):
-                sep_bad = ((g, j), other, h)
+    G = group.group
+    center = [G.index[k] for k in group.center_keys]
+    for j in range(d):
+        for orbit in orbits(G, _twisted_moves(G, action, j), seeds=center):
+            hits = sorted(set(orbit).intersection(center))
+            if len(hits) > 1:
+                sep_bad = ((G.key(hits[0]), j), (G.key(hits[1]), j))
                 break
         if sep_bad:
             break

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 
 from .ffield import FField, make_field, norm_one_subgroup
-from .grpcore import GroupTable, conjugacy_classes, enumerate_group, max_group_order
+from .grpcore import GroupTable, conjugacy_classes, max_group_order, orbits
 
 Mat2 = tuple[int, int, int, int]
 
@@ -41,10 +41,6 @@ def mat_mul(F: FField, x: Mat2, y: Mat2) -> Mat2:
 def mat_det(F: FField, x: Mat2) -> int:
     a, b, c, d = x
     return F.sub(F.mul(a, d), F.mul(b, c))
-
-
-def mat_trace(F: FField, x: Mat2) -> int:
-    return F.add(x[0], x[3])
 
 
 def mat_inv(F: FField, x: Mat2) -> Mat2:
@@ -80,7 +76,7 @@ def build_gl2(F: FField, bound: int | None = None) -> GroupTable:
             "GL2 order %d exceeds size bound %d" % (expected, bound)
         )
     cand = product(F.elements(), repeat=4)
-    G = enumerate_group(
+    G = GroupTable.from_predicate(
         cand,
         lambda m: mat_det(F, m) != F.zero,
         lambda x, y: mat_mul(F, x, y),
@@ -104,7 +100,7 @@ def build_sl2(F: FField, bound: int | None = None) -> GroupTable:
             "SL2 order %d exceeds size bound %d" % (expected, bound)
         )
     cand = product(F.elements(), repeat=4)
-    G = enumerate_group(
+    G = GroupTable.from_predicate(
         cand,
         lambda m: mat_det(F, m) == F.one,
         lambda x, y: mat_mul(F, x, y),
@@ -218,50 +214,9 @@ def tau_classes(G: GroupTable, spec: UnitarySpec) -> list[tuple[int, ...]]:
     g -> h^-1 g tau(h), ordered by least seed index.
 
     Since tau is a homomorphism, h -> (x -> h^-1 x tau(h)) is a right group
-    action, so each orbit is the closure of its seed under the moves of a
-    generating set (elementary matrices plus diag(gen, 1)); that the chosen
-    set generates the whole group is verified first.
+    action, so the orbits under the moves of G.generators() are exact.
     """
-    F = spec.field
-    gens = [
-        G.index[(F.one, F.one, F.zero, F.one)],
-        G.index[(F.one, F.zero, F.one, F.one)],
-        G.index[(F.generator, F.zero, F.zero, F.one)],
-    ]
-    reached = {G.id}
-    frontier = [G.id]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = G.mul(x, g)
-                if y not in reached:
-                    reached.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    if len(reached) != G.order:
-        raise AssertionError("generating set does not generate the group")
-    moves = [(G.inv(g), G.index[tau(spec, G.key(g))]) for g in gens]
-    seen = [False] * G.order
-    out = []
-    for seed in range(G.order):
-        if seen[seed]:
-            continue
-        orbit = {seed}
-        seen[seed] = True
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for ginv, taug in moves:
-                    y = G.mul(G.mul(ginv, x), taug)
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        out.append(tuple(sorted(orbit)))
-    return out
+    return orbits(G, [(G.inv(g), G.index[tau(spec, G.key(g))]) for g in G.generators()])
 
 
 def norm_class_map(

@@ -10,7 +10,6 @@ used when a configuration is out of the size bound, do not count).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cyclo import ZERO
@@ -589,16 +588,12 @@ def _run_heis_tuple(tup) -> list[Check]:
 def suite_heisenberg(tuples=None, threads: int = 1) -> Report:
     """Aggregate the extraspecial-group checks (trace sign law, multiplicity
     multisets, coset support, action consequences) over a list of
-    (p, a, d, realization) tuples."""
+    (p, a, d, realization) tuples.  The tuples run one after another;
+    threads is accepted for compatibility and has no effect."""
     if tuples is None:
         tuples = DEFAULT_HEIS_TUPLES
     tuples = [tuple(t) for t in tuples]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(_run_heis_tuple, tuples))
-    else:
-        blocks = [_run_heis_tuple(t) for t in tuples]
-    checks = [c for block in blocks for c in block]
+    checks = [c for t in tuples for c in _run_heis_tuple(t)]
     return Report(
         suite="heisenberg",
         params={"tuples": [list(t) for t in tuples]},

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from basechange import cli
 from basechange.cli import main
 
 
@@ -225,6 +226,41 @@ class TestHeis:
     def test_missing_required_flag_exits_2(self, capsys):
         code, _, _ = run(["heis", "--p", "3", "--d", "4"], capsys)
         assert code == 2
+
+    def test_a_other_than_one_is_usage_error(self, capsys):
+        code, out, err = run(
+            ["heis", "--p", "3", "--a", "2", "--d", "4", "--realization", "nonsplit"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "a = 2 is not supported" in err
+        assert "Traceback" not in err and "KeyError" not in err
+
+
+class TestInternalError:
+    @pytest.mark.parametrize(
+        "exc,line",
+        [
+            (AssertionError("class size does not divide group order"),
+             "internal error: AssertionError: class size does not divide group order\n"),
+            (KeyError((1, 2)), "internal error: KeyError: (1, 2)\n"),
+        ],
+        ids=["AssertionError", "KeyError"],
+    )
+    def test_exits_3_with_one_line(self, exc, line, monkeypatch, capsys):
+        def broken(args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "chartable", broken)
+        code, out, err = run(["chartable", "sl2", "--q", "3"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == line
+
+    def test_exit_codes_are_documented(self, capsys):
+        _, out, _ = run(["--help"], capsys)
+        assert "3 internal error" in " ".join(out.split())
 
 
 class TestHelp:

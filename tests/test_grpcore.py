@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basechange.cyclo import ZERO, root_of_unity
+from basechange.ffield import make_field
+from basechange.heis import extraspecial_group
+from basechange.rankone import build_gl2, build_sl2
 from basechange.grpcore import (
     ClassFunction,
     GroupTable,
@@ -15,10 +18,10 @@ from basechange.grpcore import (
     _hessenberg_charpoly,
     character_table,
     conjugacy_classes,
-    enumerate_group,
     induce,
     inner_product,
     max_group_order,
+    orbits,
     restrict,
     table_to_csv,
     table_to_json,
@@ -72,6 +75,91 @@ class TestGroupTable:
             [1], lambda a, b: (a + b) % 9, lambda a: (-a) % 9, 0
         )
         assert G.order == 9
+
+
+def perm_group(generators, degree, name):
+    def pmul(a, b):
+        return tuple(a[b[i]] for i in range(degree))
+
+    def pinv(a):
+        out = [0] * degree
+        for i, v in enumerate(a):
+            out[v] = i
+        return tuple(out)
+
+    return GroupTable.from_generators(generators, pmul, pinv, tuple(range(degree)), name=name)
+
+
+def s4():
+    return perm_group([(1, 0, 2, 3), (1, 2, 3, 0)], 4, "S4")
+
+
+def d4():
+    return perm_group([(1, 2, 3, 0), (3, 2, 1, 0)], 4, "D4")
+
+
+def conj_scan(group):
+    """The classes by definition: conjugate each seed by every element."""
+    seen, out = set(), []
+    for x in range(group.order):
+        if x not in seen:
+            orbit = {group.mul(group.mul(group.inv(h), x), h) for h in range(group.order)}
+            seen |= orbit
+            out.append(tuple(sorted(orbit)))
+    return out
+
+
+def closure(group, gens):
+    reached = {group.id}
+    frontier = [group.id]
+    while frontier:
+        frontier = [y for y in {group.mul(x, g) for x in frontier for g in gens} if y not in reached]
+        reached.update(frontier)
+    return reached
+
+
+@pytest.fixture(scope="module")
+def engine_groups(gl2_q3, u2_q3):
+    return [s4(), d4(), gl2_q3, build_sl2(make_field(5)), u2_q3, extraspecial_group(3).group]
+
+
+class TestOrbitEngine:
+    def test_classes_equal_the_full_conjugation_scan(self, engine_groups):
+        for G in engine_groups:
+            cls = conjugacy_classes(G)
+            assert sorted(cls.classes) == conj_scan(G), G.name
+
+    def test_generators_generate(self, engine_groups):
+        for G in engine_groups + [cyclic(1), cyclic(12)]:
+            assert len(closure(G, G.generators())) == G.order, G.name
+
+    def test_generators_are_the_same_across_builds(self):
+        first = build_gl2(make_field(3)).generators()
+        assert first == build_gl2(make_field(3)).generators()
+        assert s4().generators() == s4().generators()
+
+    def test_partition_does_not_depend_on_the_generating_set(self, gl2_q3):
+        G = gl2_q3
+        F = make_field(3)
+        other = [
+            G.index[(F.one, F.one, F.zero, F.one)],
+            G.index[(F.one, F.zero, F.one, F.one)],
+            G.index[(F.generator, F.zero, F.zero, F.one)],
+        ]
+        assert len(closure(G, other)) == G.order
+        assert set(other) != set(G.generators())
+        by_default = orbits(G, [(G.inv(g), g) for g in G.generators()])
+        assert orbits(G, [(G.inv(g), g) for g in other]) == by_default
+        # Every element is a generating set too: that is the full scan.
+        assert orbits(G, [(G.inv(g), g) for g in range(G.order)]) == by_default
+
+    def test_orbits_from_seeds(self):
+        G = s4()
+        moves = [(G.inv(g), g) for g in G.generators()]
+        every = orbits(G, moves)
+        seeds = [G.order - 1, 0, G.order - 1]
+        picked = orbits(G, moves, seeds=seeds)
+        assert picked == [c for c in every if G.order - 1 in c] + [c for c in every if 0 in c]
 
 
 class TestConjClasses:
@@ -159,6 +247,33 @@ class TestRestrictInduce:
             psi = ClassFunction(hc, [rng.randint(-4, 4) for _ in range(len(hc))])
             chi = ClassFunction(gc, [rng.randint(-4, 4) for _ in range(len(gc))])
             assert inner_product(induce(psi, G), chi) == inner_product(psi, restrict(chi, H))
+
+    def test_induce_matches_the_definition(self):
+        # Ind psi(g) = (1/|H|) sum over x in G of psi(x g x^-1), psi = 0 off H.
+        G = s3()
+        pmul = lambda a, b: tuple(a[b[i]] for i in range(3))
+        pinv = lambda a: tuple(sorted(range(3), key=lambda i: a[i]))
+        subgroups = [
+            GroupTable([G.key(G.id)], lambda a, b: a, lambda a: a, G.key(G.id)),
+            GroupTable.from_generators([(1, 2, 0)], pmul, pinv, (0, 1, 2)),
+            GroupTable.from_generators([(1, 0, 2)], pmul, pinv, (0, 1, 2)),
+        ]
+        rng = random.Random(7)
+        for H in subgroups:
+            hc = conjugacy_classes(H)
+            for _ in range(3):
+                psi = ClassFunction(
+                    hc, [root_of_unity(6, rng.randrange(6)) * rng.randint(-3, 3) for _ in hc.classes]
+                )
+                expected = []
+                for rep in conjugacy_classes(G).representatives:
+                    total = ZERO
+                    for x in range(G.order):
+                        y = G.key(G.mul(G.mul(x, rep), G.inv(x)))
+                        if y in H.index:
+                            total = total + psi.on_element(H.index[y])
+                    expected.append(total / H.order)
+                assert list(induce(psi, G).values) == expected
 
     def test_induced_degree(self):
         G = s3()

@@ -4,8 +4,10 @@ extensions: frozen expected values plus structural property checks."""
 import pytest
 
 from basechange.cyclo import ONE, root_of_unity
+from basechange.grpcore import orbits
 from basechange.heis import (
     ExtraspecialGroup,
+    _twisted_moves,
     SymplecticSpace,
     TorusAction,
     build_extraspecial,
@@ -326,6 +328,43 @@ class TestLemmaHReports:
                 "fixed_space_form_nondegenerate_even",
                 "torus_center_conjugacy_separated",
             ]
+
+    def test_only_a_one_is_supported(self):
+        with pytest.raises(ValueError, match="a = 2 is not supported"):
+            lemma_H_verify(3, 2, 4, "nonsplit")
+
+
+def twisted_scan(group, action, y, j):
+    """{h y (t^j . h)^-1 : h in the group}, scanning every h."""
+    return {
+        group.mul_key(group.mul_key(h, y), action.act_key(group.inv_key(h), j))
+        for h in group.group.elements
+    }
+
+
+class TestOrbitChecksAgreeWithScans:
+    @pytest.mark.parametrize(
+        "p,a,d,realization", [(3, 1, 2, "split"), (3, 1, 4, "nonsplit"), (5, 1, 6, "nonsplit")]
+    )
+    def test_twisted_orbits_of_the_center(self, p, a, d, realization):
+        E = extraspecial_group(p, a)
+        G = E.group
+        action = torus_realization(p, d, realization)
+        center = set(E.center_keys)
+        seeds = [G.index[k] for k in E.center_keys]
+        # coset_trace_support: y is conjugate into the center iff some h
+        # moves it there.
+        scanned = {y for y in G.elements if twisted_scan(E, action, y, 1) & center}
+        found = {G.key(x) for orbit in orbits(G, _twisted_moves(G, action, 1), seeds) for x in orbit}
+        assert found == scanned
+        # torus_center_conjugacy_separated: each central element's orbit
+        # under every torus power, and no orbit holding two of them.
+        for j in range(d):
+            moves = _twisted_moves(G, action, j)
+            for z in E.center_keys:
+                (orbit,) = orbits(G, moves, seeds=[G.index[z]])
+                assert {G.key(x) for x in orbit} == twisted_scan(E, action, z, j)
+                assert twisted_scan(E, action, z, j) & center == {z}
 
 
 class TestCyclicPairSums:

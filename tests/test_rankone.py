@@ -126,6 +126,16 @@ class TestTwistedClasses:
         seen = sorted(x for orbit in partition for x in orbit)
         assert seen == list(range(gl2_q9.order))
 
+    def test_orbits_equal_the_full_twisted_scan(self, partition, gl2_q9, spec_q3):
+        # h^-1 x tau(h) over every h, for a handful of seeds.
+        G = gl2_q9
+        tau_of = [G.index[tau(spec_q3, G.key(h))] for h in range(G.order)]
+        orbit_of = {x: orbit for orbit in partition for x in orbit}
+        rng = random.Random(314159)
+        for x in [G.id] + [rng.randrange(G.order) for _ in range(5)]:
+            scan = {G.mul(G.mul(G.inv(h), x), tau_of[h]) for h in range(G.order)}
+            assert tuple(sorted(scan)) == orbit_of[x]
+
     def test_class_count_q3(self, partition):
         assert len(partition) == 16
 
