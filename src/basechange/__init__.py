@@ -50,7 +50,8 @@ from .heis import (
     torus_action_consequences,
     torus_realization,
 )
-from .verify import Check, Report, SUITES, report_to_json
+from .report import Check, Report, report_to_json
+from .verify import SUITES
 
 __version__ = "0.1.0"
 

@@ -15,6 +15,7 @@ import json
 import sys
 
 from .cuspchar import (
+    FAMILIES,
     gl2_cuspidal,
     sl2_cuspidal,
     standard_group,
@@ -23,7 +24,8 @@ from .cuspchar import (
 )
 from .ffield import MultChar, NormOneChar, _is_prime, make_field
 from .grpcore import max_group_order, table_to_csv, table_to_json
-from .verify import SUITES, report_to_json
+from .heis import torus_realization
+from .verify import SUITES, report_to_json, suite_heisenberg
 
 _SUITE_ALIASES = {
     "level0": "level0_basechange",
@@ -33,7 +35,7 @@ _SUITE_ALIASES = {
     "heis": "heisenberg",
 }
 
-_FAMILIES = ("sl2", "gl2", "u2")
+_FAMILIES = tuple(FAMILIES)
 
 
 def _int_or_zero(raw: str) -> int:
@@ -123,9 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out_path: str | None):
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
+    except OSError as e:  # a missing directory, a directory, no permission
+        raise ValueError("cannot write --out %r: %s" % (out_path, e.strerror or e)) from None
 
 
 def _json_dumps(obj) -> str:
@@ -192,9 +197,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_heis(args) -> int:
-    from .heis import torus_realization
-    from .verify import suite_heisenberg
-
     # Validate the configuration before running anything heavy.
     torus_realization(args.p, args.d, args.realization)
     report = suite_heisenberg(tuples=[(args.p, args.a, args.d, args.realization)])

@@ -10,7 +10,7 @@ classes; U2 values off the torus are read from the oracle, never guessed.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cyclo import ZERO, Cyclotomic
 from .ffield import MultChar, NormOneChar, make_field, norm_one_subgroup
@@ -30,13 +30,39 @@ from .rankone import (
 # -- shared contexts (built once per q) -------------------------------
 
 
-class _GL2Context:
-    def __init__(self, q: int):
+class _Context:
+    """One family at one q: the base field k0, its quadratic extension l,
+    the group with its conjugacy classes, and the oracle table, built on
+    first use."""
+
+    def __init__(self, q: int, k0, l, group):
         self.q = q
-        self.k0 = make_field(q)
-        self.l = make_field(q, 2)
-        self.group = build_gl2(self.k0)
-        self.classes = conjugacy_classes(self.group)
+        self.k0 = k0
+        self.l = l
+        self.group = group
+        self.classes = conjugacy_classes(group)
+
+    @cached_property
+    def table(self):
+        return character_table(self.group)
+
+    def _split_classes(self, listed_count: int) -> list[int]:
+        """The classes outside the central, unipotent and elliptic families,
+        which must cover listed_count distinct classes between them."""
+        listed = (
+            set(self.central.values())
+            | set(self.unipotent.values())
+            | set(self.elliptic.values())
+        )
+        if len(listed) != listed_count:
+            raise AssertionError("class families overlap")
+        return [ci for ci in range(len(self.classes)) if ci not in listed]
+
+
+class _GL2Context(_Context):
+    def __init__(self, q: int):
+        k0 = make_field(q)
+        super().__init__(q, k0, make_field(q, 2), build_gl2(k0))
         self.embed = embed_quadratic_torus(self.l, self.k0)
         F, cls, G = self.k0, self.classes, self.group
         self.central = {
@@ -52,35 +78,18 @@ class _GL2Context:
         for x in self.l.nonzero():
             if x not in embedded:
                 self.elliptic[x] = cls.class_of[G.index[self.embed(x)]]
-        listed = (
-            set(self.central.values())
-            | set(self.unipotent.values())
-            | set(self.elliptic.values())
-        )
         if len(self.central) != q - 1 or len(self.unipotent) != q - 1:
             raise AssertionError("central/unipotent classification failed")
         if len(set(self.elliptic.values())) != q * (q - 1) // 2:
             raise AssertionError("elliptic classification failed")
-        if len(listed) != 2 * (q - 1) + q * (q - 1) // 2:
-            raise AssertionError("class families overlap")
-        self.split_classes = [ci for ci in range(len(cls)) if ci not in listed]
-        self._table = None
+        self.split_classes = self._split_classes(2 * (q - 1) + q * (q - 1) // 2)
         self._formula_cache: dict[int, ClassFunction] = {}
 
-    @property
-    def table(self):
-        if self._table is None:
-            self._table = character_table(self.group)
-        return self._table
 
-
-class _SL2Context:
+class _SL2Context(_Context):
     def __init__(self, q: int):
-        self.q = q
-        self.k0 = make_field(q)
-        self.l = make_field(q, 2)
-        self.group = build_sl2(self.k0)
-        self.classes = conjugacy_classes(self.group)
+        k0 = make_field(q)
+        super().__init__(q, k0, make_field(q, 2), build_sl2(k0))
         self.embed = embed_quadratic_torus(self.l, self.k0)
         F, cls, G = self.k0, self.classes, self.group
         one, minus = F.one, F.neg(F.one)
@@ -101,31 +110,13 @@ class _SL2Context:
         for u in l1:
             if u not in central_points:
                 self.elliptic[u] = cls.class_of[G.index[self.embed(u)]]
-        listed = (
-            set(self.central.values())
-            | set(self.unipotent.values())
-            | set(self.elliptic.values())
-        )
-        if len(listed) != 2 + 4 + (q - 1) // 2:
-            raise AssertionError("class families overlap")
-        self.split_classes = [ci for ci in range(len(cls)) if ci not in listed]
-        self._table = None
-
-    @property
-    def table(self):
-        if self._table is None:
-            self._table = character_table(self.group)
-        return self._table
+        self.split_classes = self._split_classes(2 + 4 + (q - 1) // 2)
 
 
-class _U2Context:
+class _U2Context(_Context):
     def __init__(self, q: int):
-        self.q = q
         self.spec = UnitarySpec(q)
-        self.k0 = self.spec.sub
-        self.l = self.spec.field
-        self.group = build_u2(self.spec)
-        self.classes = conjugacy_classes(self.group)
+        super().__init__(q, self.spec.sub, self.spec.field, build_u2(self.spec))
         self.l1 = norm_one_subgroup(self.l, self.k0)
         cls, G = self.classes, self.group
         self.torus_class = {}
@@ -134,13 +125,6 @@ class _U2Context:
                 g = u2_torus_element(self.spec, u1, u2)
                 self.torus_class[(u1, u2)] = cls.class_of[G.index[g]]
         self.central = {u: self.torus_class[(u, u)] for u in self.l1}
-        self._table = None
-
-    @property
-    def table(self):
-        if self._table is None:
-            self._table = character_table(self.group)
-        return self._table
 
 
 @lru_cache(maxsize=None)
@@ -158,26 +142,26 @@ def u2_context(q: int) -> _U2Context:
     return _U2Context(q)
 
 
+# The standard families by name, each with its cached context factory.
+FAMILIES = {"sl2": sl2_context, "gl2": gl2_context, "u2": u2_context}
+
+
+def _family_context(family: str, q: int) -> _Context:
+    try:
+        factory = FAMILIES[family]
+    except KeyError:
+        raise ValueError("unknown family: %r" % family) from None
+    return factory(q)
+
+
 def standard_group(family: str, q: int):
     """The group table for one of the standard families sl2/gl2/u2."""
-    if family == "sl2":
-        return sl2_context(q).group
-    if family == "gl2":
-        return gl2_context(q).group
-    if family == "u2":
-        return u2_context(q).group
-    raise ValueError("unknown family: %r" % family)
+    return _family_context(family, q).group
 
 
 def standard_table(family: str, q: int):
     """The oracle character table for one of the standard families."""
-    if family == "sl2":
-        return sl2_context(q).table
-    if family == "gl2":
-        return gl2_context(q).table
-    if family == "u2":
-        return u2_context(q).table
-    raise ValueError("unknown family: %r" % family)
+    return _family_context(family, q).table
 
 
 def match_oracle(cf: ClassFunction, table: list[ClassFunction]) -> list[int]:

@@ -42,6 +42,17 @@ def _factorize(n: int) -> list[int]:
     return out
 
 
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k for a prime p and k >= 1."""
+    primes = _factorize(q)
+    if len(primes) != 1:
+        raise ValueError("q must be a prime power")
+    p, k = primes[0], 1
+    while p**k < q:
+        k += 1
+    return p, k
+
+
 def _primitive_root(r: int) -> int:
     """The least generator of the multiplicative group of GF(r), r prime."""
     primes = _factorize(r - 1)

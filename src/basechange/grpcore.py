@@ -38,7 +38,7 @@ def max_group_order() -> int:
 class GroupTable:
     """A finite group as sorted canonical keys plus index-level mul/inv."""
 
-    def __init__(self, keys, mul_key, inv_key, id_key, name: str = "G", check: bool = True):
+    def __init__(self, keys, mul_key, inv_key, id_key, name: str = "G"):
         self.name = name
         self.elements = sorted(keys)
         self.index = {k: i for i, k in enumerate(self.elements)}
@@ -56,8 +56,7 @@ class GroupTable:
         self._orders: list[int | None] = [None] * self.order
         self._classes_cache = None
         self._generators: tuple[int, ...] | None = None
-        if check:
-            self._check_axioms()
+        self._check_axioms()
 
     # -- construction helpers -----------------------------------------
 

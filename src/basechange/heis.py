@@ -20,6 +20,7 @@ from .cyclo import ONE, ZERO, Cyclotomic, root_of_unity
 from .ffield import _is_prime, make_field, norm_one_generator
 from .grpcore import GroupTable, _nullspace, orbits
 from .rankone import embed_quadratic_torus
+from .report import Check, Report, counterexample_check
 
 _SAMPLE_SEED = 3735928559
 _EXHAUSTIVE_PAIR_LIMIT = 200
@@ -613,8 +614,6 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str):
     (epsilon = -1 iff d | p^a + 1), traces have squared modulus 1, the
     multiplicity multisets match the closed form, and coset traces are
     supported exactly on elements conjugate into the center."""
-    from .verify import Check, Report
-
     if a != 1:
         raise ValueError(
             "a = %d is not supported: torus realizations are built only for a = 1" % a
@@ -652,12 +651,11 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str):
     if bad is None and len(set(matched.values())) != d:
         bad = ("labels collide", sorted(matched.values()))
     checks.append(
-        Check(
-            name="trace_sign_law",
-            status="pass" if bad is None else "fail",
-            details="epsilon = %d; extension label -> character exponent: %s"
+        counterexample_check(
+            "trace_sign_law",
+            bad,
+            "epsilon = %d; extension label -> character exponent: %s"
             % (eps, matched),
-            counterexample=None if bad is None else repr(bad),
         )
     )
 
@@ -670,11 +668,10 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str):
         if modulus_bad:
             break
     checks.append(
-        Check(
-            name="trace_modulus_one",
-            status="pass" if modulus_bad is None else "fail",
-            details="|tr lambda(t^j)|^2 = 1 for 1 <= j < d on all extensions",
-            counterexample=None if modulus_bad is None else repr(modulus_bad),
+        counterexample_check(
+            "trace_modulus_one",
+            modulus_bad,
+            "|tr lambda(t^j)|^2 = 1 for 1 <= j < d on all extensions",
         )
     )
 
@@ -686,12 +683,11 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str):
             mult_bad = (ext.label, got)
             break
     checks.append(
-        Check(
-            name="multiplicity_multiset",
-            status="pass" if mult_bad is None else "fail",
-            details="multiset %s on every extension (branch: d | p^a %s 1)"
+        counterexample_check(
+            "multiplicity_multiset",
+            mult_bad,
+            "multiset %s on every extension (branch: d | p^a %s 1)"
             % (expected, "+" if (p**a + 1) % d == 0 else "-"),
-            counterexample=None if mult_bad is None else repr(mult_bad),
         )
     )
 
@@ -712,11 +708,10 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str):
             support_bad = (y, reachable, tr.serialize())
             break
     checks.append(
-        Check(
-            name="coset_trace_support",
-            status="pass" if support_bad is None else "fail",
-            details="trace on t-coset is nonzero exactly on elements conjugate into tZ",
-            counterexample=None if support_bad is None else repr(support_bad),
+        counterexample_check(
+            "coset_trace_support",
+            support_bad,
+            "trace on t-coset is nonzero exactly on elements conjugate into tZ",
         )
     )
 
@@ -732,8 +727,6 @@ def torus_action_consequences(group: ExtraspecialGroup, action: TorusAction):
     fixed-space characters, nondegenerate even-dimensional fixed spaces,
     and conjugacy separation of torus-center elements in the semidirect
     product."""
-    from .verify import Check, Report
-
     space = group.space
     p, d = group.p, action.order
     checks = []
@@ -748,11 +741,10 @@ def torus_action_consequences(group: ExtraspecialGroup, action: TorusAction):
         if chi_bad:
             break
     checks.append(
-        Check(
-            name="fixed_space_character_trivial",
-            status="pass" if chi_bad is None else "fail",
-            details="theta([t^j, v]) = 1 for every fixed vector of every power",
-            counterexample=None if chi_bad is None else repr(chi_bad),
+        counterexample_check(
+            "fixed_space_character_trivial",
+            chi_bad,
+            "theta([t^j, v]) = 1 for every fixed vector of every power",
         )
     )
 
@@ -769,11 +761,10 @@ def torus_action_consequences(group: ExtraspecialGroup, action: TorusAction):
             form_bad = (j, "degenerate restriction")
             break
     checks.append(
-        Check(
-            name="fixed_space_form_nondegenerate_even",
-            status="pass" if form_bad is None else "fail",
-            details="the pairing restricted to each V^(t^j) is nondegenerate of even dimension",
-            counterexample=None if form_bad is None else repr(form_bad),
+        counterexample_check(
+            "fixed_space_form_nondegenerate_even",
+            form_bad,
+            "the pairing restricted to each V^(t^j) is nondegenerate of even dimension",
         )
     )
 
@@ -793,11 +784,10 @@ def torus_action_consequences(group: ExtraspecialGroup, action: TorusAction):
         if sep_bad:
             break
     checks.append(
-        Check(
-            name="torus_center_conjugacy_separated",
-            status="pass" if sep_bad is None else "fail",
-            details="distinct torus-center elements are never conjugate in the semidirect product",
-            counterexample=None if sep_bad is None else repr(sep_bad),
+        counterexample_check(
+            "torus_center_conjugacy_separated",
+            sep_bad,
+            "distinct torus-center elements are never conjugate in the semidirect product",
         )
     )
 

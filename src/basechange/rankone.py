@@ -10,10 +10,13 @@ from __future__ import annotations
 
 from itertools import product
 
-from .ffield import FField, make_field, norm_one_subgroup
+from .ffield import FField, _prime_power, make_field, norm_one_subgroup
 from .grpcore import GroupTable, conjugacy_classes, max_group_order, orbits
 
 Mat2 = tuple[int, int, int, int]
+
+# build_u2 enumerates U2(q) only up to this q.
+U2_MAX_Q = 7
 
 
 # -- matrix helpers ---------------------------------------------------
@@ -65,10 +68,9 @@ def is_scalar(F: FField, x: Mat2) -> bool:
 # -- group builders ---------------------------------------------------
 
 
-def build_gl2(F: FField, bound: int | None = None) -> GroupTable:
+def build_gl2(F: FField) -> GroupTable:
     """All invertible 2x2 matrices over F as a GroupTable."""
-    if bound is None:
-        bound = max_group_order()
+    bound = max_group_order()
     q = F.q
     expected = (q * q - 1) * (q * q - q)
     if expected > bound:
@@ -89,10 +91,9 @@ def build_gl2(F: FField, bound: int | None = None) -> GroupTable:
     return G
 
 
-def build_sl2(F: FField, bound: int | None = None) -> GroupTable:
+def build_sl2(F: FField) -> GroupTable:
     """The determinant-one subgroup of GL2(F)."""
-    if bound is None:
-        bound = max_group_order()
+    bound = max_group_order()
     q = F.q
     expected = (q * q - 1) * q
     if expected > bound:
@@ -119,7 +120,7 @@ class UnitarySpec:
 
     def __init__(self, q: int):
         self.q = q
-        self.sub = make_field(_prime_of(q), _power_of(q))
+        self.sub = make_field(*_prime_power(q))
         self.field = make_field(self.sub.p, 2 * self.sub.k)
         F = self.field
         self.gram: Mat2 = (F.zero, F.one, F.one, F.zero)
@@ -128,24 +129,6 @@ class UnitarySpec:
 
     def __repr__(self):
         return "UnitarySpec(q=%d)" % self.q
-
-
-def _prime_of(q: int) -> int:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            return p
-    raise ValueError("q must be a prime power")
-
-
-def _power_of(q: int) -> int:
-    p = _prime_of(q)
-    k = 0
-    while q > 1:
-        if q % p != 0:
-            raise ValueError("q must be a prime power")
-        q //= p
-        k += 1
-    return k
 
 
 def conj_transpose(spec: UnitarySpec, g: Mat2) -> Mat2:
@@ -158,14 +141,14 @@ def is_unitary(spec: UnitarySpec, g: Mat2) -> bool:
     return mat_mul(F, mat_mul(F, conj_transpose(spec, g), spec.gram), g) == spec.gram
 
 
-def build_u2(spec: UnitarySpec, max_q: int = 7) -> GroupTable:
+def build_u2(spec: UnitarySpec) -> GroupTable:
     """The unitary group of the pair, as a subgroup of GL2(GF(q^2)).
 
     Enumeration is pruned column-by-column; brute force over all of
     GF(q^2)^4 would be q^8 candidates.
     """
-    if spec.q > max_q:
-        raise ValueError("q=%d exceeds unitary size bound max_q=%d" % (spec.q, max_q))
+    if spec.q > U2_MAX_Q:
+        raise ValueError("q=%d exceeds unitary size bound max_q=%d" % (spec.q, U2_MAX_Q))
     F = spec.field
     iso_cols = []
     pairs = []

@@ -9,10 +9,8 @@ used when a configuration is out of the size bound, do not count).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import replace
 
-from .cyclo import ZERO
 from .ffield import MultChar, NormOneChar, make_field
 from .grpcore import (
     conjugacy_classes,
@@ -41,61 +39,13 @@ from .cuspchar import (
     sl2_reducible_formula,
     u2_cuspidal,
 )
-
-_STATUSES = ("pass", "fail", "skipped")
-
-
-@dataclass
-class Check:
-    name: str
-    status: str
-    details: str
-    counterexample: str | None = None
-
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError("unknown check status: %r" % self.status)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "details": self.details,
-            "counterexample": self.counterexample,
-        }
-
-
-@dataclass
-class Report:
-    suite: str
-    params: dict
-    checks: list[Check]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "params": self.params,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
-
-def report_to_json(report: Report) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def _bulk_check(name: str, failures: list, detail_ok: str) -> Check:
-    if not failures:
-        return Check(name=name, status="pass", details=detail_ok)
-    return Check(
-        name=name,
-        status="fail",
-        details="%s; %d failures" % (detail_ok, len(failures)),
-        counterexample=repr(failures[0]),
-    )
+from .heis import (
+    extraspecial_group,
+    lemma_H_verify,
+    torus_action_consequences,
+    torus_realization,
+)
+from .report import Check, Report, _bulk_check, report_to_json
 
 
 # -- level-0 base change ----------------------------------------------
@@ -549,13 +499,6 @@ DEFAULT_HEIS_TUPLES = (
 
 
 def _run_heis_tuple(tup) -> list[Check]:
-    from .heis import (
-        extraspecial_group,
-        lemma_H_verify,
-        torus_action_consequences,
-        torus_realization,
-    )
-
     p, a, d, realization = tup
     prefix = "p%d_a%d_d%d_%s" % (p, a, d, realization)
     try:
@@ -568,21 +511,11 @@ def _run_heis_tuple(tup) -> list[Check]:
                 details=str(e),
             )
         ]
-    checks = []
-    for sub in (
+    subs = (
         lemma_H_verify(p, a, d, realization),
         torus_action_consequences(extraspecial_group(p, a), action),
-    ):
-        for c in sub.checks:
-            checks.append(
-                Check(
-                    name="%s:%s" % (prefix, c.name),
-                    status=c.status,
-                    details=c.details,
-                    counterexample=c.counterexample,
-                )
-            )
-    return checks
+    )
+    return [replace(c, name="%s:%s" % (prefix, c.name)) for sub in subs for c in sub.checks]
 
 
 def suite_heisenberg(tuples=None, threads: int = 1) -> Report:

@@ -1,12 +1,18 @@
 """Command-line interface: subcommand behavior, exit codes, output formats,
 and determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from basechange import cli
 from basechange.cli import main
@@ -236,6 +242,110 @@ class TestHeis:
         assert out == ""
         assert "a = 2 is not supported" in err
         assert "Traceback" not in err and "KeyError" not in err
+
+
+_OUT_COMMANDS = {
+    "chartable": ["chartable", "sl2", "--q", "3"],
+    "cuspidal": ["cuspidal", "sl2", "--q", "3"],
+    "verify": ["verify", "level0", "--q", "3"],
+    "heis": ["heis", "--p", "3", "--d", "2", "--realization", "split"],
+}
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("sub", sorted(_OUT_COMMANDS))
+    def test_missing_directory_is_usage_error(self, sub, tmp_path, capsys):
+        target = str(tmp_path / "no" / "such" / "dir" / "out.txt")
+        code, out, err = run(_OUT_COMMANDS[sub] + ["--out", target], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert repr(target) in err and "No such file or directory" in err
+
+    @pytest.mark.parametrize("sub", sorted(_OUT_COMMANDS))
+    def test_directory_is_usage_error(self, sub, tmp_path, capsys):
+        code, out, err = run(_OUT_COMMANDS[sub] + ["--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert repr(str(tmp_path)) in err and "Is a directory" in err
+
+
+# Argument vectors for the CLI contract.  Each slot (the positional, each
+# of the subcommand's flags, now and then a foreign flag) takes a valid token
+# most of the time and an invalid one otherwise.  The only valid sizes are
+# q = 3 and p <= 5, so an example costs milliseconds once its group is built.
+_TOKENS = {  # flag: (valid, invalid)
+    "--q": (["3"], ["4", "9", "2", "-3", "abc", ""]),
+    "--theta": (["1", "3", "0,1", "1,3"], ["2", "0", "-1", "1,1", "x", "1,x", ""]),
+    "--format": (["csv", "json"], ["xml"]),
+    "--threads": (["1", "2"], ["0", "-1", "x"]),
+    "--p": (["3", "5"], ["4", "9", "1", "-3", "x"]),
+    "--a": (["1"], ["2", "0", "x"]),
+    "--d": (["2", "4", "1", "3", "6"], ["5", "0", "-2", "x"]),
+    "--realization": (["nonsplit", "split"], ["both"]),
+    "--out": (["<file>"], ["<missing>", "<dir>", ""]),
+}
+_POSITIONAL = {  # subcommand: (valid, invalid)
+    "chartable": (["sl2", "gl2", "u2"], ["so5", ""]),
+    "cuspidal": (["sl2", "gl2", "u2"], ["so5"]),
+    "verify": (["level0", "restriction", "endoscopic", "normbij", "level0_basechange"], ["heis2"]),
+    "heis": ([], ["extra"]),
+    "bogus": ([], ["sl2"]),
+}
+_FLAGS = {
+    "chartable": ["--q", "--format", "--out"],
+    "cuspidal": ["--q", "--theta", "--format", "--out"],
+    "verify": ["--q", "--threads", "--out"],
+    "heis": ["--p", "--a", "--d", "--realization", "--out"],
+    "bogus": [],
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    def token(valid, invalid):
+        bad = not valid or draw(st.integers(0, 5)) == 0
+        return draw(st.sampled_from(invalid if bad else valid))
+
+    sub = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [sub]
+    valid, invalid = _POSITIONAL[sub]
+    if valid or draw(st.integers(0, 5)) == 0:
+        argv.append(token(valid, invalid))
+    flags = [f for f in _FLAGS[sub] if draw(st.integers(0, 5)) > 0]
+    if draw(st.integers(0, 5)) == 0:
+        flags.append(draw(st.sampled_from(sorted(_TOKENS))))
+    for flag in flags:
+        argv += [flag, token(*_TOKENS[flag])]
+    return argv
+
+
+def _with_out_paths(argv, root: Path) -> list[str]:
+    paths = {
+        "<file>": str(root / "out.txt"),
+        "<missing>": str(root / "missing" / "out.txt"),
+        "<dir>": str(root),
+    }
+    return [paths.get(tok, tok) for tok in argv]
+
+
+class TestContractProperty:
+    @given(cli_argvs())
+    @example(["chartable", "sl2", "--q", "3", "--out", "<missing>"])
+    @example(["verify", "level0", "--q", "3", "--out", "<dir>"])
+    @example(["heis", "--p", "3", "--d", "4", "--realization", "nonsplit", "--out", "<file>"])
+    @example(["cuspidal", "u2", "--q", "3", "--theta", "0,1", "--format", "json"])
+    @settings(max_examples=50, deadline=None)
+    def test_exit_code_and_stderr(self, argv):
+        with tempfile.TemporaryDirectory() as root:
+            argv = _with_out_paths(argv, Path(root))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert "internal error" not in err.getvalue()
 
 
 class TestInternalError:

@@ -9,6 +9,7 @@ import pytest
 
 from basechange.cyclo import Cyclotomic
 from basechange.cuspchar import (
+    FAMILIES,
     canonical_gamma_rep,
     gl2_central_character,
     gl2_context,
@@ -279,3 +280,34 @@ class TestStandardAccess:
             standard_group("so5", 3)
         with pytest.raises(ValueError, match="unknown family"):
             standard_table("so5", 3)
+
+
+class TestFamilyRegistry:
+    def test_registry_names_the_cached_factories(self):
+        assert FAMILIES == {"sl2": sl2_context, "gl2": gl2_context, "u2": u2_context}
+        for factory in FAMILIES.values():
+            assert factory.cache_info().maxsize is None
+
+    def test_cli_choices_come_from_the_registry(self):
+        from basechange import cli
+
+        assert cli._FAMILIES == ("sl2", "gl2", "u2")
+        assert cli._FAMILIES == tuple(FAMILIES)
+
+    @pytest.mark.parametrize("family", ["sl2", "gl2", "u2"])
+    def test_standard_access_reads_the_context(self, family):
+        ctx = FAMILIES[family](3)
+        assert standard_group(family, 3) is ctx.group
+        assert standard_table(family, 3) is ctx.table
+        # the oracle table is built once per context
+        assert ctx.table is ctx.table
+
+    def test_key_error_inside_a_build_is_not_an_unknown_family(self, monkeypatch):
+        def broken(q):
+            raise KeyError("inside the build")
+
+        monkeypatch.setitem(FAMILIES, "sl2", broken)
+        with pytest.raises(KeyError, match="inside the build"):
+            standard_group("sl2", 3)
+        with pytest.raises(KeyError, match="inside the build"):
+            standard_table("sl2", 3)

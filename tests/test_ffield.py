@@ -14,6 +14,7 @@ from basechange.ffield import (
     _factorize,
     _is_prime,
     _poly_roots,
+    _prime_power,
     _primitive_root,
     make_field,
     mult_characters,
@@ -306,6 +307,14 @@ class TestPrimeAndPolynomialHelpers:
         assert _factorize(30240) == [2, 3, 5, 7]
         assert _factorize(97) == [97]
         assert _factorize(1) == []
+
+    def test_prime_power(self):
+        assert [_prime_power(q) for q in (3, 9, 81, 125, 2, 97)] == [
+            (3, 1), (3, 2), (3, 4), (5, 3), (2, 1), (97, 1)
+        ]
+        for q in (1, 0, -9, 6, 12, 30240):
+            with pytest.raises(ValueError, match="q must be a prime power"):
+                _prime_power(q)
 
     def test_primitive_root(self):
         for r in (3, 5, 7, 31, 30241, 35281):

@@ -303,3 +303,21 @@ class TestU2Torus:
             g = mat_scalar(F9, u)
             assert g in u2_q3.index
             assert u2_torus_element(spec_q3, u, u) == g
+
+
+class TestUnitarySpecFields:
+    def test_q9_builds_gf9_over_gf81(self):
+        spec = UnitarySpec(9)
+        assert (spec.sub.p, spec.sub.k, spec.sub.q) == (3, 2, 9)
+        assert (spec.field.p, spec.field.k, spec.field.q) == (3, 4, 81)
+        assert spec.field.is_subfield(spec.sub)
+
+    @pytest.mark.parametrize("q", [1, 6, 12, 0, -3])
+    def test_not_a_prime_power_is_rejected(self, q):
+        with pytest.raises(ValueError, match="q must be a prime power"):
+            UnitarySpec(q)
+
+    def test_size_bound_message_names_the_bound(self):
+        with pytest.raises(ValueError) as exc:
+            build_u2(UnitarySpec(11))
+        assert str(exc.value) == "q=11 exceeds unitary size bound max_q=7"
