@@ -370,9 +370,13 @@ class FField:
         return "GF(%d^%d)" % (self.p, self.k) if self.k > 1 else "GF(%d)" % self.p
 
 
-@lru_cache(maxsize=None)
 def make_field(p: int, k: int = 1) -> FField:
-    """The canonical GF(p^k); instances are cached, so identity is stable."""
+    """The canonical GF(p^k), cached on (p, k), so identity is stable."""
+    return _field(p, k)
+
+
+@lru_cache(maxsize=None)
+def _field(p: int, k: int) -> FField:
     return FField(p, k)
 
 

@@ -302,6 +302,11 @@ class TestFamilyRegistry:
         # the oracle table is built once per context
         assert ctx.table is ctx.table
 
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_families_share_the_base_field(self, q):
+        # U2 asks for GF(q) as make_field(p, k), GL2 and SL2 as make_field(q).
+        assert u2_context(q).k0 is gl2_context(q).k0 is sl2_context(q).k0
+
     def test_key_error_inside_a_build_is_not_an_unknown_family(self, monkeypatch):
         def broken(q):
             raise KeyError("inside the build")

@@ -41,6 +41,11 @@ class TestConstruction:
         assert sorted(F.elements()) == [0, 1, 2]
         assert F.generator == 2
 
+    def test_one_instance_per_field_however_the_degree_is_passed(self):
+        assert make_field(3) is make_field(3, 1)
+        assert make_field(3) is make_field(p=3, k=1)
+        assert make_field(3, 2) is make_field(3, k=2)
+
     def test_gf9_modulus_and_generator(self):
         F = make_field(3, 2)
         assert F.modulus == (1, 0, 1)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from basechange.cyclo import ZERO, root_of_unity
 from basechange.ffield import make_field
 from basechange.heis import extraspecial_group
-from basechange.rankone import build_gl2, build_sl2
+from basechange.rankone import build_gl2, build_sl2, mat_id, mat_inv, mat_mul
 from basechange.grpcore import (
     ClassFunction,
     GroupTable,
@@ -121,6 +121,75 @@ def closure(group, gens):
 @pytest.fixture(scope="module")
 def engine_groups(gl2_q3, u2_q3):
     return [s4(), d4(), gl2_q3, build_sl2(make_field(5)), u2_q3, extraspecial_group(3).group]
+
+
+def closed_by_brute_force(group):
+    """Closure by definition: every key product lies in the carrier."""
+    return all(
+        group._mul_key(a, b) in group.index for a in group.elements for b in group.elements
+    )
+
+
+class TestClosure:
+    def test_every_key_product_lies_in_the_carrier(self, engine_groups):
+        # An independent second computation of what generators() proves.
+        groups = engine_groups + [cyclic(12), s3(), build_gl2(make_field(5))]
+        assert [G.order for G in groups] == [24, 8, 48, 120, 96, 27, 12, 6, 480]
+        for G in groups:
+            assert closed_by_brute_force(G), G.name
+
+    @pytest.mark.parametrize(
+        "keys, mul_key, inv_key, id_key",
+        [
+            # {id, (12), (23)} in S3: (12)(23) is a 3-cycle.
+            (
+                [(0, 1, 2), (1, 0, 2), (0, 2, 1)],
+                lambda a, b: tuple(a[b[i]] for i in range(3)),
+                lambda a: tuple(sorted(range(3), key=a.__getitem__)),
+                (0, 1, 2),
+            ),
+            # {0, ±1, ±2} in Z7: 2 + 1 = 3.
+            ([0, 1, 2, 5, 6], lambda a, b: (a + b) % 7, lambda a: (-a) % 7, 0),
+            # [-800, 800] in Z4001: 1601 elements, 800 + 1 falls outside.
+            (
+                [x % 4001 for x in range(-800, 801)],
+                lambda a, b: (a + b) % 4001,
+                lambda a: (-a) % 4001,
+                0,
+            ),
+            # Z30000 without ±1: one bad sum in about 15000, rare for a sample.
+            (
+                [x for x in range(30000) if x not in (1, 29999)],
+                lambda a, b: (a + b) % 30000,
+                lambda a: (-a) % 30000,
+                0,
+            ),
+        ],
+        ids=["S3-transpositions", "Z7-interval", "Z4001-interval", "Z30000-without-1"],
+    )
+    def test_symmetric_carriers_that_are_not_closed_are_rejected(
+        self, keys, mul_key, inv_key, id_key
+    ):
+        carrier = set(keys)
+        assert id_key in carrier and all(inv_key(k) in carrier for k in keys)
+        with pytest.raises(ValueError, match="not closed under multiplication"):
+            GroupTable(keys, mul_key, inv_key, id_key)
+
+    def test_build_cost_is_linear_in_the_order(self):
+        # Identity and inverse loops, the generators, 300 associativity
+        # triples: no n^2 pass.  A timing-free guard.
+        F = make_field(5)
+        calls = 0
+
+        def counted(x, y):
+            nonlocal calls
+            calls += 1
+            return mat_mul(F, x, y)
+
+        keys = build_gl2(F).elements
+        G = GroupTable(keys, counted, lambda x: mat_inv(F, x), mat_id(F), name="GL2(5)")
+        assert G.order == 480
+        assert calls <= (3 + 2 * len(G.generators())) * G.order + 1200
 
 
 class TestOrbitEngine:
