@@ -10,7 +10,6 @@ central-kernel twists are recoverable by tensoring with a character.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -21,9 +20,6 @@ from .ffield import _is_prime, make_field, norm_one_generator
 from .grpcore import GroupTable, _nullspace, orbits
 from .rankone import embed_quadratic_torus
 from .report import Check, Report, counterexample_check
-
-_SAMPLE_SEED = 3735928559
-_EXHAUSTIVE_PAIR_LIMIT = 200
 
 
 # -- symplectic space -------------------------------------------------
@@ -125,7 +121,8 @@ class ExtraspecialGroup:
 
 def build_extraspecial(p: int, a: int = 1) -> ExtraspecialGroup:
     """The extraspecial group of order p^(2a+1) and exponent p, with its
-    invariants (center, commutator pairing, exponent) verified."""
+    invariants verified exactly: the center and the exponent on every
+    element, the commutator pairing on every x against every generator."""
     if p == 2:
         raise ValueError("p must be odd")
     space = SymplecticSpace(p, a)
@@ -146,21 +143,15 @@ def build_extraspecial(p: int, a: int = 1) -> ExtraspecialGroup:
         )
         if central != (key[0] == space.zero):
             raise AssertionError("center is not the central coordinate")
-    # Commutator identity: exhaustive when small, sampled otherwise.
-    pairs = None
-    if table.order <= _EXHAUSTIVE_PAIR_LIMIT:
-        pairs = [(g, h) for g in table.elements for h in table.elements]
-    else:
-        rng = random.Random(_SAMPLE_SEED)
-        n = table.order
-        pairs = [
-            (table.elements[rng.randrange(n)], table.elements[rng.randrange(n)])
-            for _ in range(6 * n)
-        ]
-    for g, h in pairs:
-        expected = (space.zero, space.pairing(g[0], h[0]))
-        if G.commutator_key(g, h) != expected:
-            raise AssertionError("commutator does not realize the pairing")
+    # Commutator identity on every x against every generator s: [x, y s] =
+    # [x, y] . y [x, s] y^-1 = [x, y] [x, s], as [x, s] = (0, <x, s>) is
+    # central (the check above), and the pairing is additive, so induction
+    # on the word length of y gives [x, y] = (0, <x, y>) on every pair.
+    for g in table.elements:
+        for s in table.generators():
+            h = table.key(s)
+            if G.commutator_key(g, h) != (space.zero, space.pairing(g[0], h[0])):
+                raise AssertionError("commutator does not realize the pairing")
     # Exponent p.
     for i in range(table.order):
         if table.power(i, p) != table.id:
@@ -388,9 +379,6 @@ class HeisRep:
         )
         return (self._shift(x1, x2), phases)
 
-    def _mono_eq(self, m1, m2) -> bool:
-        return m1[0] == m2[0] and all(a == b for a, b in zip(m1[1], m2[1]))
-
     def _verify_trace_identity(self):
         # tr eta(v, z) = p^a theta(z) if v = 0 else 0: the irreducibility
         # certificate, checked on every element.
@@ -408,21 +396,19 @@ class HeisRep:
                 raise AssertionError("trace identity fails at %r" % (key,))
 
     def _verify_homomorphism(self):
-        elems = self.group.group.elements
-        n = len(elems)
-        if n <= _EXHAUSTIVE_PAIR_LIMIT:
-            pairs = [(g, h) for g in elems for h in elems]
-        else:
-            rng = random.Random(_SAMPLE_SEED)
-            pairs = [
-                (elems[rng.randrange(n)], elems[rng.randrange(n)])
-                for _ in range(6 * n)
-            ]
-        for g, h in pairs:
-            lhs = self._compose(self._mono[g], self._mono[h])
-            rhs = self._mono[self.group.mul_key(g, h)]
-            if not self._mono_eq(lhs, rhs):
-                raise AssertionError("representation is not a homomorphism")
+        """eta(e) = I, and eta(x s) = eta(x) eta(s) for every x and every
+        generator s: every y is a word in the generators, and induction on
+        its length with associativity gives eta(x y) = eta(x) eta(y) on every
+        pair, at |G|·|gens| compositions."""
+        table = self.group.group
+        if self._mono[self.group.id_key] != ((0,) * self.a, (ONE,) * self.dim):
+            raise AssertionError("representation is not a homomorphism")
+        for g in table.elements:
+            for s in table.generators():
+                h = table.key(s)
+                lhs = self._compose(self._mono[g], self._mono[h])
+                if lhs != self._mono[self.group.mul_key(g, h)]:
+                    raise AssertionError("representation is not a homomorphism")
 
     def matrix(self, key):
         x, phases = self._mono[key]
@@ -473,41 +459,44 @@ def intertwiner(rep: HeisRep, action: TorusAction, seed=None):
 
 
 def _verify_intertwines(rep: HeisRep, action: TorusAction, A, j: int = 1):
-    n = rep.dim
-    for key in rep.group.group.elements:
+    """A eta(g) = eta(t^j g) A, checked on the generators only: both sides are
+    multiplicative in g, since eta is a homomorphism (HeisRep certifies it)
+    and t^j acts by an automorphism (TorusAction certifies it), so the g
+    satisfying it form a subgroup, and that subgroup holds the generators."""
+    table = rep.group.group
+    for s in table.generators():
+        key = table.key(s)
         x, phases = rep._mono[key]
         tx, tphases = rep._mono[action.act_key(key, j)]
-        # (A * eta(key))[i][l] = A[i][w] phases[w] with l = w + x
-        lhs = [[ZERO] * n for _ in range(n)]
-        for w, uw in enumerate(rep.points):
-            l = rep.pindex[rep._shift(uw, x)]
-            for i in range(n):
-                lhs[i][l] = A[i][w] * phases[w]
-        # (eta(t key) * A)[i][l] = tphases[i] A[i + tx][l]
+        # (A eta(s))[i][w + x] = A[i][w] phases[w] and
+        # (eta(t s) A)[i][l] = tphases[i] A[i + tx][l]
+        shifted = [rep.pindex[rep._shift(uw, x)] for uw in rep.points]
         for i, ui in enumerate(rep.points):
             row = A[rep.pindex[rep._shift(ui, tx)]]
-            for l in range(n):
-                if lhs[i][l] != tphases[i] * row[l]:
-                    return False
+            if any(A[i][w] * phases[w] != tphases[i] * row[l] for w, l in enumerate(shifted)):
+                return False
     return True
 
 
 @dataclass(frozen=True)
 class Extension:
     """One of the d extensions of a Heisenberg representation to the
-    semidirect product with the torus: operators for every torus power,
-    labeled by the torus character separating it from the others."""
+    semidirect product with the torus, labeled by the torus character
+    separating it from the others: lambda_c(t^j) = zeta_d^(cj) lam[j], where
+    lam holds the d normalized powers shared by all d extensions."""
 
     rep: HeisRep
     action: TorusAction
     label: int
-    ops: tuple
+    lam: tuple
 
     def op(self, j: int):
-        return self.ops[j % self.action.order]
+        j %= self.action.order
+        return _mscale(root_of_unity(self.action.order, self.label * j), self.lam[j])
 
     def trace(self, j: int) -> Cyclotomic:
-        return _mtrace(self.op(j))
+        j %= self.action.order
+        return root_of_unity(self.action.order, self.label * j) * _mtrace(self.lam[j])
 
 
 def _bezout(m: int, n: int):
@@ -545,35 +534,30 @@ def extend(rep: HeisRep, action: TorusAction) -> list[Extension]:
     det = _mdet(A)
     alpha, beta = _bezout(rep.dim, d)
     s0 = det ** (-alpha) * c0 ** (-beta)
-    lam = [_mscale(s0**j, powers[j]) for j in range(d)]
+    lam = tuple(_mscale(s0**j, powers[j]) for j in range(d))
     if _mmul(lam[d - 1], _mscale(s0, A)) != _meye(rep.dim):
         raise AssertionError("normalized operator is not of order d")
-    out = []
-    for c in range(d):
-        ops = tuple(_mscale(root_of_unity(d, c * j), lam[j]) for j in range(d))
-        out.append(Extension(rep, action, c, ops))
-    return out
+    return [Extension(rep, action, c, lam) for c in range(d)]
 
 
 def multiplicities(ext: Extension) -> dict[int, int]:
     """For each character xi_c of the torus, the multiplicity of xi_c x theta
     in the restriction of the extension to torus x center; values are exact
     nonnegative integers summing to p^a."""
-    rep, action = ext.rep, ext.action
-    d, p = action.order, rep.p
-    zero_v = rep.group.space.zero
-    traces = {}
-    for j in range(d):
-        for z in range(p):
-            traces[(j, z)] = rep.trace_product(ext.op(j), (zero_v, z))
+    rep, d = ext.rep, ext.action.order
+    # eta(0, z) = theta(z) I: the trace identity makes p^a roots of unity on
+    # its diagonal sum to p^a theta(z), which forces each to be theta(z).  So
+    # the central factor of the torus x center sum cancels to p, leaving a
+    # character sum over the torus alone.
+    traces = [ext.trace(j) for j in range(d)]
     out = {}
     total = 0
     for c in range(d):
         acc = ZERO
-        for (j, z), tr in traces.items():
-            acc = acc + tr * (root_of_unity(d, c * j) * rep.theta(z)).conj()
+        for j, tr in enumerate(traces):
+            acc = acc + tr * root_of_unity(d, -c * j)
         try:
-            m = (acc / (d * p)).as_integer()
+            m = (acc / d).as_integer()
         except ValueError:
             raise ValueError("multiplicity is not an integer for label %d" % c)
         if m < 0:
@@ -695,14 +679,14 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str):
     # center for some h, i.e. ty is conjugate into tZ within the group: iff
     # y lies in the orbit of a central element under those moves.
     support_bad = None
-    ext0 = exts[0]
+    op1 = exts[0].op(1)
     G = group.group
     center = [G.index[k] for k in group.center_keys]
     into_center = {
         x for orbit in orbits(G, _twisted_moves(G, action, 1), seeds=center) for x in orbit
     }
     for yi, y in enumerate(G.elements):
-        tr = rep.trace_product(ext0.op(1), y)
+        tr = rep.trace_product(op1, y)
         reachable = yi in into_center
         if reachable != (not tr.is_zero()):
             support_bad = (y, reachable, tr.serialize())

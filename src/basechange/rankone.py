@@ -124,6 +124,7 @@ class UnitarySpec:
         self.field = make_field(self.sub.p, 2 * self.sub.k)
         F = self.field
         self.gram: Mat2 = (F.zero, F.one, F.one, F.zero)
+        self.gram_inv: Mat2 = mat_inv(F, self.gram)
         if conj_transpose(self, self.gram) != self.gram:
             raise AssertionError("Gram matrix is not hermitian")
 
@@ -184,7 +185,7 @@ def tau(spec: UnitarySpec, g: Mat2) -> Mat2:
     """tau(g) = Gram^-1 * (g-bar-transpose)^-1 * Gram; fixes exactly U2."""
     F = spec.field
     gi = mat_inv(F, conj_transpose(spec, g))
-    return mat_mul(F, mat_mul(F, mat_inv(F, spec.gram), gi), spec.gram)
+    return mat_mul(F, mat_mul(F, spec.gram_inv, gi), spec.gram)
 
 
 def norm_tau(spec: UnitarySpec, g: Mat2) -> Mat2:

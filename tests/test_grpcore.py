@@ -16,6 +16,7 @@ from basechange.grpcore import (
     GroupTable,
     _hessenberg,
     _hessenberg_charpoly,
+    _require_subgroup,
     character_table,
     conjugacy_classes,
     induce,
@@ -354,6 +355,54 @@ class TestRestrictInduce:
         )
         ind = induce(trivial_character(H), G)
         assert ind.degree == G.order // H.order
+
+
+def agrees_on_all_pairs(sub, group):
+    """H's product against G's on every pair: the all-pairs oracle for the
+    generating-set check in _require_subgroup."""
+    return all(
+        sub.key(sub.mul(i, j)) == group.key(group.mul(group.index[a], group.index[b]))
+        for i, a in enumerate(sub.elements)
+        for j, b in enumerate(sub.elements)
+    )
+
+
+class TestSubgroupCertificate:
+    @pytest.fixture(scope="class")
+    def pairs(self, gl2_q3, sl2_q3):
+        pmul = lambda a, b: tuple(a[b[i]] for i in range(3))
+        pinv = lambda a: tuple(sorted(range(3), key=lambda i: a[i]))
+        a3 = GroupTable.from_generators([(1, 2, 0)], pmul, pinv, (0, 1, 2))
+        F5 = make_field(5)
+        return [
+            (s3(), s3()),
+            (a3, s3()),
+            (sl2_q3, gl2_q3),
+            (build_sl2(F5), build_gl2(F5)),
+        ]
+
+    def test_subgroups_pass_and_agree_on_all_pairs(self, pairs):
+        for H, G in pairs:
+            _require_subgroup(H, G)
+            assert agrees_on_all_pairs(H, G), (H.name, G.name)
+
+    def test_a_foreign_law_on_the_same_keys_is_rejected(self):
+        # Z6 transported onto the six keys of S3, identity on the identity:
+        # every key of H lies in G, but H is abelian and G is not.
+        G = s3()
+        keys = G.elements
+        pos = {k: i for i, k in enumerate(keys)}
+        H = GroupTable(
+            keys,
+            lambda a, b: keys[(pos[a] + pos[b]) % 6],
+            lambda a: keys[-pos[a] % 6],
+            keys[0],
+            name="Z6 on S3",
+        )
+        assert H.key(H.id) == G.key(G.id)
+        assert not agrees_on_all_pairs(H, G)
+        with pytest.raises(ValueError, match="H multiplication disagrees with G"):
+            restrict(trivial_character(G), H)
 
 
 class TestCharacterTable:

@@ -3,10 +3,13 @@ extensions: frozen expected values plus structural property checks."""
 
 import pytest
 
-from basechange.cyclo import ONE, root_of_unity
+from basechange.cyclo import ONE, ZERO, root_of_unity
 from basechange.grpcore import orbits
 from basechange.heis import (
     ExtraspecialGroup,
+    HeisRep,
+    _mtrace,
+    _verify_intertwines,
     _twisted_moves,
     SymplecticSpace,
     TorusAction,
@@ -370,3 +373,156 @@ class TestOrbitChecksAgreeWithScans:
 class TestCyclicPairSums:
     def test_no_joint_vanishing_up_to_order_50(self):
         assert cyclic_pair_sum_nonvanishing(50) is None
+
+
+# -- generating-set certificates ----------------------------------------
+
+
+def dense_mul(x, y):
+    n = len(x)
+    return tuple(
+        tuple(sum((x[i][k] * y[k][j] for k in range(n)), ZERO) for j in range(n))
+        for i in range(n)
+    )
+
+
+class PerturbedRep(HeisRep):
+    """eta with one phase of one element's monomial multiplied by zeta_p."""
+
+    def __init__(self, group, target, slot):
+        self.target, self.slot = target, slot
+        super().__init__(group, 1)
+
+    def _build_mono(self, key):
+        x, phases = super()._build_mono(key)
+        if key == self.target:
+            phases = list(phases)
+            phases[self.slot] = phases[self.slot] * root_of_unity(self.p, 1)
+        return (x, tuple(phases))
+
+
+INTERTWINE_CASES = [(3, 2, "split"), (3, 4, "nonsplit"), (5, 4, "split"), (5, 6, "nonsplit")]
+
+
+class TestGeneratingSetCertificates:
+    """Brute-force all-pairs oracles for the checks that HeisRep, extend and
+    build_extraspecial certify from the generating set, and the cases a
+    sampled check could miss."""
+
+    @pytest.mark.parametrize("p,a", [(3, 1), (3, 2), (5, 1)])
+    def test_pairing_is_the_gram_form(self, p, a):
+        sp = SymplecticSpace(p, a)
+        for v in sp.vectors():
+            for w in sp.vectors():
+                form = sum(v[i] * sp.gram[i][j] * w[j] for i in range(sp.dim) for j in range(sp.dim))
+                assert sp.pairing(v, w) == form % p
+
+    @pytest.mark.parametrize("p,a", [(3, 2), (5, 1)])
+    def test_commutator_identity_on_all_pairs(self, p, a):
+        G = extraspecial_group(p, a)
+        sp = G.space
+        for g in G.group.elements:
+            for h in G.group.elements:
+                assert G.commutator_key(g, h) == (sp.zero, sp.pairing(g[0], h[0]))
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_homomorphism_on_all_pairs(self, p):
+        rep = heisenberg_rep(p, 1)
+        G = rep.group
+        for g in G.group.elements:
+            for h in G.group.elements:
+                assert rep._compose(rep._mono[g], rep._mono[h]) == rep._mono[G.mul_key(g, h)]
+
+    def test_dense_matrices_multiply_on_all_pairs(self):
+        rep = heisenberg_rep(3, 1)
+        G = rep.group
+        mats = {k: rep.matrix(k) for k in G.group.elements}
+        for g in G.group.elements:
+            for h in G.group.elements:
+                assert dense_mul(mats[g], mats[h]) == mats[G.mul_key(g, h)]
+
+    @pytest.mark.parametrize("p,d,realization", INTERTWINE_CASES)
+    def test_intertwiner_on_every_element(self, p, d, realization):
+        rep = heisenberg_rep(p, 1)
+        action = torus_realization(p, d, realization)
+        A = intertwiner(rep, action)
+        assert _verify_intertwines(rep, action, A)
+        for key in rep.group.group.elements:
+            assert dense_mul(A, rep.matrix(key)) == dense_mul(rep.matrix(action.act_key(key)), A)
+
+    def test_perturbed_phase_breaks_the_homomorphism_at_p3(self):
+        G = extraspecial_group(3, 1)
+        targets = [k for k in G.group.elements if k[0][0] != 0]
+        assert len(targets) == 18
+        for key in targets:
+            with pytest.raises(AssertionError, match="not a homomorphism"):
+                PerturbedRep(G, key, 0)
+
+    @pytest.mark.parametrize("key", [((1, 0), 0), ((3, 5), 2), ((6, 6), 6), ((2, 1), 4)])
+    def test_perturbed_phase_breaks_the_homomorphism_at_p7(self, key):
+        G = extraspecial_group(7, 1)
+        with pytest.raises(AssertionError, match="not a homomorphism"):
+            PerturbedRep(G, key, 3)
+
+    @pytest.mark.parametrize("p,d", [(3, 4), (5, 6), (7, 8)])
+    def test_perturbed_intertwiner_is_rejected(self, p, d):
+        rep = heisenberg_rep(p, 1)
+        action = nonsplit_torus_action(p, d)
+        A = intertwiner(rep, action)
+        assert _verify_intertwines(rep, action, A)
+        for i in range(rep.dim):
+            for j in range(rep.dim):
+                bad = [list(row) for row in A]
+                bad[i][j] = bad[i][j] + ONE
+                assert not _verify_intertwines(rep, action, tuple(map(tuple, bad)))
+
+    def test_homomorphism_cost_is_linear_in_the_order(self, monkeypatch):
+        calls = 0
+        compose = HeisRep._compose
+
+        def counted(self, m1, m2):
+            nonlocal calls
+            calls += 1
+            return compose(self, m1, m2)
+
+        G = extraspecial_group(7, 1)
+        monkeypatch.setattr(HeisRep, "_compose", counted)
+        HeisRep(G, 1)
+        assert 0 < calls <= G.group.order * len(G.group.generators())
+
+    def test_intertwining_check_visits_only_the_generators(self):
+        rep = heisenberg_rep(7, 1)
+        action = nonsplit_torus_action(7, 8)
+        A = intertwiner(rep, action)
+        visited = []
+        act_key = action.act_key
+        action.act_key = lambda key, j=1: visited.append(key) or act_key(key, j)
+        assert _verify_intertwines(rep, action, A)
+        assert 0 < len(visited) <= len(rep.group.group.generators())
+
+
+class TestExtensionStorage:
+    def test_extensions_share_the_normalized_powers(self):
+        exts = extend(heisenberg_rep(3, 1), torus_realization(3, 4, "nonsplit"))
+        assert all(e.lam is exts[0].lam for e in exts)
+        for e in exts:
+            for j in range(1, 5):
+                assert e.trace(j) == _mtrace(e.op(j))
+                assert e.op(j) == dense_mul(e.op(j - 1), e.op(1))
+
+    @pytest.mark.parametrize("p,a,d,realization", TUPLES[:4])
+    def test_multiplicities_match_the_torus_center_sum(self, p, a, d, realization):
+        # The full sum over torus x center that the central-trace shortcut
+        # in multiplicities() replaces.
+        rep = heisenberg_rep(p, a)
+        zero_v = rep.group.space.zero
+        for ext in extend(rep, torus_realization(p, d, realization)):
+            full = {}
+            for c in range(d):
+                acc = ZERO
+                for j in range(d):
+                    for z in range(p):
+                        tr = rep.trace_product(ext.op(j), (zero_v, z))
+                        acc = acc + tr * (root_of_unity(d, c * j) * rep.theta(z)).conj()
+                full[c] = (acc / (d * p)).as_integer()
+            assert multiplicities(ext) == full

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from basechange import rankone
 from basechange.ffield import make_field, norm, norm_one_subgroup
 from basechange.grpcore import conjugacy_classes
 from basechange.rankone import (
@@ -77,6 +78,16 @@ class TestTau:
         fixed = {k for k in gl2_q9.elements if tau(spec_q3, k) == k}
         assert fixed == set(u2_q3.elements)
         assert len(fixed) == 96
+
+    def test_tau_inverts_only_its_argument(self, spec_q3, gl2_q9, monkeypatch):
+        # The Gram inverse is a constant of the spec, computed once.
+        F9 = spec_q3.field
+        assert mat_mul(F9, spec_q3.gram_inv, spec_q3.gram) == mat_id(F9)
+        calls = []
+        monkeypatch.setattr(rankone, "mat_inv", lambda F, x: calls.append(x) or mat_inv(F, x))
+        for k in gl2_q9.elements[:50]:
+            tau(spec_q3, k)
+        assert spec_q3.gram not in calls and len(calls) == 50
 
     def test_tau_involution_all_elements(self, spec_q3, gl2_q9):
         for k in gl2_q9.elements:

@@ -61,3 +61,11 @@ class TestImportStructure:
         names = {n.module for n in _imports(tree) if isinstance(n, ast.ImportFrom)}
         names |= {a.name for n in _imports(tree) if isinstance(n, ast.Import) for a in n.names}
         assert not any(name and name.split(".")[-1] == "verify" for name in names)
+
+    def test_heis_does_not_import_random(self):
+        # Its group-law checks are exact over the generating set; sampling
+        # must not come back unnoticed.
+        tree = ast.parse((SRC / "heis.py").read_text())
+        names = {n.module for n in _imports(tree) if isinstance(n, ast.ImportFrom)}
+        names |= {a.name for n in _imports(tree) if isinstance(n, ast.Import) for a in n.names}
+        assert "random" not in names
