@@ -193,6 +193,8 @@ def sl2_cuspidal(theta: NormOneChar) -> ClassFunction:
     """The cuspidal character of SL2(k0) with regular norm-one parameter:
     (q-1)theta(x) central, -theta(x) on x*n, -(theta(u)+theta(u^-1)) elliptic,
     0 on split regular classes."""
+    if theta.order() == 1:
+        raise ValueError("reducible parameter (trivial θ): the formula is St − 1")
     if not theta.is_regular():
         raise ValueError("reducible parameter (order-2 θ): packet {σ⁺,σ⁻}")
     return _sl2_values(theta)
@@ -237,13 +239,6 @@ def gl2_cuspidal(theta_tilde: MultChar) -> ClassFunction:
     out = ClassFunction(ctx.classes, values)
     ctx._formula_cache[theta_tilde.t] = out
     return out
-
-
-def gl2_central_character(cf: ClassFunction, q: int) -> dict[int, Cyclotomic]:
-    """The central character of a GL2(k0) class function, as x -> value."""
-    ctx = gl2_context(q)
-    deg = cf.degree
-    return {x: cf.on_class(ci) / deg for x, ci in ctx.central.items()}
 
 
 # -- U2 ---------------------------------------------------------------

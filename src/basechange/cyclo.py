@@ -243,30 +243,28 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inv(self) -> "Cyclotomic":
-        """Multiplicative inverse; raises on zero."""
+        """Multiplicative inverse; raises on zero.
+
+        x^-1 = P / N(x), where P is the product of the conjugates sigma_k(x)
+        for k in (Z/n)^x, k != 1, and the norm N(x) = x * P is rational.
+        """
         if self.is_zero():
             raise ZeroDivisionError("division by zero")
-        # Extended Euclid in Q[x] against Phi_n: u*self + v*Phi = 1.
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self._n)]
-        a = list(self.coefficients)
-        r0, r1 = phi_poly, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                c = r1[0]
-                inv_coeffs = [x / c for x in s1]
-                break
-            q, rem = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-        den = 1
-        for f in inv_coeffs:
-            den = lcm(den, f.denominator)
-        dense = [int(f * den) for f in inv_coeffs]
-        dense += [0] * max(0, euler_phi(self._n) - len(dense))
-        return Cyclotomic(self._n, den, _reduce_dense(self._n, dense))
+        n = self._n
+        if n <= 2:
+            return Cyclotomic(n, self._num[0], (self._den,))
+        conjugates = self.galois(n - 1)
+        for k in range(2, n - 1):
+            if gcd(k, n) == 1:
+                conjugates = conjugates * self.galois(k)
+        norm = (self * conjugates).as_rational()
+        if norm is None:
+            raise AssertionError("Galois norm is not rational")
+        return Cyclotomic(
+            n,
+            conjugates._den * norm.numerator,
+            tuple(c * norm.denominator for c in conjugates._num),
+        )
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -338,42 +336,6 @@ class Cyclotomic:
 
     def __repr__(self) -> str:
         return self.serialize()
-
-
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    db = len(b) - 1
-    lead = b[-1]
-    quot = [Fraction(0)] * max(1, len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        k = len(a) - 1 - db
-        c = a[-1] / lead
-        quot[k] = c
-        for i in range(db + 1):
-            a[k + i] -= c * b[i]
-        while a and a[-1] == 0:
-            a.pop()
-    if not a:
-        a = [Fraction(0)]
-    return quot, a
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 def root_of_unity(n: int, k: int = 1) -> Cyclotomic:

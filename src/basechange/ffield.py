@@ -457,9 +457,6 @@ class MultChar:
             raise ValueError("characters live on different groups")
         return MultChar(self.field, self.t + other.t)
 
-    def inverse(self) -> "MultChar":
-        return MultChar(self.field, -self.t)
-
     def order(self) -> int:
         n = self.field.q - 1
         return n // _gcd(self.t, n)
@@ -477,19 +474,6 @@ class MultChar:
             raise ValueError("regularity needs a quadratic pair")
         q = self.field.p ** (self.field.k // 2)
         return self.t % (q + 1) != 0
-
-    def restrict_norm_one(self, sub: FField) -> "NormOneChar":
-        _require_quadratic(self.field, sub)
-        return NormOneChar(self.field, sub, self.t)
-
-    def restrict_subfield(self, sub: FField) -> "MultChar":
-        """The character of sub^x obtained by precomposing with the embedding."""
-        if not self.field.is_subfield(sub):
-            raise ValueError("not a subfield pair")
-        e = self.field.dlog(self.field.embedding(sub)[sub.generator])
-        m = sub.q - 1
-        s = (self.t * e * m) // (self.field.q - 1)
-        return MultChar(sub, s)
 
     def extends(self, theta: "NormOneChar") -> bool:
         """Whether this character restricts to theta on the norm-one subgroup."""
@@ -533,11 +517,6 @@ class NormOneChar:
 
     def __hash__(self):
         return hash((id(self.field), id(self.sub), self.s))
-
-    def __mul__(self, other: "NormOneChar") -> "NormOneChar":
-        if other.field is not self.field or other.sub is not self.sub:
-            raise ValueError("characters live on different groups")
-        return NormOneChar(self.field, self.sub, self.s + other.s)
 
     def inverse(self) -> "NormOneChar":
         return NormOneChar(self.field, self.sub, -self.s)

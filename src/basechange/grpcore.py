@@ -60,12 +60,6 @@ class GroupTable:
     # -- construction helpers -----------------------------------------
 
     @classmethod
-    def from_predicate(cls, candidates, predicate, mul_key, inv_key, id_key, name="G"):
-        # A generator, so no second list of the keys outlives the sort.
-        keys = (k for k in candidates if predicate(k))
-        return cls(keys, mul_key, inv_key, id_key, name=name)
-
-    @classmethod
     def from_generators(cls, generators, mul_key, inv_key, id_key, name="G"):
         seen = {id_key}
         frontier = [id_key]
@@ -237,9 +231,6 @@ class ConjClasses:
 
     def __len__(self):
         return len(self.classes)
-
-    def class_of_key(self, key) -> int:
-        return self.class_of[self.group.index[key]]
 
     def inverse_class(self, ci: int) -> int:
         return self.class_of[self.group.inv(self.representatives[ci])]

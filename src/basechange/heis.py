@@ -3,7 +3,9 @@ representations in the Schrodinger model, their extensions to the torus,
 the multiplicity system of an extension on the torus-center subgroup, and
 the sign law tying extension traces to a single torus character.
 
-All matrices are dense tuples of Cyclotomic entries; every assertion is
+Each eta(g) is stored as a monomial operator, a shift of GF(p)^a with one
+root-of-unity phase per point; only the intertwiner and the extension
+operators are dense tuples of Cyclotomic entries.  Every assertion is
 exact.  The torus is modeled as acting faithfully (order d, gcd(d,p)=1);
 central-kernel twists are recoverable by tensoring with a character.
 """
@@ -499,19 +501,6 @@ class Extension:
         return root_of_unity(self.action.order, self.label * j) * _mtrace(self.lam[j])
 
 
-def _bezout(m: int, n: int):
-    """(alpha, beta) with alpha*m + beta*n = 1."""
-    r0, r1, s0, s1, t0, t1 = m, n, 1, 0, 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0 != 1:
-        raise ValueError("arguments are not coprime")
-    return s0, t0
-
-
 def extend(rep: HeisRep, action: TorusAction) -> list[Extension]:
     """All d extensions of rep along the torus action: lambda_c(t^j) =
     zeta_d^(cj) (s0 A)^j with A the averaged intertwiner and s0 the exact
@@ -532,7 +521,10 @@ def extend(rep: HeisRep, action: TorusAction) -> list[Extension]:
     if c0.is_zero() or Ad != _mscale(c0, _meye(rep.dim)):
         raise AssertionError("A^d is not a nonzero scalar")
     det = _mdet(A)
-    alpha, beta = _bezout(rep.dim, d)
+    # alpha*dim + beta*d = 1; s0 is the same for every such pair, as
+    # det(A)^d = c0^dim.
+    alpha = pow(rep.dim, -1, d)
+    beta = (1 - alpha * rep.dim) // d
     s0 = det ** (-alpha) * c0 ** (-beta)
     lam = tuple(_mscale(s0**j, powers[j]) for j in range(d))
     if _mmul(lam[d - 1], _mscale(s0, A)) != _meye(rep.dim):
@@ -685,8 +677,14 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str):
     into_center = {
         x for orbit in orbits(G, _twisted_moves(G, action, 1), seeds=center) for x in orbit
     }
+    # (v, z) = (0, z)(v, 0) and eta(0, z) = theta(z) I (see multiplicities),
+    # so the trace at (v, z) is theta(z) times the trace at (v, 0).
+    v_traces = {}
     for yi, y in enumerate(G.elements):
-        tr = rep.trace_product(op1, y)
+        v, z = y
+        if v not in v_traces:
+            v_traces[v] = rep.trace_product(op1, (v, 0))
+        tr = rep.theta(z) * v_traces[v]
         reachable = yi in into_center
         if reachable != (not tr.is_zero()):
             support_bad = (y, reachable, tr.serialize())
@@ -780,19 +778,3 @@ def torus_action_consequences(group: ExtraspecialGroup, action: TorusAction):
         params={"p": p, "a": group.a, "d": d},
         checks=checks,
     )
-
-
-def cyclic_pair_sum_nonvanishing(max_order: int = 50):
-    """For every character xi of a cyclic group of order <= max_order and
-    every element x, xi(x)+xi(x^-1) and xi(x^2)+xi(x^-2) never vanish
-    together; returns None, or the first counterexample triple."""
-    for n in range(1, max_order + 1):
-        for c in range(n):
-            for x in range(n):
-                s1 = root_of_unity(n, c * x) + root_of_unity(n, -c * x)
-                if not s1.is_zero():
-                    continue
-                s2 = root_of_unity(n, 2 * c * x) + root_of_unity(n, -2 * c * x)
-                if s2.is_zero():
-                    return (n, c, x)
-    return None

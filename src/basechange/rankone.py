@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .ffield import FField, _prime_power, make_field, norm_one_subgroup
+from .ffield import FField, _prime_power, make_field
 from .grpcore import GroupTable, conjugacy_classes, max_group_order, orbits
 
 Mat2 = tuple[int, int, int, int]
@@ -68,50 +68,42 @@ def is_scalar(F: FField, x: Mat2) -> bool:
 # -- group builders ---------------------------------------------------
 
 
-def build_gl2(F: FField) -> GroupTable:
-    """All invertible 2x2 matrices over F as a GroupTable."""
+def _enumerate_gl2_subgroup(F: FField, family: str, expected: int, det_ok) -> GroupTable:
+    """The matrices over F whose determinant passes det_ok, as a GroupTable
+    of the given expected order."""
     bound = max_group_order()
-    q = F.q
-    expected = (q * q - 1) * (q * q - q)
     if expected > bound:
         raise ValueError(
-            "GL2 order %d exceeds size bound %d" % (expected, bound)
+            "%s order %d exceeds size bound %d" % (family, expected, bound)
         )
-    cand = product(F.elements(), repeat=4)
-    G = GroupTable.from_predicate(
-        cand,
-        lambda m: mat_det(F, m) != F.zero,
+    # A generator, so no second list of the keys outlives the sort.
+    keys = (m for m in product(F.elements(), repeat=4) if det_ok(mat_det(F, m)))
+    G = GroupTable(
+        keys,
         lambda x, y: mat_mul(F, x, y),
         lambda x: mat_inv(F, x),
         mat_id(F),
-        name="GL2(%d)" % q,
+        name="%s(%d)" % (family, F.q),
     )
     if G.order != expected:
-        raise AssertionError("GL2 enumeration has wrong order")
+        raise AssertionError("%s enumeration has wrong order" % family)
     return G
+
+
+def build_gl2(F: FField) -> GroupTable:
+    """All invertible 2x2 matrices over F as a GroupTable."""
+    q = F.q
+    return _enumerate_gl2_subgroup(
+        F, "GL2", (q * q - 1) * (q * q - q), lambda det: det != F.zero
+    )
 
 
 def build_sl2(F: FField) -> GroupTable:
     """The determinant-one subgroup of GL2(F)."""
-    bound = max_group_order()
     q = F.q
-    expected = (q * q - 1) * q
-    if expected > bound:
-        raise ValueError(
-            "SL2 order %d exceeds size bound %d" % (expected, bound)
-        )
-    cand = product(F.elements(), repeat=4)
-    G = GroupTable.from_predicate(
-        cand,
-        lambda m: mat_det(F, m) == F.one,
-        lambda x, y: mat_mul(F, x, y),
-        lambda x: mat_inv(F, x),
-        mat_id(F),
-        name="SL2(%d)" % q,
+    return _enumerate_gl2_subgroup(
+        F, "SL2", (q * q - 1) * q, lambda det: det == F.one
     )
-    if G.order != expected:
-        raise AssertionError("SL2 enumeration has wrong order")
-    return G
 
 
 class UnitarySpec:
@@ -216,12 +208,6 @@ def norm_class_map(
     return out
 
 
-def residue_tau_ramified(F: FField, g: Mat2) -> Mat2:
-    """g -> (det g)^-1 * g, the residue of the ramified involution."""
-    di = F.inv(mat_det(F, g))
-    return tuple(F.mul(di, e) for e in g)
-
-
 # -- torus embeddings -------------------------------------------------
 
 
@@ -243,10 +229,6 @@ class QuadraticTorus:
         for a, b in product(sub.elements(), repeat=2):
             x = field.add(emb[a], field.mul(emb[b], self.sqrt_nu))
             self._coords[x] = (a, b)
-
-    def coordinates(self, x: int) -> tuple[int, int]:
-        """(a, b) with x = a + b*sqrt(nu)."""
-        return self._coords[x]
 
     def __call__(self, x: int) -> Mat2:
         if x == self.field.zero:
@@ -282,25 +264,3 @@ def u2_torus_element(spec: UnitarySpec, u1: int, u2: int) -> Mat2:
         raise ValueError("torus parameters are not norm-one")
     return g
 
-
-def u2_weyl_swap(spec: UnitarySpec) -> Mat2:
-    """A unitary element conjugating the torus by the coordinate swap."""
-    F = spec.field
-    minus_one = spec.sub.neg(spec.sub.one)
-    emb = F.embedding(spec.sub)
-    a = next(
-        x
-        for x in F.elements()
-        if x != F.zero and F.mul(x, F.frobenius(x, spec.sub.k)) == emb[minus_one]
-    )
-    P = u2_basis_change(spec)
-    anti = (F.zero, a, a, F.zero)
-    w = mat_mul(F, mat_mul(F, P, anti), mat_inv(F, P))
-    if not is_unitary(spec, w):
-        raise AssertionError("swap element is not unitary")
-    return w
-
-
-def u2_scalars(spec: UnitarySpec) -> list[int]:
-    """The norm-one scalars, i.e. the center of U2."""
-    return norm_one_subgroup(spec.field, spec.sub)

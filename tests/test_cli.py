@@ -125,6 +125,12 @@ class TestCuspidal:
         assert code == 2
         assert "reducible parameter" in err
 
+    def test_trivial_sl2_theta_is_named(self, capsys):
+        code, _, err = run(["cuspidal", "sl2", "--q", "5", "--theta", "0"], capsys)
+        assert code == 2
+        assert "reducible parameter (trivial θ)" in err
+        assert "order-2" not in err
+
     def test_nonregular_gl2_exits_2(self, capsys):
         code, _, err = run(["cuspidal", "gl2", "--q", "3", "--theta", "0"], capsys)
         assert code == 2

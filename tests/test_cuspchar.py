@@ -10,8 +10,8 @@ import pytest
 from basechange.cyclo import Cyclotomic
 from basechange.cuspchar import (
     FAMILIES,
+    _sl2_values,
     canonical_gamma_rep,
-    gl2_central_character,
     gl2_context,
     gl2_cuspidal,
     match_oracle,
@@ -108,6 +108,17 @@ class TestSL2:
             assert table[i].degree == half
         assert red == table[hits[0]] + table[hits[1]]
 
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_trivial_theta_is_steinberg_minus_trivial(self, q):
+        # At the trivial theta the formula is the virtual character St - 1.
+        virtual = _sl2_values(norm_one(q, 0))
+        table = standard_table("sl2", q)
+        (trivial,) = [chi for chi in table if all(v == ONE for v in chi.values)]
+        (steinberg,) = [chi for chi in table if chi.degree == Cyclotomic.rational(q)]
+        assert inner_product(virtual, trivial) == -ONE
+        assert inner_product(virtual, virtual) == TWO
+        assert virtual == steinberg - trivial
+
     def test_reducible_formula_guards(self):
         with pytest.raises(ValueError, match="order-2"):
             sl2_reducible_formula(norm_one(3, 1))
@@ -152,9 +163,9 @@ class TestGL2:
         L, F = make_field(q, 2), make_field(q)
         emb = L.embedding(F)
         tt = MultChar(L, 1)
-        omega = gl2_central_character(gl2_cuspidal(tt), q)
-        for x, val in omega.items():
-            assert val == tt(emb[x])
+        chi = gl2_cuspidal(tt)
+        for x, ci in gl2_context(q).central.items():
+            assert chi.on_class(ci) / chi.degree == tt(emb[x])
 
     def test_rejects_non_regular(self):
         with pytest.raises(ValueError, match="non-regular"):

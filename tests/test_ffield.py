@@ -255,15 +255,6 @@ class TestCharacters:
         with pytest.raises(ValueError, match="norm-one"):
             th(F9.generator)
 
-    def test_restrict_subfield_matches_embedding(self):
-        F9, F3 = make_field(3, 2), make_field(3)
-        emb = F9.embedding(F3)
-        for t in range(8):
-            ch = MultChar(F9, t)
-            res = ch.restrict_subfield(F3)
-            for x in F3.nonzero():
-                assert res(x) == ch(emb[x])
-
     def test_serialization(self):
         F9, F3 = make_field(3, 2), make_field(3)
         assert MultChar(F9, 5).serialize() == "([1,1],5)"

@@ -14,7 +14,6 @@ from basechange.heis import (
     SymplecticSpace,
     TorusAction,
     build_extraspecial,
-    cyclic_pair_sum_nonvanishing,
     expected_multiplicity_multiset,
     extend,
     extraspecial_group,
@@ -370,11 +369,6 @@ class TestOrbitChecksAgreeWithScans:
                 assert twisted_scan(E, action, z, j) & center == {z}
 
 
-class TestCyclicPairSums:
-    def test_no_joint_vanishing_up_to_order_50(self):
-        assert cyclic_pair_sum_nonvanishing(50) is None
-
-
 # -- generating-set certificates ----------------------------------------
 
 
@@ -526,3 +520,29 @@ class TestExtensionStorage:
                         acc = acc + tr * (root_of_unity(d, c * j) * rep.theta(z)).conj()
                 full[c] = (acc / (d * p)).as_integer()
             assert multiplicities(ext) == full
+
+
+class TestCosetTraces:
+    @pytest.mark.parametrize("p,a,d,realization", [(3, 1, 4, "nonsplit"), (5, 1, 6, "nonsplit")])
+    def test_central_factor_scales_the_trace(self, p, a, d, realization):
+        # The shortcut of coset_trace_support: tr(op eta(v, z)) =
+        # theta(z) tr(op eta(v, 0)), against trace_product on every element.
+        rep = heisenberg_rep(p, a)
+        op1 = extend(rep, torus_realization(p, d, realization))[0].op(1)
+        for v, z in rep.group.group.elements:
+            scaled = rep.theta(z) * rep.trace_product(op1, (v, 0))
+            assert scaled == rep.trace_product(op1, (v, z))
+
+    def test_support_check_takes_one_trace_per_vector(self, monkeypatch):
+        p, a = 5, 1
+        calls = 0
+        trace_product = HeisRep.trace_product
+
+        def counted(self, dense, key):
+            nonlocal calls
+            calls += 1
+            return trace_product(self, dense, key)
+
+        monkeypatch.setattr(HeisRep, "trace_product", counted)
+        assert lemma_H_verify(p, a, 6, "nonsplit").passed
+        assert calls == p ** (2 * a)

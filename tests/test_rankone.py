@@ -23,13 +23,10 @@ from basechange.rankone import (
     mat_scalar,
     norm_class_map,
     norm_tau,
-    residue_tau_ramified,
     tau,
     tau_classes,
     u2_basis_change,
-    u2_scalars,
     u2_torus_element,
-    u2_weyl_swap,
 )
 
 
@@ -185,40 +182,6 @@ class TestTwistedClasses:
         assert set(nmap) == meeting
 
 
-class TestResidueTauRamified:
-    def test_identity(self):
-        F = make_field(3)
-        assert residue_tau_ramified(F, mat_id(F)) == mat_id(F)
-
-    def test_scalar(self):
-        F = make_field(5)
-        c = 3
-        out = residue_tau_ramified(F, mat_scalar(F, c))
-        assert out == mat_scalar(F, F.inv(c))
-
-    def test_det_inverts(self, gl2_q3):
-        F = make_field(3)
-        for k in gl2_q3.elements:
-            assert mat_det(F, residue_tau_ramified(F, k)) == F.inv(mat_det(F, k))
-
-    def test_involution_exact(self, gl2_q3):
-        F = make_field(3)
-        for k in gl2_q3.elements:
-            assert residue_tau_ramified(F, residue_tau_ramified(F, k)) == k
-
-    def test_involution_on_scalar_quotient(self, gl2_q3):
-        # The stronger exact statement implies the scalar-quotient one;
-        # check the quotient phrasing independently on a sample.
-        F = make_field(3)
-        rng = random.Random(5)
-        scalars = {mat_scalar(F, c) for c in F.nonzero()}
-        for _ in range(50):
-            g = gl2_q3.key(rng.randrange(gl2_q3.order))
-            gg = residue_tau_ramified(F, residue_tau_ramified(F, g))
-            ratio = mat_mul(F, gg, mat_inv(F, g))
-            assert ratio in scalars
-
-
 class TestQuadraticTorus:
     def test_embeds_one(self):
         F9, F3 = make_field(3, 2), make_field(3)
@@ -298,19 +261,9 @@ class TestU2Torus:
         with pytest.raises(ValueError, match="norm-one"):
             u2_torus_element(spec_q3, spec_q3.field.generator, spec_q3.field.one)
 
-    def test_weyl_swap(self, spec_q3, u2_q3):
-        F9, F3 = spec_q3.field, spec_q3.sub
-        w = u2_weyl_swap(spec_q3)
-        assert w in u2_q3.index
-        wi = mat_inv(F9, w)
-        for u1 in norm_one_subgroup(F9, F3):
-            for u2 in norm_one_subgroup(F9, F3):
-                lhs = mat_mul(F9, mat_mul(F9, w, u2_torus_element(spec_q3, u1, u2)), wi)
-                assert lhs == u2_torus_element(spec_q3, u2, u1)
-
     def test_scalars_are_central_torus_points(self, spec_q3, u2_q3):
-        F9 = spec_q3.field
-        for u in u2_scalars(spec_q3):
+        F9, F3 = spec_q3.field, spec_q3.sub
+        for u in norm_one_subgroup(F9, F3):
             g = mat_scalar(F9, u)
             assert g in u2_q3.index
             assert u2_torus_element(spec_q3, u, u) == g
