@@ -147,24 +147,40 @@ def _cmd_chartable(args) -> int:
     return 0
 
 
+def _parse_theta(family: str, raw: str | None) -> int:
+    if raw is None:
+        return 1
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            "%s parameter must be an integer exponent, e.g. --theta 1, got %r" % (family, raw)
+        ) from None
+
+
 def _parse_theta_pair(raw: str) -> tuple[int, int]:
     parts = raw.split(",")
     if len(parts) != 2:
         raise ValueError(
             "u2 parameter must be two comma-separated integers, e.g. --theta 0,1"
         )
-    return int(parts[0]), int(parts[1])
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(
+            "u2 parameter must be an integer pair s1,s2, e.g. --theta 0,1, got %r" % raw
+        ) from None
 
 
 def _build_cuspidal(family: str, q: int, raw_theta: str | None):
     F = make_field(q)
     L = make_field(q, 2)
     if family == "sl2":
-        s = int(raw_theta) if raw_theta is not None else 1
+        s = _parse_theta(family, raw_theta)
         cf = sl2_cuspidal(NormOneChar(L, F, s))
         return cf, {"theta": s}
     if family == "gl2":
-        t = int(raw_theta) if raw_theta is not None else 1
+        t = _parse_theta(family, raw_theta)
         cf = gl2_cuspidal(MultChar(L, t))
         return cf, {"theta": t}
     s1, s2 = _parse_theta_pair(raw_theta if raw_theta is not None else "0,1")

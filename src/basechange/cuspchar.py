@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .cyclo import ZERO, Cyclotomic
+from .cyclo import ZERO, Cyclotomic, conductor, root_of_unity, values_key
 from .ffield import MultChar, NormOneChar, make_field, norm_one_subgroup
 from .grpcore import ClassFunction, character_table, conjugacy_classes
 from .rankone import (
@@ -28,6 +28,29 @@ from .rankone import (
 
 
 # -- shared contexts (built once per q) -------------------------------
+
+
+class _KeyIndex:
+    """Items by the exact values of a tuple of cyclotomics.
+
+    Keys are taken at one conductor, the lcm of every entry's orders, where
+    they are canonical (see ``cyclo``): a probe whose conductor divides it
+    is one dict lookup, and any other probe is compared with every entry by
+    exact ==.  Both return the items, in entry order, whose values equal
+    the probe's."""
+
+    def __init__(self, entries):
+        self.entries = [(tuple(values), item) for values, item in entries]
+        self.conductor = conductor(v for values, _ in self.entries for v in values)
+        self.by_key: dict[tuple, list] = {}
+        for values, item in self.entries:
+            self.by_key.setdefault(values_key(values, self.conductor), []).append(item)
+
+    def lookup(self, values) -> list:
+        values = tuple(values)
+        if self.conductor % conductor(values) == 0:
+            return list(self.by_key.get(values_key(values, self.conductor), ()))
+        return [item for vals, item in self.entries if vals == values]
 
 
 class _Context:
@@ -82,8 +105,21 @@ class _GL2Context(_Context):
             raise AssertionError("central/unipotent classification failed")
         if len(set(self.elliptic.values())) != q * (q - 1) // 2:
             raise AssertionError("elliptic classification failed")
+        # One of x, x^q per elliptic class: the formulas agree on both.
+        self.elliptic_reps = {ci: x for x, ci in self.elliptic.items()}
         self.split_classes = self._split_classes(2 * (q - 1) + q * (q - 1) // 2)
         self._formula_cache: dict[int, ClassFunction] = {}
+
+    @cached_property
+    def cuspidal_index(self) -> _KeyIndex:
+        """The regular, gamma-canonical parameters by their cuspidal
+        character; built inside the first sigma0 call."""
+        entries = []
+        for t in range(self.l.q - 1):
+            cand = MultChar(self.l, t)
+            if cand.is_regular() and cand.t == canonical_gamma_rep(cand).t:
+                entries.append((gl2_cuspidal(cand).values, cand))
+        return _KeyIndex(entries)
 
 
 class _SL2Context(_Context):
@@ -125,6 +161,15 @@ class _U2Context(_Context):
                 g = u2_torus_element(self.spec, u1, u2)
                 self.torus_class[(u1, u2)] = cls.class_of[G.index[g]]
         self.central = {u: self.torus_class[(u, u)] for u in self.l1}
+        self.torus_classes = sorted(set(self.torus_class.values()))
+
+    @cached_property
+    def torus_index(self) -> _KeyIndex:
+        """The oracle rows by their values on the torus classes."""
+        return _KeyIndex(
+            ([chi.on_class(ci) for ci in self.torus_classes], idx)
+            for idx, chi in enumerate(self.table)
+        )
 
 
 @lru_cache(maxsize=None)
@@ -246,12 +291,13 @@ def gl2_cuspidal(theta_tilde: MultChar) -> ClassFunction:
 
 def _u2_torus_values(ctx: _U2Context, theta1, theta2) -> dict[int, Cyclotomic]:
     values: dict[int, Cyclotomic] = {}
-    qm1 = ctx.q - 1
+    qm1, n = ctx.q - 1, ctx.q + 1
+    e1, e2 = theta1.exponent, theta2.exponent
     for (u1, u2), ci in ctx.torus_class.items():
         if u1 == u2:
-            val = qm1 * (theta1(u1) * theta2(u1))
+            val = qm1 * root_of_unity(n, e1(u1) + e2(u1))
         else:
-            val = -(theta1(u1) * theta2(u2) + theta1(u2) * theta2(u1))
+            val = -(root_of_unity(n, e1(u1) + e2(u2)) + root_of_unity(n, e1(u2) + e2(u1)))
         if ci in values:
             if values[ci] != val:
                 raise AssertionError("inconsistent torus values on one class")
@@ -273,10 +319,7 @@ def u2_cuspidal(theta1: NormOneChar, theta2: NormOneChar) -> ClassFunction:
     if theta1.field is not ctx.l:
         raise ValueError("parameter lives on the wrong quadratic pair")
     wanted = _u2_torus_values(ctx, theta1, theta2)
-    hits = []
-    for idx, chi in enumerate(ctx.table):
-        if all(chi.on_class(ci) == val for ci, val in wanted.items()):
-            hits.append(idx)
+    hits = ctx.torus_index.lookup(wanted[ci] for ci in ctx.torus_classes)
     if not hits:
         raise ValueError("Ennola mismatch: no oracle irreducible fits the torus values")
     if len(hits) > 1:
@@ -294,6 +337,29 @@ def canonical_gamma_rep(theta_tilde: MultChar) -> MultChar:
     t = theta_tilde.t
     tq = (t * q) % (L.q - 1)
     return MultChar(L, min(t, tq))
+
+
+def _sigma0_values(ctx: _GL2Context, theta1, theta2, omega: MultChar) -> list[Cyclotomic]:
+    # Elliptic values in exponent form over N = q^2 - 1, where
+    # theta(x) = zeta_{q+1}^e = zeta_N^((q-1)e).
+    L = ctx.l
+    N = L.q - 1
+    emb = L.embedding(ctx.k0)
+    values: list[Cyclotomic] = [ZERO] * len(ctx.classes)
+    qm1 = ctx.q - 1
+    for z, ci in ctx.central.items():
+        values[ci] = qm1 * omega(emb[z])
+    for z, ci in ctx.unipotent.items():
+        values[ci] = -omega(emb[z])
+    one_minus_q_exp = 1 - ctx.q
+    for ci, x in ctx.elliptic_reps.items():
+        a = omega.exponent(L.frobenius(x))
+        xn = L.pow(x, one_minus_q_exp)
+        values[ci] = -(
+            root_of_unity(N, a + qm1 * theta1.exponent(xn))
+            + root_of_unity(N, a + qm1 * theta2.exponent(xn))
+        )
+    return values
 
 
 def sigma0(
@@ -317,29 +383,8 @@ def sigma0(
             raise ValueError("extension does not restrict to the norm-one parameter")
     if theta1 == theta2:
         raise ValueError("parameter pair is not regular (theta1 = theta2)")
-    omega = Theta1 * Theta2
-    emb = L.embedding(ctx.k0)
-    values: list[Cyclotomic] = [ZERO] * len(ctx.classes)
-    qm1 = ctx.q - 1
-    for z, ci in ctx.central.items():
-        values[ci] = qm1 * omega(emb[z])
-    for z, ci in ctx.unipotent.items():
-        values[ci] = -omega(emb[z])
-    one_minus_q_exp = 1 - ctx.q
-    for x, ci in ctx.elliptic.items():
-        xg = L.frobenius(x)
-        xn = L.pow(x, one_minus_q_exp)
-        values[ci] = -omega(xg) * (theta1(xn) + theta2(xn))
-    built = ClassFunction(ctx.classes, values)
-    hits = []
-    for t in range(L.q - 1):
-        cand = MultChar(L, t)
-        if not cand.is_regular():
-            continue
-        if cand.t != canonical_gamma_rep(cand).t:
-            continue
-        if gl2_cuspidal(cand) == built:
-            hits.append(cand)
+    built = ClassFunction(ctx.classes, _sigma0_values(ctx, theta1, theta2, Theta1 * Theta2))
+    hits = ctx.cuspidal_index.lookup(built.values)
     if not hits:
         raise ValueError(
             "no cuspidal identification for the built class function "

@@ -4,6 +4,22 @@ Elements are canonical residues modulo the n-th cyclotomic polynomial,
 stored as integer coefficient vectors over a common denominator.  No
 floating point is used anywhere; equality across different orders is
 decided after promotion to the lcm order.
+
+Keys.  For any m that the order n divides, ``x.key(m)`` is the pair
+(den, num) of x promoted to Q(zeta_m).  Since an element of Q(zeta_m) has
+one reduced residue and one normalized denominator, two values whose
+orders divide m are equal iff their keys at m are equal: a key at one
+fixed conductor is a canonical, hashable stand-in for the value, and
+``values_key`` extends it to tuples.  ``Cyclotomic`` itself stays
+unhashable, because ``==`` works across orders and a hash would have to
+agree with it.
+
+Kernel.  ``dot`` sums w_i * x_i * y_i (or w_i * x_i * conj(y_i)) in
+exponent space: every power-basis term c * zeta_o^i lands on the exponent
+i * m / o of one integer histogram of length m, the lcm of the orders
+involved, so the whole sum pays one common denominator and one reduction
+mod Phi_m instead of one per product and one per addition.  The result
+has order m, as the same sum taken term by term from ``ZERO`` would.
 """
 
 from __future__ import annotations
@@ -171,18 +187,31 @@ class Cyclotomic:
 
     # -- order promotion ----------------------------------------------
 
-    def promote(self, m: int) -> "Cyclotomic":
-        """The same value expressed in Q(zeta_m); m must be a multiple of the order."""
+    def _num_at(self, m: int) -> tuple[int, ...]:
+        # The numerator promoted to Q(zeta_m); m must be a multiple of the order.
         if m == self._n:
-            return self
+            return self._num
         if m % self._n != 0:
             raise ValueError("can only promote to a multiple of the order")
+        if self._n <= 2:  # rational: c * 1 is already reduced
+            return self._num + (0,) * (euler_phi(m) - 1)
         step = m // self._n
         dense = [0] * (euler_phi(self._n) * step)
         for i, c in enumerate(self._num):
             if c:
                 dense[i * step] += c
-        return Cyclotomic(m, self._den, _reduce_dense(m, dense))
+        return _reduce_dense(m, dense)
+
+    def promote(self, m: int) -> "Cyclotomic":
+        """The same value expressed in Q(zeta_m); m must be a multiple of the order."""
+        if m == self._n:
+            return self
+        return Cyclotomic(m, self._den, self._num_at(m))
+
+    def key(self, m: int) -> tuple[int, tuple[int, ...]]:
+        """(den, num) at conductor m, a multiple of the order: among values
+        whose order divides m, equal keys mean equal values."""
+        return self._den, self._num_at(m)
 
     def _match(self, other: "Cyclotomic") -> tuple["Cyclotomic", "Cyclotomic"]:
         if self._n == other._n:
@@ -227,6 +256,8 @@ class Cyclotomic:
         return o + (-self)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return Cyclotomic(self._n, self._den, tuple(c * other for c in self._num))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -339,18 +370,56 @@ class Cyclotomic:
 
 
 def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
-    """zeta_n^k as an element of Q(zeta_n)."""
+    """zeta_n^k as an element of Q(zeta_n); one shared object per (n, k mod n)."""
     if n < 1:
         raise ValueError("order must be a positive integer")
-    k %= n
-    phi = euler_phi(n)
-    if k < phi and not (n == 1):
-        num = [0] * phi
-        num[k] = 1
-        return Cyclotomic(n, 1, tuple(num))
+    return _root(n, k % n)
+
+
+@lru_cache(maxsize=None)
+def _root(n: int, k: int) -> Cyclotomic:
     dense = [0] * (k + 1)
     dense[k] = 1
     return Cyclotomic(n, 1, _reduce_dense(n, dense))
+
+
+def conductor(values) -> int:
+    """The lcm of the orders of values (1 for none)."""
+    return lcm(*{v._n for v in values})
+
+
+def values_key(values, m: int) -> tuple:
+    """The keys at conductor m of a sequence of values, all of order dividing m."""
+    return tuple(v.key(m) for v in values)
+
+
+def dot(xs, ys, weights=None, conj: bool = False, den: int = 1) -> Cyclotomic:
+    """(sum_i w_i * x_i * y_i) / den, or with conj(y_i) when conj is set,
+    accumulated in exponent space and reduced once (see the module
+    docstring).  weights are integers, all 1 when omitted; den is a
+    positive integer.  The result has order lcm(1, every order of xs, ys)."""
+    xs, ys = tuple(xs), tuple(ys)
+    if len(xs) != len(ys):
+        raise ValueError("dot needs sequences of equal length")
+    if weights is None:
+        weights = (1,) * len(xs)
+    m = conductor(xs + ys)
+    common = lcm(*{x._den * y._den for x, y in zip(xs, ys)})
+    hist = [0] * m
+    for x, y, w in zip(xs, ys, weights):
+        if not w:
+            continue
+        sx = m // x._n
+        sy = -(m // y._n) if conj else m // y._n
+        scale = w * (common // (x._den * y._den))
+        terms = [(j * sy, c) for j, c in enumerate(y._num) if c]
+        for i, a in enumerate(x._num):
+            if a:
+                a *= scale
+                base = i * sx
+                for e, c in terms:
+                    hist[(base + e) % m] += a * c
+    return Cyclotomic(m, common * den, _reduce_dense(m, hist))
 
 
 ZERO = Cyclotomic.rational(0)

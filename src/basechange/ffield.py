@@ -437,10 +437,14 @@ class MultChar:
         self.field = field
         self.t = t % (field.q - 1)
 
-    def __call__(self, x: int) -> Cyclotomic:
+    def exponent(self, x: int) -> int:
+        """e with chi(x) = zeta_{q-1}^e, reduced mod q-1."""
         if x == self.field.zero:
             raise ValueError("character undefined at zero")
-        return root_of_unity(self.field.q - 1, self.t * self.field.dlog(x))
+        return self.t * self.field.dlog(x) % (self.field.q - 1)
+
+    def __call__(self, x: int) -> Cyclotomic:
+        return root_of_unity(self.field.q - 1, self.exponent(x))
 
     def __eq__(self, other):
         return (
@@ -504,8 +508,12 @@ class NormOneChar:
             raise ValueError("element is not norm-one")
         return d // step
 
+    def exponent(self, x: int) -> int:
+        """e with theta(x) = zeta_{q+1}^e, reduced mod q+1."""
+        return self.s * self._log_u(x) % (self.sub.q + 1)
+
     def __call__(self, x: int) -> Cyclotomic:
-        return root_of_unity(self.sub.q + 1, self.s * self._log_u(x))
+        return root_of_unity(self.sub.q + 1, self.exponent(x))
 
     def __eq__(self, other):
         return (

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from .cyclo import ONE, ZERO, Cyclotomic, root_of_unity
+from .cyclo import ONE, ZERO, Cyclotomic, dot, root_of_unity
 from .ffield import _is_prime, make_field, norm_one_generator
 from .grpcore import GroupTable, _nullspace, orbits
 from .rankone import embed_quadratic_torus
@@ -292,11 +292,8 @@ def _meye(n: int):
 
 
 def _mmul(x, y):
-    n = len(x)
-    return tuple(
-        tuple(sum((x[i][k] * y[k][j] for k in range(n)), ZERO) for j in range(n))
-        for i in range(n)
-    )
+    cols = tuple(zip(*y))
+    return tuple(tuple(dot(row, col) for col in cols) for row in x)
 
 
 def _mscale(c: Cyclotomic, x):
@@ -424,10 +421,8 @@ class HeisRep:
         """tr(dense * eta(key)), using the one-entry-per-row structure:
         the sum of dense[v+x][v] * phase(v)."""
         x, phases = self._mono[key]
-        total = ZERO
-        for v, uv in enumerate(self.points):
-            total = total + dense[self.pindex[self._shift(uv, x)]][v] * phases[v]
-        return total
+        column = [dense[self.pindex[self._shift(uv, x)]][v] for v, uv in enumerate(self.points)]
+        return dot(column, phases)
 
 
 @lru_cache(maxsize=None)

@@ -146,6 +146,21 @@ class TestCuspidal:
         assert code == 2
         assert "comma-separated" in err
 
+    @pytest.mark.parametrize(
+        "family,theta,form",
+        [
+            ("gl2", "x", "integer exponent"),
+            ("sl2", "1.5", "integer exponent"),
+            ("u2", ",", "integer pair s1,s2"),
+        ],
+    )
+    def test_non_integer_theta_names_the_expected_form(self, capsys, family, theta, form):
+        code, out, err = run(["cuspidal", family, "--q", "3", "--theta", theta], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: %s parameter must be an %s" % (family, form))
+        assert repr(theta) in err
+        assert "invalid literal" not in err
+
 
 class TestVerify:
     def test_level0_passes(self, capsys):

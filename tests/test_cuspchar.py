@@ -7,10 +7,12 @@ oracle once and pinning the result; class order is the deterministic
 
 import pytest
 
+from basechange import cuspchar
 from basechange.cyclo import Cyclotomic
 from basechange.cuspchar import (
     FAMILIES,
     _sl2_values,
+    _u2_torus_values,
     canonical_gamma_rep,
     gl2_context,
     gl2_cuspidal,
@@ -278,6 +280,150 @@ class TestSigma0:
                 MultChar(L, 1),
                 MultChar(L, 1),
             )
+
+
+def gl2_candidates(q):
+    L = gl2_context(q).l
+    cands = [MultChar(L, t) for t in range(L.q - 1)]
+    return [c for c in cands if c.is_regular() and c == canonical_gamma_rep(c)]
+
+
+def equal_values(xs, ys):
+    return all(a == b for a, b in zip(xs, ys, strict=True))
+
+
+def regular_pairs(q):
+    return [(s1, s2) for s1 in range(q + 1) for s2 in range(q + 1) if s1 != s2]
+
+
+def first_sigma0_args(q):
+    """One regular pair with one choice of extensions."""
+    L = gl2_context(q).l
+    return norm_one(q, 0), norm_one(q, 1), MultChar(L, 0), MultChar(L, 1)
+
+
+class TestIndexAgainstScan:
+    """The keyed lookups in sigma0 and u2_cuspidal return what a linear scan
+    with exact value-by-value == returns, and every error stays reachable."""
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_sigma0_identifications(self, q):
+        L = gl2_context(q).l
+        cands = gl2_candidates(q)
+        for s1, s2 in regular_pairs(q):
+            for j1 in range(q - 1):
+                for j2 in range(q - 1):
+                    Th1, Th2 = MultChar(L, s1 + (q + 1) * j1), MultChar(L, s2 + (q + 1) * j2)
+                    built, ident = sigma0(norm_one(q, s1), norm_one(q, s2), Th1, Th2)
+                    scan = [c for c in cands if equal_values(gl2_cuspidal(c).values, built.values)]
+                    assert scan == [ident]
+        index = gl2_context(q).cuspidal_index
+        assert [item for _, item in index.entries] == cands
+        assert sorted(len(items) for items in index.by_key.values()) == [1] * len(cands)
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_u2_rows(self, q):
+        ctx = u2_context(q)
+        for s1, s2 in regular_pairs(q):
+            th1, th2 = norm_one(q, s1), norm_one(q, s2)
+            wanted = _u2_torus_values(ctx, th1, th2)
+            scan = [
+                chi
+                for chi in ctx.table
+                if all(chi.on_class(ci) == val for ci, val in wanted.items())
+            ]
+            assert len(scan) == 1 and u2_cuspidal(th1, th2) is scan[0]
+
+    def test_perturbed_sigma0_has_no_identification(self, monkeypatch):
+        ctx = gl2_context(3)
+        original = cuspchar._sigma0_values
+
+        def perturbed(*args):
+            values = original(*args)
+            ci = next(iter(ctx.elliptic_reps))
+            values[ci] = values[ci] + 1
+            return values
+
+        monkeypatch.setattr(cuspchar, "_sigma0_values", perturbed)
+        with pytest.raises(ValueError, match="no cuspidal identification"):
+            sigma0(*first_sigma0_args(3))
+
+    def test_equal_keys_are_ambiguous(self, monkeypatch):
+        ctx = gl2_context(3)
+        _, ident = sigma0(*first_sigma0_args(3))
+        other = next(c for c in gl2_candidates(3) if c != ident)
+        real = cuspchar.gl2_cuspidal
+        monkeypatch.delattr(ctx, "cuspidal_index")
+        monkeypatch.setattr(
+            cuspchar, "gl2_cuspidal", lambda c: real(ident) if c == other else real(c)
+        )
+        with pytest.raises(ValueError, match="ambiguous cuspidal identification"):
+            sigma0(*first_sigma0_args(3))
+        assert sorted(len(items) for items in ctx.cuspidal_index.by_key.values())[-1] == 2
+
+    def test_probe_off_the_index_conductor_is_scanned(self, monkeypatch):
+        ctx = gl2_context(3)
+        _, ident = sigma0(*first_sigma0_args(3))
+        index = ctx.cuspidal_index
+        values = list(gl2_cuspidal(ident).values)
+        values[ctx.split_classes[0]] = values[ctx.split_classes[0]].promote(2 * index.conductor)
+
+        def no_keys(*args):
+            raise AssertionError("the key path ran")
+
+        monkeypatch.setattr(cuspchar, "values_key", no_keys)
+        assert index.lookup(values) == [ident]
+        values[0] = values[0] + 1
+        assert index.lookup(values) == []
+        # And through sigma0 itself.
+        original = cuspchar._sigma0_values
+
+        def promoted(*args):
+            out = original(*args)
+            out[0] = out[0].promote(2 * index.conductor)
+            return out
+
+        monkeypatch.setattr(cuspchar, "_sigma0_values", promoted)
+        assert sigma0(*first_sigma0_args(3))[1] == ident
+
+    def test_u2_errors_stay_reachable(self, monkeypatch):
+        ctx = u2_context(3)
+        th1, th2 = norm_one(3, 0), norm_one(3, 1)
+        row = u2_cuspidal(th1, th2)
+
+        def perturbed(*args):
+            values = _u2_torus_values(*args)
+            ci = next(iter(values))
+            values[ci] = values[ci] + 1
+            return values
+
+        with monkeypatch.context() as m:
+            m.setattr(cuspchar, "_u2_torus_values", perturbed)
+            with pytest.raises(ValueError, match="Ennola mismatch"):
+                u2_cuspidal(th1, th2)
+        with monkeypatch.context() as m:
+            m.setattr(ctx, "table", ctx.table + [row])
+            m.delattr(ctx, "torus_index")
+            with pytest.raises(ValueError, match="ambiguous: several oracle irreducibles"):
+                u2_cuspidal(th1, th2)
+        with monkeypatch.context() as m:
+            u = ctx.l1[1]
+            clash = dict(ctx.torus_class)
+            clash[(u, ctx.l1[2])] = ctx.central[u]
+            m.setattr(ctx, "torus_class", clash)
+            with pytest.raises(AssertionError, match="inconsistent torus values"):
+                u2_cuspidal(th1, th2)
+        with monkeypatch.context() as m:
+            conductor = ctx.torus_index.conductor
+
+            def promoted(*args):
+                values = _u2_torus_values(*args)
+                ci = next(iter(values))
+                values[ci] = values[ci].promote(2 * conductor)
+                return values
+
+            m.setattr(cuspchar, "_u2_torus_values", promoted)
+            assert u2_cuspidal(th1, th2) is row
 
 
 class TestStandardAccess:

@@ -1,6 +1,7 @@
 """Tests for exact cyclotomic arithmetic."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from basechange.cyclo import (
     ZERO,
     Cyclotomic,
     cyclotomic_polynomial,
+    dot,
     euler_phi,
     parse,
     root_of_unity,
@@ -134,6 +136,12 @@ class TestRingAxioms:
         assert x * ONE == x
         assert x * 0 == 0
 
+    @given(cyclotomics(), st.integers(-7, 7))
+    @settings(max_examples=40)
+    def test_integer_scaling_is_the_rational_product(self, x, k):
+        expected = x * Cyclotomic.rational(k)
+        assert (x * k).serialize() == (k * x).serialize() == expected.serialize()
+
     @given(cyclotomics())
     @settings(max_examples=40)
     def test_inverse(self, x):
@@ -197,3 +205,112 @@ class TestPromotion:
         r = x.as_rational()
         if r is not None:
             assert x == Cyclotomic.rational(r)
+
+
+# -- keys and the reduce-once kernel ------------------------------------
+
+KEY_ORDERS = [1, 2, 3, 4, 6, 8, 12, 20, 24]
+
+
+@st.composite
+def key_cyclotomics(draw):
+    # Coefficients from a small set, so that equal values turn up often.
+    n = draw(st.sampled_from(KEY_ORDERS))
+    phi = euler_phi(n)
+    coeffs = draw(
+        st.lists(st.sampled_from([-1, 0, 0, 1, Fraction(1, 2)]), min_size=phi, max_size=phi)
+    )
+    return Cyclotomic.from_coeffs(n, coeffs)
+
+
+@st.composite
+def key_pairs(draw):
+    """(x, y) with y random, or equal to x at another order."""
+    x = draw(key_cyclotomics())
+    kind = draw(st.sampled_from(["random", "promoted", "shifted"]))
+    if kind == "random":
+        return x, draw(key_cyclotomics())
+    if kind == "promoted":
+        return x, x.promote(x.order * draw(st.sampled_from([1, 2, 3, 6])))
+    z = draw(key_cyclotomics())
+    return x, (x + z) - z
+
+
+class TestKeys:
+    @given(key_pairs())
+    @settings(max_examples=200)
+    def test_key_equality_agrees_with_eq(self, pair):
+        x, y = pair
+        m = lcm(x.order, y.order)
+        for conductor in (m, lcm(m, 120)):
+            assert (x.key(conductor) == y.key(conductor)) == (x == y)
+
+    def test_equal_values_of_different_orders_share_a_key(self):
+        i = root_of_unity(4)
+        same = [i, root_of_unity(8, 2), root_of_unity(12, 3), root_of_unity(24, 6), i.promote(20)]
+        assert len({v.key(120) for v in same}) == 1
+        minus_one = [Cyclotomic.rational(-1), root_of_unity(2), root_of_unity(6, 3)]
+        assert len({v.key(24) for v in minus_one}) == 1
+        assert ZERO.key(24) == ZERO.promote(24).key(24) != ONE.key(24)
+
+    def test_key_of_own_order_is_the_stored_pair(self):
+        x = Cyclotomic.from_coeffs(8, [Fraction(1, 2), 0, -1, 3])
+        assert x.key(8) == (2, (1, 0, -2, 6))
+
+    def test_key_needs_a_multiple_of_the_order(self):
+        with pytest.raises(ValueError):
+            root_of_unity(8).key(12)
+
+    def test_roots_are_shared(self):
+        assert root_of_unity(12, 5) is root_of_unity(12, -7) is root_of_unity(12, 17)
+        assert root_of_unity(12, 5) == root_of_unity(12, 5).promote(24)
+
+
+def naive_dot(xs, ys, weights, conj, den):
+    total = ZERO
+    for x, y, w in zip(xs, ys, weights):
+        total = total + x * (y.conj() if conj else y) * Cyclotomic.rational(w)
+    return total * Fraction(1, den)
+
+
+class TestDot:
+    @given(
+        st.lists(st.tuples(cyclotomics(), cyclotomics(), st.integers(-5, 5)), max_size=6),
+        st.booleans(),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=120)
+    def test_equals_the_naive_sum(self, triples, conj, den):
+        xs = [x for x, _, _ in triples]
+        ys = [y for _, y, _ in triples]
+        ws = [w for _, _, w in triples]
+        got = dot(xs, ys, ws, conj=conj, den=den)
+        # Same value and same order: the serialization is byte-identical.
+        assert got.serialize() == naive_dot(xs, ys, ws, conj, den).serialize()
+
+    @given(st.lists(st.tuples(key_cyclotomics(), key_cyclotomics()), max_size=5))
+    @settings(max_examples=60)
+    def test_default_weights_are_one(self, pairs):
+        xs = [x for x, _ in pairs]
+        ys = [y for _, y in pairs]
+        naive = naive_dot(xs, ys, [1] * len(pairs), False, 1)
+        assert dot(xs, ys).serialize() == naive.serialize()
+
+    def test_non_rational_results(self):
+        cases = [
+            ([root_of_unity(8), root_of_unity(3)], [ONE, root_of_unity(4)], [2, -1], False),
+            ([root_of_unity(5)], [root_of_unity(5, 2)], [1], True),
+            ([root_of_unity(20, 3), root_of_unity(24, 7)], [root_of_unity(12, 5), ONE], [3, 1], True),
+        ]
+        for xs, ys, ws, conj in cases:
+            got = dot(xs, ys, ws, conj=conj)
+            assert got.as_rational() is None
+            assert got.serialize() == naive_dot(xs, ys, ws, conj, 1).serialize()
+        assert dot([root_of_unity(5)], [root_of_unity(5, 2)], conj=True) == root_of_unity(5, -1)
+
+    def test_empty_sum_is_a_rational_zero(self):
+        assert dot([], []).serialize() == "cyc(1)[0]"
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(ValueError):
+            dot([ONE], [])

@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basechange.cyclo import ZERO, root_of_unity
+from basechange.cyclo import ONE, ZERO, Cyclotomic, euler_phi, root_of_unity
 from basechange.ffield import make_field
 from basechange.heis import extraspecial_group
 from basechange.rankone import build_gl2, build_sl2, mat_id, mat_inv, mat_mul
@@ -282,6 +283,71 @@ class TestInnerProduct:
         reg = induce(trivial_character(T), G)
         assert reg.degree == 6
         assert inner_product(reg, trivial_character(G)) == 1
+
+
+def classwise_inner_product(phi, psi):
+    """The classwise formula the exponent-space kernel replaced: the reference."""
+    total = ZERO
+    for size, a, b in zip(phi.classes.sizes, phi.values, psi.values):
+        total = total + a * b.conj() * size
+    return total * Fraction(1, phi.group.order)
+
+
+def random_class_function(classes, rng):
+    values = []
+    for _ in range(len(classes)):
+        n = rng.choice([1, 2, 3, 4, 6, 8, 12, 24])
+        coeffs = [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2])) for _ in range(euler_phi(n))]
+        values.append(Cyclotomic.from_coeffs(n, coeffs))
+    return ClassFunction(classes, values)
+
+
+class TestInnerProductKernel:
+    @pytest.mark.parametrize("name", ["S3", "GL2(3)"])
+    def test_equals_the_classwise_formula(self, name, gl2_q3):
+        group = s3() if name == "S3" else gl2_q3
+        classes = conjugacy_classes(group)
+        rng = random.Random(8)
+        cfs = [random_class_function(classes, rng) for _ in range(12)]
+        cfs += character_table(group)
+        for phi, psi in itertools.product(cfs, repeat=2):
+            got = inner_product(phi, psi)
+            assert got.serialize() == classwise_inner_product(phi, psi).serialize()
+
+    def test_makes_no_per_class_temporaries(self, gl2_q3, monkeypatch):
+        table = character_table(gl2_q3)
+        for name in ("conj", "promote", "__mul__", "__add__"):
+            monkeypatch.setattr(Cyclotomic, name, None)
+        assert inner_product(table[3], table[3]).as_integer() == 1
+
+
+class TestClassFunctionKeys:
+    def test_zeros_of_different_orders_are_equal(self):
+        classes = conjugacy_classes(s3())
+        a = ClassFunction(classes, [ONE, ZERO, root_of_unity(4)])
+        b = ClassFunction(classes, [ONE, ZERO.promote(24), root_of_unity(4)])
+        assert (a.conductor, b.conductor) == (4, 24)
+        assert a == b and b == a
+        c = ClassFunction(classes, [ONE, root_of_unity(24, 6), ZERO.promote(24)])
+        assert c != a and a != c
+
+    def test_same_conductor_compares_keys(self):
+        classes = conjugacy_classes(s3())
+        a = ClassFunction(classes, [root_of_unity(8, 2), ZERO, 2])
+        b = ClassFunction(classes, [root_of_unity(4).promote(8), ZERO, root_of_unity(8, 4) * -2])
+        assert a.conductor == b.conductor == 8
+        assert a.key == (
+            (1, (0, 0, 1, 0)),
+            (1, (0, 0, 0, 0)),
+            (1, (2, 0, 0, 0)),
+        )
+        assert a.key == b.key and a == b
+        d = ClassFunction(classes, [root_of_unity(8, 2), ZERO, -2])
+        assert d.key != a.key and d != a
+
+    def test_class_functions_are_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(trivial_character(s3()))
 
 
 class TestRestrictInduce:
