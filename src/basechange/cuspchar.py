@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .cyclo import ZERO, Cyclotomic, conductor, root_of_unity, values_key
+from .cyclo import ZERO, Cyclotomic, conductor, root_of_unity
 from .ffield import MultChar, NormOneChar, make_field, norm_one_subgroup
 from .grpcore import ClassFunction, character_table, conjugacy_classes
 from .rankone import (
@@ -44,13 +44,16 @@ class _KeyIndex:
         self.conductor = conductor(v for values, _ in self.entries for v in values)
         self.by_key: dict[tuple, list] = {}
         for values, item in self.entries:
-            self.by_key.setdefault(values_key(values, self.conductor), []).append(item)
+            self.by_key.setdefault(self._key(values), []).append(item)
 
     def lookup(self, values) -> list:
         values = tuple(values)
         if self.conductor % conductor(values) == 0:
-            return list(self.by_key.get(values_key(values, self.conductor), ()))
+            return list(self.by_key.get(self._key(values), ()))
         return [item for vals, item in self.entries if vals == values]
+
+    def _key(self, values) -> tuple:
+        return tuple(v.key(self.conductor) for v in values)
 
 
 class _Context:

@@ -9,10 +9,9 @@ Keys.  For any m that the order n divides, ``x.key(m)`` is the pair
 (den, num) of x promoted to Q(zeta_m).  Since an element of Q(zeta_m) has
 one reduced residue and one normalized denominator, two values whose
 orders divide m are equal iff their keys at m are equal: a key at one
-fixed conductor is a canonical, hashable stand-in for the value, and
-``values_key`` extends it to tuples.  ``Cyclotomic`` itself stays
-unhashable, because ``==`` works across orders and a hash would have to
-agree with it.
+fixed conductor is a canonical, hashable stand-in for the value.
+``Cyclotomic`` itself stays unhashable, because ``==`` works across
+orders and a hash would have to agree with it.
 
 Kernel.  ``dot`` sums w_i * x_i * y_i (or w_i * x_i * conj(y_i)) in
 exponent space: every power-basis term c * zeta_o^i lands on the exponent
@@ -193,10 +192,8 @@ class Cyclotomic:
             return self._num
         if m % self._n != 0:
             raise ValueError("can only promote to a multiple of the order")
-        if self._n <= 2:  # rational: c * 1 is already reduced
-            return self._num + (0,) * (euler_phi(m) - 1)
         step = m // self._n
-        dense = [0] * (euler_phi(self._n) * step)
+        dense = [0] * ((len(self._num) - 1) * step + 1)
         for i, c in enumerate(self._num):
             if c:
                 dense[i * step] += c
@@ -256,8 +253,6 @@ class Cyclotomic:
         return o + (-self)
 
     def __mul__(self, other):
-        if type(other) is int:
-            return Cyclotomic(self._n, self._den, tuple(c * other for c in self._num))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -386,11 +381,6 @@ def _root(n: int, k: int) -> Cyclotomic:
 def conductor(values) -> int:
     """The lcm of the orders of values (1 for none)."""
     return lcm(*{v._n for v in values})
-
-
-def values_key(values, m: int) -> tuple:
-    """The keys at conductor m of a sequence of values, all of order dividing m."""
-    return tuple(v.key(m) for v in values)
 
 
 def dot(xs, ys, weights=None, conj: bool = False, den: int = 1) -> Cyclotomic:

@@ -9,11 +9,10 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
-from functools import cached_property
 from math import isqrt, lcm
 from operator import mul
 
-from .cyclo import ZERO, Cyclotomic, _reduce_dense, conductor, dot, values_key
+from .cyclo import ZERO, Cyclotomic, _reduce_dense, dot
 from .ffield import _is_prime, _poly_roots, _primitive_root
 
 DEFAULT_MAX_GROUP = 10000
@@ -249,17 +248,12 @@ def conjugacy_classes(group: GroupTable) -> ConjClasses:
 class ClassFunction:
     """One exact cyclotomic value per conjugacy class, in class order.
 
-    The conductor is the lcm of the value orders, and the key the tuple of
-    the values' keys at that conductor (see ``cyclo``), computed once.  Two
-    class functions of one conductor are equal iff their keys are; across
-    conductors ``==`` compares value by value.  A class function is not
-    hashable: equal functions may have different conductors (a zero stored
-    as cyc(1) or as cyc(24)), so a hash would need a minimal conductor per
-    value, which nothing computes.  Lookups by key take keys at one fixed
-    conductor instead (``cuspchar``).
+    ``==`` compares value by value, across orders.  A class function is
+    not hashable: equal functions may store a value at different orders (a
+    zero as cyc(1) or as cyc(24)), so a hash would need a minimal conductor
+    per value, which nothing computes.  Lookups by value take keys at one
+    fixed conductor instead (``cyclo``, ``cuspchar``).
     """
-
-    __hash__ = None
 
     def __init__(self, classes: ConjClasses, values):
         values = tuple(
@@ -299,22 +293,12 @@ class ClassFunction:
             raise ValueError("class functions live on different groups")
         return ClassFunction(self.classes, [a * b for a, b in zip(self.values, other.values)])
 
-    @cached_property
-    def conductor(self) -> int:
-        return conductor(self.values)
-
-    @cached_property
-    def key(self) -> tuple:
-        return values_key(self.values, self.conductor)
-
     def __eq__(self, other):
-        if other is self:
-            return True
-        if not isinstance(other, ClassFunction) or other.classes is not self.classes:
-            return False
-        if self.conductor == other.conductor:
-            return self.key == other.key
-        return all(a == b for a, b in zip(self.values, other.values))
+        return (
+            isinstance(other, ClassFunction)
+            and other.classes is self.classes
+            and all(a == b for a, b in zip(self.values, other.values))
+        )
 
     def serialize(self) -> tuple[str, ...]:
         return tuple(v.serialize() for v in self.values)

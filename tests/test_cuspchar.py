@@ -371,7 +371,7 @@ class TestIndexAgainstScan:
         def no_keys(*args):
             raise AssertionError("the key path ran")
 
-        monkeypatch.setattr(cuspchar, "values_key", no_keys)
+        monkeypatch.setattr(cuspchar._KeyIndex, "_key", no_keys)
         assert index.lookup(values) == [ident]
         values[0] = values[0] + 1
         assert index.lookup(values) == []
