@@ -149,6 +149,8 @@ class _SL2Context(_Context):
         for u in l1:
             if u not in central_points:
                 self.elliptic[u] = cls.class_of[G.index[self.embed(u)]]
+        # One of u, u^-1 per elliptic class: the formula agrees on both.
+        self.elliptic_reps = {ci: u for u, ci in self.elliptic.items()}
         self.split_classes = self._split_classes(2 + 4 + (q - 1) // 2)
 
 
@@ -232,7 +234,7 @@ def _sl2_values(theta: NormOneChar) -> ClassFunction:
         values[ci] = qm1 * theta(emb[x])
     for (x, _n), ci in ctx.unipotent.items():
         values[ci] = -theta(emb[x])
-    for u, ci in ctx.elliptic.items():
+    for ci, u in ctx.elliptic_reps.items():
         values[ci] = -(theta(u) + theta(L.frobenius(u)))
     return ClassFunction(ctx.classes, values)
 
@@ -282,7 +284,7 @@ def gl2_cuspidal(theta_tilde: MultChar) -> ClassFunction:
         values[ci] = qm1 * theta_tilde(emb[x])
     for x, ci in ctx.unipotent.items():
         values[ci] = -theta_tilde(emb[x])
-    for x, ci in ctx.elliptic.items():
+    for ci, x in ctx.elliptic_reps.items():
         values[ci] = -(theta_tilde(x) + theta_tilde(L.frobenius(x)))
     out = ClassFunction(ctx.classes, values)
     ctx._formula_cache[theta_tilde.t] = out

@@ -208,6 +208,7 @@ class FField:
         self.generator = self._find_generator()
         self._build_dlog()
         self._embeddings: dict[tuple[int, int], list[int]] = {}
+        self._frobenius: dict[int, list[int]] = {}
 
     @staticmethod
     def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -296,7 +297,10 @@ class FField:
         return self._index[(c % self.p,) + (0,) * (self.k - 1)]
 
     def frobenius(self, a: int, times: int = 1) -> int:
-        return self.pow(a, self.p**times) if a != self.zero else self.zero
+        """a^(p^times), read from a permutation table built once per times."""
+        if times not in self._frobenius:
+            self._frobenius[times] = [self.pow(x, self.p**times) for x in range(self.q)]
+        return self._frobenius[times][a]
 
     def elements(self) -> range:
         return range(self.q)

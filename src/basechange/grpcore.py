@@ -55,6 +55,7 @@ class GroupTable:
         self._orders: list[int | None] = [None] * self.order
         self._classes_cache = None
         self._generators: tuple[int, ...] | None = None
+        self._columns: dict[int, list[int]] = {}
         self._check_axioms()
 
     # -- construction helpers -----------------------------------------
@@ -133,34 +134,47 @@ class GroupTable:
         fixed seed, each outside the subgroup the earlier ones generate,
         until the closure of the identity under them is the whole group.
         This proves closure: every x·g is formed by ``mul``, which raises off
-        the carrier, so S·g ⊆ S, and by associativity S·(g1⋯gm) ⊆ S."""
+        the carrier, so S·g ⊆ S, and by associativity S·(g1⋯gm) ⊆ S.  Each
+        x·g is formed exactly once and kept as g's ``column``."""
         if self._generators is None:
             rng = random.Random(_CHECK_SEED)
-            gens: list[int] = []
             reached = [self.id]
             seen = {self.id}
             while len(reached) < self.order:
                 g = rng.randrange(self.order)
                 if g in seen:
                     continue
-                gens.append(g)
+                col = self._columns[g] = [0] * self.order
                 # The old closure is closed under the old generators, so it
                 # needs products with g only; what is new needs them all.
                 new = []
                 for x in reached:
-                    y = self.mul(x, g)
+                    col[x] = y = self.mul(x, g)
                     if y not in seen:
                         seen.add(y)
                         new.append(y)
                 for x in new:
-                    for h in gens:
-                        y = self.mul(x, h)
+                    for h, col_h in self._columns.items():
+                        col_h[x] = y = self.mul(x, h)
                         if y not in seen:
                             seen.add(y)
                             new.append(y)
                 reached += new
-            self._generators = tuple(gens)
+            self._generators = tuple(self._columns)
         return self._generators
+
+    def column(self, b: int) -> list[int]:
+        """column(b)[x] is the index of x·b.  A generator's column is kept
+        from generators(); any other costs n products and is not kept."""
+        self.generators()
+        col = self._columns.get(b)
+        if col is None:
+            index, kb, mul_key = self.index, self.elements[b], self._mul_key
+            try:
+                col = [index[mul_key(k, kb)] for k in self.elements]
+            except KeyError:
+                raise ValueError("not closed under multiplication") from None
+        return col
 
     def __repr__(self):
         return "GroupTable(%s, order=%d)" % (self.name, self.order)
@@ -173,10 +187,12 @@ def orbits(group: GroupTable, moves, seeds=None) -> list[tuple[int, ...]]:
     Each orbit is its seed's closure under the moves.  When the moves are a
     generating set's images under a group action, that closure is the whole
     orbit under the group: every move permutes a finite set, so its inverse
-    is one of its powers.
+    is one of its powers.  A move is four list lookups on columns,
+    a x b = inv[column(a⁻¹)[inv[column(b)[x]]]], so a move whose a⁻¹ and b
+    are generators costs no product at all.
     """
-    index, elements, mul_key = group.index, group.elements, group._mul_key
-    key_moves = [(elements[a], elements[b]) for a, b in moves]
+    inv = group.inv_table
+    cols = [(group.column(inv[a]), group.column(b)) for a, b in moves]
     seen = bytearray(group.order)
     out = []
     for seed in range(group.order) if seeds is None else seeds:
@@ -184,16 +200,12 @@ def orbits(group: GroupTable, moves, seeds=None) -> list[tuple[int, ...]]:
             continue
         seen[seed] = 1
         orbit = [seed]
-        try:
-            for x in orbit:
-                kx = elements[x]
-                for ka, kb in key_moves:
-                    y = index[mul_key(mul_key(ka, kx), kb)]
-                    if not seen[y]:
-                        seen[y] = 1
-                        orbit.append(y)
-        except KeyError:
-            raise ValueError("not closed under multiplication") from None
+        for x in orbit:
+            for ca, cb in cols:
+                y = inv[ca[inv[cb[x]]]]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
         out.append(tuple(sorted(orbit)))
     return out
 

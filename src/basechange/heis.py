@@ -573,9 +573,10 @@ def expected_multiplicity_multiset(p: int, a: int, d: int) -> list[int]:
 
 
 def _twisted_moves(G: GroupTable, action: TorusAction, j: int):
-    # x -> h x (t^j . h)^-1 for h in a generating set: a left action of the
-    # group, since t^j acts by an automorphism (see TorusAction).
-    return [(h, G.index[action.act_key(G.key(G.inv(h)), j)]) for h in G.generators()]
+    # x -> k x (t^j . k)^-1 for k = h^-1, h in a generating set: a left action
+    # of the group, since t^j acts by an automorphism (see TorusAction), and
+    # the move x -> h^-1 x (t^j . h) reads h's own column (grpcore.orbits).
+    return [(G.inv(h), G.index[action.act_key(G.key(h), j)]) for h in G.generators()]
 
 
 def lemma_H_verify(p: int, a: int, d: int, realization: str):

@@ -8,6 +8,7 @@ Matrices are row-major 4-tuples (a, b, c, d) of field element indices.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 
 from .ffield import FField, _prime_power, make_field
@@ -33,23 +34,20 @@ def mat_scalar(F: FField, c: int) -> Mat2:
 def mat_mul(F: FField, x: Mat2, y: Mat2) -> Mat2:
     a, b, c, d = x
     e, f, g, h = y
-    return (
-        F.add(F.mul(a, e), F.mul(b, g)),
-        F.add(F.mul(a, f), F.mul(b, h)),
-        F.add(F.mul(c, e), F.mul(d, g)),
-        F.add(F.mul(c, f), F.mul(d, h)),
-    )
+    A, M = F._add, F._mul
+    ma, mb, mc, md = M[a], M[b], M[c], M[d]
+    return (A[ma[e]][mb[g]], A[ma[f]][mb[h]], A[mc[e]][md[g]], A[mc[f]][md[h]])
 
 
 def mat_det(F: FField, x: Mat2) -> int:
     a, b, c, d = x
-    return F.sub(F.mul(a, d), F.mul(b, c))
+    return F._add[F._mul[a][d]][F._neg[F._mul[b][c]]]
 
 
 def mat_inv(F: FField, x: Mat2) -> Mat2:
     a, b, c, d = x
-    di = F.inv(mat_det(F, x))
-    return (F.mul(di, d), F.mul(di, F.neg(b)), F.mul(di, F.neg(c)), F.mul(di, a))
+    mi, neg = F._mul[F.inv(mat_det(F, x))], F._neg
+    return (mi[d], mi[neg[b]], mi[neg[c]], mi[a])
 
 
 def mat_frobenius(F: FField, x: Mat2, times: int = 1) -> Mat2:
@@ -80,8 +78,8 @@ def _enumerate_gl2_subgroup(F: FField, family: str, expected: int, det_ok) -> Gr
     keys = (m for m in product(F.elements(), repeat=4) if det_ok(mat_det(F, m)))
     G = GroupTable(
         keys,
-        lambda x, y: mat_mul(F, x, y),
-        lambda x: mat_inv(F, x),
+        partial(mat_mul, F),
+        partial(mat_inv, F),
         mat_id(F),
         name="%s(%d)" % (family, F.q),
     )
@@ -159,8 +157,8 @@ def build_u2(spec: UnitarySpec) -> GroupTable:
     keys = [g for g in pairs if is_unitary(spec, g)]
     G = GroupTable(
         keys,
-        lambda x, y: mat_mul(F, x, y),
-        lambda x: mat_inv(F, x),
+        partial(mat_mul, F),
+        partial(mat_inv, F),
         mat_id(F),
         name="U2(%d)" % spec.q,
     )

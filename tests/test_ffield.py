@@ -87,6 +87,14 @@ class TestFrobeniusNormTrace:
         assert any(F.frobenius(x) != x for x in F.elements())
         assert all(F.frobenius(x, 2) == x for x in F.elements())
 
+    @pytest.mark.parametrize("p, k", [(3, 1), (3, 2), (5, 2), (3, 3)])
+    def test_frobenius_table_is_the_power_map(self, p, k):
+        F = make_field(p, k)
+        for times in range(k + 1):
+            images = [F.frobenius(x, times) for x in F.elements()]
+            assert images == [F.pow(x, p**times) for x in F.elements()]
+            assert sorted(images) == list(F.elements())
+
     def test_norm_of_generator_gf9(self):
         F9, F3 = make_field(3, 2), make_field(3)
         assert norm(F9, F9.generator, F3) == 2

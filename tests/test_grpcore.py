@@ -233,6 +233,60 @@ class TestOrbitEngine:
         assert picked == [c for c in every if G.order - 1 in c] + [c for c in every if 0 in c]
 
 
+
+def counted_gl2(q):
+    """GL2(q) with a mul_key that counts its calls, and the counter."""
+    F = make_field(q)
+    calls = [0]
+
+    def counted(x, y):
+        calls[0] += 1
+        return mat_mul(F, x, y)
+
+    keys = build_gl2(F).elements
+    G = GroupTable(keys, counted, lambda x: mat_inv(F, x), mat_id(F), name="GL2(%d)" % q)
+    return G, calls
+
+
+class TestColumns:
+    def test_column_is_right_multiplication(self, engine_groups):
+        # S4, D4, GL2(3), SL2(5), U2(3) and Heis(3).
+        for G in engine_groups:
+            for b in range(G.order):
+                col = G.column(b)
+                assert col == [G.mul(x, b) for x in range(G.order)], (G.name, b)
+
+    def test_generator_columns_are_the_closure_products(self):
+        G, calls = counted_gl2(3)
+        gens = G.generators()
+        calls[0] = 0
+        for s in gens:
+            assert G.column(s) is G.column(s)
+            assert G.column(s) == [G.mul(x, s) for x in range(G.order)]
+        assert calls[0] == len(gens) * G.order  # the G.mul calls only
+        other = next(b for b in range(G.order) if b not in gens)
+        calls[0] = 0
+        assert G.column(other) is not G.column(other)
+        assert calls[0] == 2 * G.order
+
+    def test_column_off_the_carrier_is_rejected(self):
+        G = cyclic(12)
+        other = next(b for b in range(1, G.order) if b not in G.generators())
+        G._mul_key = lambda a, b: a + b  # leaves range(12) past 11
+        with pytest.raises(ValueError, match="not closed under multiplication"):
+            G.column(other)
+
+    def test_conjugacy_classes_make_no_orbit_products(self):
+        G, calls = counted_gl2(5)
+        moves = [(G.inv(g), g) for g in G.generators()]
+        calls[0] = 0
+        raw = orbits(G, moves)
+        assert calls[0] == 0
+        cls = conjugacy_classes(G)
+        assert sorted(cls.classes) == raw
+        # Beyond the orbits, only the representatives' orders take products.
+        assert calls[0] == sum(o - 1 for o in cls.rep_orders)
+
 class TestConjClasses:
     def test_abelian_all_singletons(self):
         G = cyclic(8)

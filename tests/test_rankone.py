@@ -1,5 +1,6 @@
 """Tests for matrix groups, the involution tau, and torus embeddings."""
 
+import itertools
 import random
 
 import pytest
@@ -28,6 +29,58 @@ from basechange.rankone import (
     u2_basis_change,
     u2_torus_element,
 )
+
+
+def _method_mul(F, x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (
+        F.add(F.mul(a, e), F.mul(b, g)),
+        F.add(F.mul(a, f), F.mul(b, h)),
+        F.add(F.mul(c, e), F.mul(d, g)),
+        F.add(F.mul(c, f), F.mul(d, h)),
+    )
+
+
+def _method_det(F, x):
+    a, b, c, d = x
+    return F.add(F.mul(a, d), F.neg(F.mul(b, c)))
+
+
+def _method_inv(F, x):
+    a, b, c, d = x
+    di = F.inv(_method_det(F, x))
+    return (F.mul(di, d), F.mul(di, F.neg(b)), F.mul(di, F.neg(c)), F.mul(di, a))
+
+
+def _agree_with_method_formulas(F, pairs):
+    for x, y in pairs:
+        assert mat_mul(F, x, y) == _method_mul(F, x, y), (x, y)
+        for m in (x, y):
+            det = mat_det(F, m)
+            assert det == _method_det(F, m), m
+            if det == F.zero:
+                with pytest.raises(ZeroDivisionError):
+                    mat_inv(F, m)
+            else:
+                assert mat_inv(F, m) == _method_inv(F, m), m
+
+
+class TestKernels:
+    """The table-row kernels equal the formulas written with field methods."""
+
+    def test_every_pair_over_gf3(self):
+        F = make_field(3)
+        mats = list(itertools.product(F.elements(), repeat=4))
+        assert len(mats) == 81
+        _agree_with_method_formulas(F, itertools.product(mats, repeat=2))
+
+    @pytest.mark.parametrize("p, k", [(3, 2), (5, 2)])
+    def test_random_pairs(self, p, k):
+        F = make_field(p, k)
+        rng = random.Random(9000 + F.q)
+        draw = lambda: tuple(rng.randrange(F.q) for _ in range(4))
+        _agree_with_method_formulas(F, [(draw(), draw()) for _ in range(3000)])
 
 
 class TestBuilders:
