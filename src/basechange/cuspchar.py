@@ -94,9 +94,10 @@ class _GL2Context(_Context):
         self.central = {
             x: cls.class_of[G.index[mat_scalar(F, x)]] for x in F.nonzero()
         }
+        # Every n(b), b != 0, is conjugate to n(1): one class per z.
         n1 = (F.one, F.one, F.zero, F.one)
         self.unipotent = {
-            x: cls.class_of[G.index[mat_mul(F, mat_scalar(F, x), n1)]]
+            (x, F.one): cls.class_of[G.index[mat_mul(F, mat_scalar(F, x), n1)]]
             for x in F.nonzero()
         }
         embedded = set(self.l.embedding(self.k0))
@@ -111,18 +112,19 @@ class _GL2Context(_Context):
         # One of x, x^q per elliptic class: the formulas agree on both.
         self.elliptic_reps = {ci: x for x, ci in self.elliptic.items()}
         self.split_classes = self._split_classes(2 * (q - 1) + q * (q - 1) // 2)
-        self._formula_cache: dict[int, ClassFunction] = {}
+
+    @cached_property
+    def cuspidal_parameters(self) -> list[MultChar]:
+        """The regular, gamma-canonical parameters, in exponent order: one
+        per cuspidal irreducible of GL2(k0)."""
+        cands = (MultChar(self.l, t) for t in range(self.l.q - 1))
+        return [c for c in cands if c.is_regular() and c.t == canonical_gamma_rep(c).t]
 
     @cached_property
     def cuspidal_index(self) -> _KeyIndex:
-        """The regular, gamma-canonical parameters by their cuspidal
-        character; built inside the first sigma0 call."""
-        entries = []
-        for t in range(self.l.q - 1):
-            cand = MultChar(self.l, t)
-            if cand.is_regular() and cand.t == canonical_gamma_rep(cand).t:
-                entries.append((gl2_cuspidal(cand).values, cand))
-        return _KeyIndex(entries)
+        """The cuspidal parameters by their character; built inside the
+        first sigma0 call."""
+        return _KeyIndex((gl2_cuspidal(c).values, c) for c in self.cuspidal_parameters)
 
 
 class _SL2Context(_Context):
@@ -219,6 +221,31 @@ def match_oracle(cf: ClassFunction, table: list[ClassFunction]) -> list[int]:
     return [i for i, chi in enumerate(table) if chi == cf]
 
 
+# -- the cuspidal shape -----------------------------------------------
+
+
+def _cuspidal_values(ctx: _Context, omega, elliptic) -> list[Cyclotomic]:
+    """Values of the rank-one cuspidal shape on ctx's classes:
+    (q-1)omega(z) on the central class of z, -omega(z) on every listed
+    unipotent class z*n(b), elliptic(x) at one point x of each elliptic
+    class, and 0 on split regular classes."""
+    emb = ctx.l.embedding(ctx.k0)
+    values: list[Cyclotomic] = [ZERO] * len(ctx.classes)
+    qm1 = ctx.q - 1
+    for z, ci in ctx.central.items():
+        values[ci] = qm1 * omega(emb[z])
+    for (z, _b), ci in ctx.unipotent.items():
+        values[ci] = -omega(emb[z])
+    for ci, x in ctx.elliptic_reps.items():
+        values[ci] = elliptic(x)
+    return values
+
+
+def _orbit_sum(chi, L):
+    """x -> -(chi(x) + chi(x^q)), the elliptic value of a cuspidal."""
+    return lambda x: -(chi(x) + chi(L.frobenius(x)))
+
+
 # -- SL2 --------------------------------------------------------------
 
 
@@ -226,17 +253,7 @@ def _sl2_values(theta: NormOneChar) -> ClassFunction:
     ctx = sl2_context(theta.sub.q)
     if theta.field is not ctx.l or theta.sub is not ctx.k0:
         raise ValueError("parameter lives on the wrong quadratic pair")
-    F, L = ctx.k0, ctx.l
-    emb = L.embedding(F)
-    values: list[Cyclotomic] = [ZERO] * len(ctx.classes)
-    qm1 = ctx.q - 1
-    for x, ci in ctx.central.items():
-        values[ci] = qm1 * theta(emb[x])
-    for (x, _n), ci in ctx.unipotent.items():
-        values[ci] = -theta(emb[x])
-    for ci, u in ctx.elliptic_reps.items():
-        values[ci] = -(theta(u) + theta(L.frobenius(u)))
-    return ClassFunction(ctx.classes, values)
+    return ClassFunction(ctx.classes, _cuspidal_values(ctx, theta, _orbit_sum(theta, ctx.l)))
 
 
 def sl2_cuspidal(theta: NormOneChar) -> ClassFunction:
@@ -274,21 +291,9 @@ def gl2_cuspidal(theta_tilde: MultChar) -> ClassFunction:
     ctx = gl2_context(L.p ** (L.k // 2))
     if L is not ctx.l:
         raise ValueError("parameter lives on the wrong quadratic pair")
-    cached = ctx._formula_cache.get(theta_tilde.t)
-    if cached is not None:
-        return cached
-    emb = L.embedding(ctx.k0)
-    values: list[Cyclotomic] = [ZERO] * len(ctx.classes)
-    qm1 = ctx.q - 1
-    for x, ci in ctx.central.items():
-        values[ci] = qm1 * theta_tilde(emb[x])
-    for x, ci in ctx.unipotent.items():
-        values[ci] = -theta_tilde(emb[x])
-    for ci, x in ctx.elliptic_reps.items():
-        values[ci] = -(theta_tilde(x) + theta_tilde(L.frobenius(x)))
-    out = ClassFunction(ctx.classes, values)
-    ctx._formula_cache[theta_tilde.t] = out
-    return out
+    return ClassFunction(
+        ctx.classes, _cuspidal_values(ctx, theta_tilde, _orbit_sum(theta_tilde, L))
+    )
 
 
 # -- U2 ---------------------------------------------------------------
@@ -347,24 +352,17 @@ def canonical_gamma_rep(theta_tilde: MultChar) -> MultChar:
 def _sigma0_values(ctx: _GL2Context, theta1, theta2, omega: MultChar) -> list[Cyclotomic]:
     # Elliptic values in exponent form over N = q^2 - 1, where
     # theta(x) = zeta_{q+1}^e = zeta_N^((q-1)e).
-    L = ctx.l
-    N = L.q - 1
-    emb = L.embedding(ctx.k0)
-    values: list[Cyclotomic] = [ZERO] * len(ctx.classes)
-    qm1 = ctx.q - 1
-    for z, ci in ctx.central.items():
-        values[ci] = qm1 * omega(emb[z])
-    for z, ci in ctx.unipotent.items():
-        values[ci] = -omega(emb[z])
-    one_minus_q_exp = 1 - ctx.q
-    for ci, x in ctx.elliptic_reps.items():
+    L, N, qm1 = ctx.l, ctx.l.q - 1, ctx.q - 1
+
+    def elliptic(x):
         a = omega.exponent(L.frobenius(x))
-        xn = L.pow(x, one_minus_q_exp)
-        values[ci] = -(
+        xn = L.pow(x, -qm1)
+        return -(
             root_of_unity(N, a + qm1 * theta1.exponent(xn))
             + root_of_unity(N, a + qm1 * theta2.exponent(xn))
         )
-    return values
+
+    return _cuspidal_values(ctx, omega, elliptic)
 
 
 def sigma0(

@@ -1,5 +1,5 @@
 """Finite fields GF(p^k) of odd characteristic, with subfield structure,
-norm/trace, and the character groups of the multiplicative and norm-one
+the norm, and the character groups of the multiplicative and norm-one
 subgroups.  Everything is table-based: these are desk-scale fields (at most
 a few thousand elements), and determinism matters more than asymptotics.
 
@@ -322,9 +322,6 @@ class FField:
             raise ValueError("expected %d coefficients" % self.k)
         return self._index[t]
 
-    def serialize_element(self, a: int) -> str:
-        return "[%s]" % ",".join(str(c) for c in self._tuples[a])
-
     def smallest_nonsquare(self) -> int:
         squares = {self.mul(x, x) for x in self.nonzero()}
         for x in self.nonzero():
@@ -393,19 +390,6 @@ def norm(field: FField, x: int, sub: FField) -> int:
     y = x
     for _ in range(steps):
         acc = field.mul(acc, y)
-        y = field.frobenius(y, sub.k)
-    return field.retract(acc, sub)
-
-
-def trace(field: FField, x: int, sub: FField) -> int:
-    """Sum of the Frobenius orbit of x over sub; lands in sub."""
-    if not field.is_subfield(sub):
-        raise ValueError("not a subfield pair")
-    steps = field.k // sub.k
-    acc = field.zero
-    y = x
-    for _ in range(steps):
-        acc = field.add(acc, y)
         y = field.frobenius(y, sub.k)
     return field.retract(acc, sub)
 
@@ -488,9 +472,6 @@ class MultChar:
         _require_quadratic(self.field, theta.sub)
         return self.t % (theta.sub.q + 1) == theta.s
 
-    def serialize(self) -> str:
-        return "(%s,%d)" % (self.field.serialize_element(self.field.generator), self.t)
-
     def __repr__(self):
         return "MultChar(%r, t=%d)" % (self.field, self.t)
 
@@ -541,18 +522,5 @@ class NormOneChar:
         """Regular = not fixed by inversion, i.e. theta^2 != 1."""
         return (2 * self.s) % (self.sub.q + 1) != 0
 
-    def serialize(self) -> str:
-        u = norm_one_generator(self.field, self.sub)
-        return "(%s,%d)" % (self.field.serialize_element(u), self.s)
-
     def __repr__(self):
         return "NormOneChar(%r/%r, s=%d)" % (self.field, self.sub, self.s)
-
-
-def mult_characters(field: FField) -> list[MultChar]:
-    return [MultChar(field, t) for t in range(field.q - 1)]
-
-
-def norm_one_characters(field: FField, sub: FField) -> list[NormOneChar]:
-    _require_quadratic(field, sub)
-    return [NormOneChar(field, sub, s) for s in range(sub.q + 1)]

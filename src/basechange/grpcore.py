@@ -334,7 +334,8 @@ def inner_product(phi: ClassFunction, psi: ClassFunction) -> Cyclotomic:
 def _require_subgroup(sub: GroupTable, group: GroupTable):
     """H <= G: same identity, H's keys in G, and H's product equal to G's on
     x·s for every x in H and s in H.generators(); by induction on word length
-    the inclusion is then a homomorphism, at |H|·|gens| products."""
+    the inclusion is then a homomorphism, at |H|·|gens| products.  H's side
+    reads its generator columns, which hold exactly those products."""
     if sub.key(sub.id) != group.key(group.id):
         raise ValueError("H is not a subgroup of G (identity differs)")
     for k in sub.elements:
@@ -342,9 +343,9 @@ def _require_subgroup(sub: GroupTable, group: GroupTable):
             raise ValueError("H is not a subgroup of G")
     for s in sub.generators():
         gs = group.index[sub.elements[s]]
-        for i, ki in enumerate(sub.elements):
+        for ki, xs in zip(sub.elements, sub.column(s)):
             gk = group.elements[group.mul(group.index[ki], gs)]
-            if sub.key(sub.mul(i, s)) != gk:
+            if sub.key(xs) != gk:
                 raise ValueError("H multiplication disagrees with G")
 
 

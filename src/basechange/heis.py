@@ -398,15 +398,15 @@ class HeisRep:
         """eta(e) = I, and eta(x s) = eta(x) eta(s) for every x and every
         generator s: every y is a word in the generators, and induction on
         its length with associativity gives eta(x y) = eta(x) eta(y) on every
-        pair, at |G|·|gens| compositions."""
+        pair, at |G|·|gens| compositions.  The products x s are read from
+        the generator columns that proved closure."""
         table = self.group.group
         if self._mono[self.group.id_key] != ((0,) * self.a, (ONE,) * self.dim):
             raise AssertionError("representation is not a homomorphism")
-        for g in table.elements:
-            for s in table.generators():
-                h = table.key(s)
-                lhs = self._compose(self._mono[g], self._mono[h])
-                if lhs != self._mono[self.group.mul_key(g, h)]:
+        for s in table.generators():
+            h = self._mono[table.key(s)]
+            for g, gs in zip(table.elements, table.column(s)):
+                if self._compose(self._mono[g], h) != self._mono[table.key(gs)]:
                     raise AssertionError("representation is not a homomorphism")
 
     def matrix(self, key):

@@ -16,9 +16,6 @@ from .grpcore import GroupTable, conjugacy_classes, max_group_order, orbits
 
 Mat2 = tuple[int, int, int, int]
 
-# build_u2 enumerates U2(q) only up to this q.
-U2_MAX_Q = 7
-
 
 # -- matrix helpers ---------------------------------------------------
 
@@ -59,21 +56,19 @@ def mat_transpose(x: Mat2) -> Mat2:
     return (a, c, b, d)
 
 
-def is_scalar(F: FField, x: Mat2) -> bool:
-    return x[1] == F.zero and x[2] == F.zero and x[0] == x[3]
-
-
 # -- group builders ---------------------------------------------------
+
+
+def _require_size(family: str, order: int):
+    bound = max_group_order()
+    if order > bound:
+        raise ValueError("%s order %d exceeds size bound %d" % (family, order, bound))
 
 
 def _enumerate_gl2_subgroup(F: FField, family: str, expected: int, det_ok) -> GroupTable:
     """The matrices over F whose determinant passes det_ok, as a GroupTable
     of the given expected order."""
-    bound = max_group_order()
-    if expected > bound:
-        raise ValueError(
-            "%s order %d exceeds size bound %d" % (family, expected, bound)
-        )
+    _require_size(family, expected)
     # A generator, so no second list of the keys outlives the sort.
     keys = (m for m in product(F.elements(), repeat=4) if det_ok(mat_det(F, m)))
     G = GroupTable(
@@ -138,8 +133,8 @@ def build_u2(spec: UnitarySpec) -> GroupTable:
     Enumeration is pruned column-by-column; brute force over all of
     GF(q^2)^4 would be q^8 candidates.
     """
-    if spec.q > U2_MAX_Q:
-        raise ValueError("q=%d exceeds unitary size bound max_q=%d" % (spec.q, U2_MAX_Q))
+    expected = spec.q * (spec.q - 1) * (spec.q + 1) ** 2
+    _require_size("U2", expected)
     F = spec.field
     iso_cols = []
     pairs = []
@@ -162,7 +157,6 @@ def build_u2(spec: UnitarySpec) -> GroupTable:
         mat_id(F),
         name="U2(%d)" % spec.q,
     )
-    expected = spec.q * (spec.q - 1) * (spec.q + 1) ** 2
     if G.order != expected:
         raise AssertionError("U2 enumeration has wrong order")
     return G

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from .cyclo import ZERO
 from .ffield import MultChar, NormOneChar, make_field
 from .grpcore import (
     conjugacy_classes,
@@ -29,7 +30,6 @@ from .rankone import (
     tau_classes,
 )
 from .cuspchar import (
-    canonical_gamma_rep,
     gl2_context,
     gl2_cuspidal,
     sigma0,
@@ -216,34 +216,18 @@ def suite_norm_bijection(q: int = 3) -> Report:
 # -- restriction to the determinant-one subgroup ----------------------
 
 
-def _gl2_cuspidal_rows(ctx) -> list[int]:
+def _cuspidal_rows(ctx) -> list[int]:
     """Oracle rows with no nonzero vector fixed by the upper unipotent
-    subgroup: (chi(1) + (q-1) chi(n)) / q = 0."""
-    q = ctx.q
-    n_class = ctx.unipotent[ctx.k0.one]
-    out = []
-    for i, chi in enumerate(ctx.table):
-        fixdim = (chi.degree + (q - 1) * chi.on_class(n_class)) / q
-        if fixdim.is_zero():
-            out.append(i)
-    return out
-
-
-def _sl2_cuspidal_row_indices(ctx) -> set[int]:
-    q = ctx.q
+    subgroup N: q dim chi^N = sum_b chi(n(b)) = 0.  The q-1 nontrivial n(b)
+    fall evenly into the listed unipotent classes of z = 1."""
     one = ctx.k0.one
-    nu = ctx.k0.smallest_nonsquare()
-    n1 = ctx.unipotent[(one, one)]
-    n2 = ctx.unipotent[(one, nu)]
-    out = set()
-    half = (q - 1) // 2
-    for i, chi in enumerate(ctx.table):
-        fixdim = (
-            chi.degree + half * (chi.on_class(n1) + chi.on_class(n2))
-        ) / q
-        if fixdim.is_zero():
-            out.add(i)
-    return out
+    n_classes = [ci for (z, _b), ci in ctx.unipotent.items() if z == one]
+    share = (ctx.q - 1) // len(n_classes)
+    return [
+        i
+        for i, chi in enumerate(ctx.table)
+        if (chi.degree + share * sum((chi.on_class(ci) for ci in n_classes), ZERO)).is_zero()
+    ]
 
 
 def suite_restriction_sl2(q: int = 3) -> Report:
@@ -255,8 +239,8 @@ def suite_restriction_sl2(q: int = 3) -> Report:
     ctx_sl = sl2_context(q)
     F, L = ctx_gl.k0, ctx_gl.l
     sl_group = ctx_sl.group
-    gl_rows = _gl2_cuspidal_rows(ctx_gl)
-    sl_cuspidal = _sl2_cuspidal_row_indices(ctx_sl)
+    gl_rows = _cuspidal_rows(ctx_gl)
+    sl_cuspidal = _cuspidal_rows(ctx_sl)
 
     count_failures = []
     if len(gl_rows) != q * (q - 1) // 2:
@@ -332,20 +316,15 @@ def suite_restriction_sl2(q: int = 3) -> Report:
             one_failures.append((i, "component_not_cuspidal"))
 
     formula_failures = []
-    formula_checked = 0
-    for t in range(L.q - 1):
-        cand = MultChar(L, t)
-        if not cand.is_regular() or canonical_gamma_rep(cand).t != t:
-            continue
-        formula_checked += 1
+    for cand in ctx_gl.cuspidal_parameters:
         res = restrict(gl2_cuspidal(cand), sl_group)
-        theta = NormOneChar(L, F, t % (q + 1))
+        theta = NormOneChar(L, F, cand.t % (q + 1))
         if theta.is_regular():
             expected = sl2_cuspidal(theta)
         else:
             expected = sl2_reducible_formula(theta)
         if res != expected:
-            formula_failures.append(t)
+            formula_failures.append(cand.t)
 
     trivial_ok = (
         restrict(trivial_character(ctx_gl.group), sl_group)
@@ -382,7 +361,7 @@ def suite_restriction_sl2(q: int = 3) -> Report:
             formula_failures,
             "restricted formula equals the norm-one formula (regular branch) "
             "or the order-two packet sum, for all %d canonical parameters"
-            % formula_checked,
+            % len(ctx_gl.cuspidal_parameters),
         ),
         Check(
             name="trivial_character_lane",

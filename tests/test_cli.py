@@ -85,9 +85,12 @@ SEED_Q5_JSON_SHA256 = {
 
 
 # sha256 of the stdout of reports built on the orbit engine (conjugacy
-# classes, twisted classes, the heis twisted scans), as recorded for the
-# benchmark at the seed; a reordered class list changes them.
+# classes, twisted classes, the heis twisted scans) and of the two transfer
+# reports built on the cuspidal formulas, as recorded for the benchmark at
+# the seed; a reordered class list or a changed formula value changes them.
 REPORT_SHA256 = {
+    "verify endoscopic --q 5": "732505976781d00f15ddab0c4c3f940f78a413766b5225a7480d8b174d0c7ada",
+    "verify level0 --q 7": "3b2074d03357026ce6e97c5cb8c5a53792e5c357c5cb70071a30b3e7e6fbcec5",
     "verify normbij --q 3": "2bacc7cc04b2182532638e2883c47ff29724040bbd2fd6f0f45daa290ba74cf4",
     "verify restriction --q 5": "7b3da5e0b8db7660e985eb4c5bbb0081b7566be1d3e945f8f0b6a4807c4b51ca",
     "verify heis": "40827e292e4d9da196c0ab1b0de1daa51768a7f90813d45983cf52617ccad754",

@@ -1,4 +1,4 @@
-"""Tests for finite fields, norm/trace, and character groups."""
+"""Tests for finite fields, the norm, and character groups."""
 
 import itertools
 import random
@@ -17,12 +17,9 @@ from basechange.ffield import (
     _prime_power,
     _primitive_root,
     make_field,
-    mult_characters,
     norm,
-    norm_one_characters,
     norm_one_generator,
     norm_one_subgroup,
-    trace,
 )
 
 
@@ -75,11 +72,6 @@ class TestConstruction:
         for a in F.nonzero():
             assert F.mul(a, F.inv(a)) == F.one
 
-    def test_serialization(self):
-        F = make_field(3, 2)
-        assert F.serialize_element(F.generator) == "[1,1]"
-        assert F.serialize_element(F.zero) == "[0,0]"
-
 
 class TestFrobeniusNormTrace:
     def test_frobenius_generates_automorphisms(self):
@@ -99,22 +91,15 @@ class TestFrobeniusNormTrace:
         F9, F3 = make_field(3, 2), make_field(3)
         assert norm(F9, F9.generator, F3) == 2
 
-    def test_trace_of_one_gf9(self):
-        F9, F3 = make_field(3, 2), make_field(3)
-        assert trace(F9, F9.one, F3) == 2
-
     def test_norm_of_one(self):
         for p in [3, 5, 7]:
             Fq2, Fq = make_field(p, 2), make_field(p)
             assert norm(Fq2, Fq2.one, Fq) == Fq.one
 
-    def test_norm_multiplicative_trace_additive(self):
+    def test_norm_multiplicative(self):
         F, sub = make_field(3, 2), make_field(3)
         for x, y in itertools.product(F.elements(), repeat=2):
             assert norm(F, F.mul(x, y), sub) == sub.mul(norm(F, x, sub), norm(F, y, sub))
-            assert trace(F, F.add(x, y), sub) == sub.add(
-                trace(F, x, sub), trace(F, y, sub)
-            )
 
     def test_norm_is_power_map(self):
         for p in [3, 5]:
@@ -188,7 +173,7 @@ class TestNormOneSubgroup:
 class TestCharacters:
     def test_norm_one_regular_count_q3(self):
         F9, F3 = make_field(3, 2), make_field(3)
-        chars = norm_one_characters(F9, F3)
+        chars = [NormOneChar(F9, F3, s) for s in range(F3.q + 1)]
         assert len(chars) == 4
         regular = [th for th in chars if th.is_regular()]
         assert len(regular) == 2
@@ -202,7 +187,7 @@ class TestCharacters:
     def test_mult_regular_count_q3(self):
         # Regular characters of the order-8 group: those nontrivial mod q+1,
         # which is (q^2-1) - (q-1) = 6 of them at q = 3.
-        chars = mult_characters(make_field(3, 2))
+        chars = [MultChar(make_field(3, 2), t) for t in range(8)]
         assert len(chars) == 8
         assert sum(1 for ch in chars if ch.is_regular()) == 6
 
@@ -219,7 +204,7 @@ class TestCharacters:
 
     def test_orthogonality_mult(self):
         F = make_field(3, 2)
-        chars = mult_characters(F)
+        chars = [MultChar(F, t) for t in range(F.q - 1)]
         for a, b in itertools.product(chars, repeat=2):
             total = sum((a(x) * b(x).conj() for x in F.nonzero()), ZERO)
             assert total == (F.q - 1 if a == b else 0)
@@ -227,7 +212,7 @@ class TestCharacters:
     def test_orthogonality_norm_one(self):
         F9, F3 = make_field(3, 2), make_field(3)
         group = norm_one_subgroup(F9, F3)
-        chars = norm_one_characters(F9, F3)
+        chars = [NormOneChar(F9, F3, s) for s in range(F3.q + 1)]
         for a, b in itertools.product(chars, repeat=2):
             total = sum((a(x) * b(x).conj() for x in group), ZERO)
             assert total == (len(group) if a == b else 0)
@@ -262,13 +247,6 @@ class TestCharacters:
         assert th(F9.one) == 1
         with pytest.raises(ValueError, match="norm-one"):
             th(F9.generator)
-
-    def test_serialization(self):
-        F9, F3 = make_field(3, 2), make_field(3)
-        assert MultChar(F9, 5).serialize() == "([1,1],5)"
-        th = NormOneChar(F9, F3, 1)
-        u = norm_one_generator(F9, F3)
-        assert th.serialize() == "(%s,1)" % F9.serialize_element(u)
 
 
 # -- prime and polynomial helpers ------------------------------------------

@@ -5,11 +5,14 @@ import json
 
 import pytest
 
+from basechange.cuspchar import FAMILIES
+from basechange.cyclo import ZERO
 from basechange.verify import (
     DEFAULT_HEIS_TUPLES,
     Check,
     Report,
     SUITES,
+    _cuspidal_rows,
     report_to_json,
     suite_endoscopic_finite,
     suite_heisenberg,
@@ -121,6 +124,19 @@ class TestRestriction:
     def test_split_counts(self):
         assert "1 of 3 split" in suite_restriction_sl2(3).checks[1].details
         assert "2 of 10 split" in suite_restriction_sl2(5).checks[1].details
+
+    @pytest.mark.parametrize("family", ["gl2", "sl2"])
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_cuspidal_rows_are_the_rows_without_n_fixed_vectors(self, family, q):
+        # dim chi^N = (1/q) sum_b chi(n(b)), over the matrices n(b) = (1, b, 0, 1).
+        # GL2 has q(q-1)/2 cuspidal irreducibles, SL2 (q-1)/2 + 2.
+        ctx = FAMILIES[family](q)
+        F, G = ctx.k0, ctx.group
+        n = [ctx.classes.class_of[G.index[(F.one, b, F.zero, F.one)]] for b in F.elements()]
+        dims = [(sum((chi.on_class(ci) for ci in n), ZERO) / q).as_integer() for chi in ctx.table]
+        assert min(dims) == 0
+        assert _cuspidal_rows(ctx) == [i for i, dim in enumerate(dims) if dim == 0]
+        assert len(_cuspidal_rows(ctx)) == (q * (q - 1) // 2 if family == "gl2" else (q + 3) // 2)
 
 
 class TestEndoscopic:
