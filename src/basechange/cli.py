@@ -3,9 +3,10 @@ run verification suites, and run the extraspecial-group laboratory.
 
 Exit codes: 0 when every executed check passes, 1 when any check fails,
 2 on invalid arguments, 3 on an internal error (a one-line message on
-stderr, no traceback).  All output is deterministic; the only recognized
-environment variable is BASECHANGE_MAX_GROUP (size bound override, a
-positive integer).
+stderr, no traceback).  Every command runs in one process, its parameter
+points one after another, and its output is deterministic; the only
+recognized environment variable is BASECHANGE_MAX_GROUP (size bound
+override, a positive integer).
 """
 
 from __future__ import annotations
@@ -52,13 +53,6 @@ def _odd_prime(raw: str) -> int:
     return q
 
 
-def _positive_int(raw: str) -> int:
-    n = _int_or_zero(raw)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer, got %r" % raw)
-    return n
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="basechange",
@@ -98,12 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="suite name (short or full)",
     )
     p_verify.add_argument("--q", type=_odd_prime, default=3, help="base field size (odd prime)")
-    p_verify.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="accepted for compatibility (a positive integer); suites run serially",
-    )
     p_verify.add_argument("--out", default=None, help="report path (default stdout)")
 
     p_heis = sub.add_parser(
@@ -205,7 +193,7 @@ def _cmd_cuspidal(args) -> int:
 def _cmd_verify(args) -> int:
     suite_id = _SUITE_ALIASES.get(args.suite, args.suite)
     if suite_id == "heisenberg":
-        report = SUITES[suite_id](threads=args.threads)
+        report = suite_heisenberg()
     else:
         report = SUITES[suite_id](q=args.q)
     _emit(report_to_json(report), args.out)

@@ -241,9 +241,14 @@ def _cuspidal_values(ctx: _Context, omega, elliptic) -> list[Cyclotomic]:
     return values
 
 
+def _q_power(L, x: int) -> int:
+    """x^q on L, the quadratic extension of GF(q): q = p^(k/2)."""
+    return L.frobenius(x, L.k // 2)
+
+
 def _orbit_sum(chi, L):
     """x -> -(chi(x) + chi(x^q)), the elliptic value of a cuspidal."""
-    return lambda x: -(chi(x) + chi(L.frobenius(x)))
+    return lambda x: -(chi(x) + chi(_q_power(L, x)))
 
 
 # -- SL2 --------------------------------------------------------------
@@ -355,7 +360,7 @@ def _sigma0_values(ctx: _GL2Context, theta1, theta2, omega: MultChar) -> list[Cy
     L, N, qm1 = ctx.l, ctx.l.q - 1, ctx.q - 1
 
     def elliptic(x):
-        a = omega.exponent(L.frobenius(x))
+        a = omega.exponent(_q_power(L, x))
         xn = L.pow(x, -qm1)
         return -(
             root_of_unity(N, a + qm1 * theta1.exponent(xn))

@@ -381,7 +381,9 @@ def induce(psi: ClassFunction, group: GroupTable) -> ClassFunction:
 # -- modular linear algebra over F_r ----------------------------------
 
 
-def _nullspace(m: list[list[int]], r: int) -> list[list[int]]:
+def _nullspace(m: list[list[int]], r: int) -> tuple[list[list[int]], list[int]]:
+    # A basis of the null space of the square matrix m over F_r, and its
+    # free columns: vector b is 1 at free[b] and 0 at every other free column.
     n = len(m)
     a = [row[:] for row in m]
     pivots = []
@@ -407,25 +409,7 @@ def _nullspace(m: list[list[int]], r: int) -> list[list[int]]:
         for i, col in enumerate(pivots):
             vec[col] = (-a[i][f]) % r
         basis.append(vec)
-    return basis
-
-
-def _echelon(vectors: list[list[int]], r: int) -> tuple[list[list[int]], list[int]]:
-    # Reduced echelon form of independent reduced vectors: vector b is 1 at
-    # pivots[b] and 0 at every other pivot, so the coordinates of any w in
-    # their span are w[pivots[0]], w[pivots[1]], ...
-    work = [list(v) for v in vectors]
-    pivots = []
-    for vi in range(len(work)):
-        piv = next(i for i, x in enumerate(work[vi]) if x)
-        inv = pow(work[vi][piv], r - 2, r)
-        row = work[vi] = [(x * inv) % r for x in work[vi]]
-        for vj in range(len(work)):
-            c = work[vj][piv]
-            if vj != vi and c:
-                work[vj] = [(x - c * y) % r for x, y in zip(work[vj], row)]
-        pivots.append(piv)
-    return work, pivots
+    return basis, free
 
 
 def _hessenberg(m: list[list[int]], r: int) -> list[list[int]]:
@@ -504,7 +488,10 @@ def _class_row(group, classes, combo: dict[int, int], j: int, r: int) -> list[in
 
 def _split(group, classes, spaces, combo: dict[int, int], r: int, rng) -> list:
     # Split every subspace of dimension > 1 into the eigenspaces of the
-    # combination sum_i c_i M_i restricted to it.
+    # combination sum_i c_i M_i restricted to it.  Each space is a basis in
+    # reduced echelon form with its pivots: vector b is 1 at pivots[b] and 0
+    # at every other pivot, so the coordinates of any w in the span are
+    # w[pivots[0]], w[pivots[1]], ...
     rows: dict[int, list[int]] = {}
     out = []
     for basis, pivots in spaces:
@@ -529,12 +516,13 @@ def _split(group, classes, spaces, combo: dict[int, int], r: int, rng) -> list:
                 [(x - lam) % r if a == b else x for b, x in enumerate(row)]
                 for a, row in enumerate(rmat)
             ]
-            child = [
-                [sum(map(mul, coords, col)) % r for col in basis_cols]
-                for coords in _nullspace(shifted, r)
-            ]
+            # Null vector k is 1 at its free coordinate free[k] and 0 at the
+            # other free ones, so its image is 1 at pivots[free[k]] and 0 at
+            # the other pivots[free[...]]: the children are reduced echelon.
+            null, free = _nullspace(shifted, r)
+            child = [[sum(map(mul, coords, col)) % r for col in basis_cols] for coords in null]
             found += len(child)
-            out.append(_echelon(child, r))
+            out.append((child, [pivots[f] for f in free]))
         if found != d:
             raise AssertionError("class matrix is not diagonalizable over F_r")
     return out
@@ -560,7 +548,7 @@ def _lift_table(classes, l: int, exponent: int, zgen: int, r: int):
     return o, targets, coeffs
 
 
-def character_table(group: GroupTable, bound: int | None = None) -> list[ClassFunction]:
+def character_table(group: GroupTable) -> list[ClassFunction]:
     """All irreducible characters with exact cyclotomic values.
 
     Dixon-Schneider class-sum method over F_r, with r the smallest prime
@@ -577,8 +565,7 @@ def character_table(group: GroupTable, bound: int | None = None) -> list[ClassFu
     root-of-unity multiplicity sums.  Randomness comes from a fixed seed;
     the rows are sorted by (degree, serialized values).
     """
-    if bound is None:
-        bound = max_group_order()
+    bound = max_group_order()
     n = group.order
     if n > bound:
         raise ValueError(

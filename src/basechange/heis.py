@@ -4,10 +4,13 @@ the multiplicity system of an extension on the torus-center subgroup, and
 the sign law tying extension traces to a single torus character.
 
 Each eta(g) is stored as a monomial operator, a shift of GF(p)^a with one
-root-of-unity phase per point; only the intertwiner and the extension
-operators are dense tuples of Cyclotomic entries.  Every assertion is
-exact.  The torus is modeled as acting faithfully (order d, gcd(d,p)=1);
-central-kernel twists are recoverable by tensoring with a character.
+phase exponent e mod p per point, the phase being zeta_p^e: composing
+operators adds exponents, so the homomorphism certificate is integer
+arithmetic.  Cyclotomic values appear only in the trace identity and where
+an operator meets a dense one (the intertwiner and the extension operators,
+tuples of Cyclotomic entries).  Every assertion is exact.  The torus is
+modeled as acting faithfully (order d, gcd(d,p)=1); central-kernel twists
+are recoverable by tensoring with a character.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class SymplecticSpace:
             for j in range(self.dim):
                 if (self.gram[i][j] + self.gram[j][i]) % p != 0:
                     raise AssertionError("pairing is not antisymmetric")
-        if _nullspace([list(row) for row in self.gram], p):
+        if _nullspace([list(row) for row in self.gram], p)[0]:
             raise AssertionError("pairing is degenerate")
         self._vectors = None
 
@@ -185,7 +188,7 @@ class TorusAction:
         matrix = tuple(tuple(x % p for x in row) for row in matrix)
         if len(matrix) != space.dim or any(len(r) != space.dim for r in matrix):
             raise ValueError("matrix has the wrong shape")
-        if _nullspace([list(r) for r in matrix], p):
+        if _nullspace([list(r) for r in matrix], p)[0]:
             raise ValueError("matrix is singular")
         self.matrix = matrix
         ident = tuple(tuple(1 if i == j else 0 for j in range(space.dim)) for i in range(space.dim))
@@ -228,7 +231,7 @@ class TorusAction:
         p, n = self.space.p, self.space.dim
         m = self.powers[j % self.order]
         delta = [[(m[i][k] - (1 if i == k else 0)) % p for k in range(n)] for i in range(n)]
-        return [tuple(b) for b in _nullspace(delta, p)]
+        return [tuple(b) for b in _nullspace(delta, p)[0]]
 
     def fixed_vectors(self, j: int):
         basis = self.fixed_space_basis(j)
@@ -359,32 +362,35 @@ class HeisRep:
         (v, z) = key
         a, p, half = self.a, self.p, self.group.half
         x, y = v[:a], v[a:]
-        xy = sum(xi * yi for xi, yi in zip(x, y)) % p
-        phases = []
-        for u in self.points:
-            yu = sum(yi * ui for yi, ui in zip(y, u)) % p
-            phases.append(self.theta((z + yu + half * xy) % p))
-        return (x, tuple(phases))
+        base = z + half * sum(xi * yi for xi, yi in zip(x, y))
+        exps = tuple(
+            self.theta_exp * (base + sum(yi * ui for yi, ui in zip(y, u))) % p
+            for u in self.points
+        )
+        return (x, exps)
+
+    def _phases(self, exps) -> list[Cyclotomic]:
+        return [root_of_unity(self.p, e) for e in exps]
 
     def _shift(self, u, x):
         return tuple((ui + xi) % self.p for ui, xi in zip(u, x))
 
     def _compose(self, m1, m2):
-        x1, f1 = m1
-        x2, f2 = m2
-        phases = tuple(
-            f1[i] * f2[self.pindex[self._shift(u, x1)]]
+        x1, e1 = m1
+        x2, e2 = m2
+        exps = tuple(
+            (e1[i] + e2[self.pindex[self._shift(u, x1)]]) % self.p
             for i, u in enumerate(self.points)
         )
-        return (self._shift(x1, x2), phases)
+        return (self._shift(x1, x2), exps)
 
     def _verify_trace_identity(self):
         # tr eta(v, z) = p^a theta(z) if v = 0 else 0: the irreducibility
         # certificate, checked on every element.
-        for key, (x, phases) in self._mono.items():
+        for key, (x, exps) in self._mono.items():
             v, z = key
             if x == (0,) * self.a:
-                trace = sum(phases, ZERO)
+                trace = sum(self._phases(exps), ZERO)
             else:
                 trace = ZERO
             if v == self.group.space.zero:
@@ -401,7 +407,7 @@ class HeisRep:
         pair, at |G|·|gens| compositions.  The products x s are read from
         the generator columns that proved closure."""
         table = self.group.group
-        if self._mono[self.group.id_key] != ((0,) * self.a, (ONE,) * self.dim):
+        if self._mono[self.group.id_key] != ((0,) * self.a, (0,) * self.dim):
             raise AssertionError("representation is not a homomorphism")
         for s in table.generators():
             h = self._mono[table.key(s)]
@@ -410,19 +416,19 @@ class HeisRep:
                     raise AssertionError("representation is not a homomorphism")
 
     def matrix(self, key):
-        x, phases = self._mono[key]
+        x, exps = self._mono[key]
         n = self.dim
         rows = [[ZERO] * n for _ in range(n)]
-        for i, u in enumerate(self.points):
-            rows[i][self.pindex[self._shift(u, x)]] = phases[i]
+        for i, (u, phase) in enumerate(zip(self.points, self._phases(exps))):
+            rows[i][self.pindex[self._shift(u, x)]] = phase
         return tuple(tuple(r) for r in rows)
 
     def trace_product(self, dense, key) -> Cyclotomic:
         """tr(dense * eta(key)), using the one-entry-per-row structure:
         the sum of dense[v+x][v] * phase(v)."""
-        x, phases = self._mono[key]
+        x, exps = self._mono[key]
         column = [dense[self.pindex[self._shift(uv, x)]][v] for v, uv in enumerate(self.points)]
-        return dot(column, phases)
+        return dot(column, self._phases(exps))
 
 
 @lru_cache(maxsize=None)
@@ -447,7 +453,7 @@ def intertwiner(rep: HeisRep, action: TorusAction, seed=None):
             x2, f2 = rep._mono[(v, 0)]
             i = rep.pindex[tuple((ri - xi) % rep.p for ri, xi in zip(ur, x1))]
             j = rep.pindex[tuple((ci - xi) % rep.p for ci, xi in zip(uc, x2))]
-            rows[i][j] = rows[i][j] + f1[i] * f2[j].conj()
+            rows[i][j] = rows[i][j] + root_of_unity(rep.p, f1[i] - f2[j])
         # the central coordinate only rescales the average by p
         A = tuple(tuple(rep.p * e for e in row) for row in rows)
         if not _is_zero_matrix(A):
@@ -463,14 +469,15 @@ def _verify_intertwines(rep: HeisRep, action: TorusAction, A, j: int = 1):
     table = rep.group.group
     for s in table.generators():
         key = table.key(s)
-        x, phases = rep._mono[key]
-        tx, tphases = rep._mono[action.act_key(key, j)]
-        # (A eta(s))[i][w + x] = A[i][w] phases[w] and
-        # (eta(t s) A)[i][l] = tphases[i] A[i + tx][l]
+        x, exps = rep._mono[key]
+        tx, texps = rep._mono[action.act_key(key, j)]
+        # (A eta(s))[i][w + x] = A[i][w] zeta^exps[w] and
+        # (eta(t s) A)[i][l] = zeta^texps[i] A[i + tx][l]; divide by the latter phase.
         shifted = [rep.pindex[rep._shift(uw, x)] for uw in rep.points]
         for i, ui in enumerate(rep.points):
             row = A[rep.pindex[rep._shift(ui, tx)]]
-            if any(A[i][w] * phases[w] != tphases[i] * row[l] for w, l in enumerate(shifted)):
+            phases = rep._phases(e - texps[i] for e in exps)
+            if any(A[i][w] * phases[w] != row[l] for w, l in enumerate(shifted)):
                 return False
     return True
 
@@ -480,12 +487,14 @@ class Extension:
     """One of the d extensions of a Heisenberg representation to the
     semidirect product with the torus, labeled by the torus character
     separating it from the others: lambda_c(t^j) = zeta_d^(cj) lam[j], where
-    lam holds the d normalized powers shared by all d extensions."""
+    lam holds the d normalized powers shared by all d extensions and traces
+    their d traces, shared likewise."""
 
     rep: HeisRep
     action: TorusAction
     label: int
     lam: tuple
+    traces: tuple
 
     def op(self, j: int):
         j %= self.action.order
@@ -493,7 +502,7 @@ class Extension:
 
     def trace(self, j: int) -> Cyclotomic:
         j %= self.action.order
-        return root_of_unity(self.action.order, self.label * j) * _mtrace(self.lam[j])
+        return root_of_unity(self.action.order, self.label * j) * self.traces[j]
 
 
 def extend(rep: HeisRep, action: TorusAction) -> list[Extension]:
@@ -524,7 +533,8 @@ def extend(rep: HeisRep, action: TorusAction) -> list[Extension]:
     lam = tuple(_mscale(s0**j, powers[j]) for j in range(d))
     if _mmul(lam[d - 1], _mscale(s0, A)) != _meye(rep.dim):
         raise AssertionError("normalized operator is not of order d")
-    return [Extension(rep, action, c, lam) for c in range(d)]
+    traces = tuple(_mtrace(op) for op in lam)
+    return [Extension(rep, action, c, lam, traces) for c in range(d)]
 
 
 def multiplicities(ext: Extension) -> dict[int, int]:
@@ -535,16 +545,15 @@ def multiplicities(ext: Extension) -> dict[int, int]:
     # eta(0, z) = theta(z) I: the trace identity makes p^a roots of unity on
     # its diagonal sum to p^a theta(z), which forces each to be theta(z).  So
     # the central factor of the torus x center sum cancels to p, leaving a
-    # character sum over the torus alone.
-    traces = [ext.trace(j) for j in range(d)]
+    # character sum over the torus alone: with tr lambda_c'(t^j) =
+    # zeta_d^(c'j) tr lam[j], the multiplicity of xi_c is
+    # (1/d) sum_j zeta_d^((c'-c)j) tr lam[j].
     out = {}
     total = 0
     for c in range(d):
-        acc = ZERO
-        for j, tr in enumerate(traces):
-            acc = acc + tr * root_of_unity(d, -c * j)
+        chars = [root_of_unity(d, (ext.label - c) * j) for j in range(d)]
         try:
-            m = (acc / d).as_integer()
+            m = dot(ext.traces, chars, den=d).as_integer()
         except ValueError:
             raise ValueError("multiplicity is not an integer for label %d" % c)
         if m < 0:
@@ -735,7 +744,7 @@ def torus_action_consequences(group: ExtraspecialGroup, action: TorusAction):
         gram = [
             [space.pairing(b1, b2) for b2 in basis] for b1 in basis
         ]
-        if basis and _nullspace(gram, p):
+        if basis and _nullspace(gram, p)[0]:
             form_bad = (j, "degenerate restriction")
             break
     checks.append(

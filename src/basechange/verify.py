@@ -1,6 +1,6 @@
 """Verification suites: each builds the relevant exact objects, runs a
 fixed list of named checks, and returns a Report whose JSON form is
-byte-identical across runs and thread counts.
+byte-identical across runs.
 
 Every value compared is an exact cyclotomic number or integer; no check
 uses floating point.  A suite passes when no check fails (skipped checks,
@@ -497,11 +497,10 @@ def _run_heis_tuple(tup) -> list[Check]:
     return [replace(c, name="%s:%s" % (prefix, c.name)) for sub in subs for c in sub.checks]
 
 
-def suite_heisenberg(tuples=None, threads: int = 1) -> Report:
+def suite_heisenberg(tuples=None) -> Report:
     """Aggregate the extraspecial-group checks (trace sign law, multiplicity
     multisets, coset support, action consequences) over a list of
-    (p, a, d, realization) tuples.  The tuples run one after another;
-    threads is accepted for compatibility and has no effect."""
+    (p, a, d, realization) tuples, run one after another."""
     if tuples is None:
         tuples = DEFAULT_HEIS_TUPLES
     tuples = [tuple(t) for t in tuples]

@@ -1,6 +1,7 @@
 """Command-line interface: subcommand behavior, exit codes, output formats,
 and determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -88,6 +89,8 @@ SEED_Q5_JSON_SHA256 = {
 # classes, twisted classes, the heis twisted scans) and of the two transfer
 # reports built on the cuspidal formulas, as recorded for the benchmark at
 # the seed; a reordered class list or a changed formula value changes them.
+# The q = 7 tables pin the oracle's eigenspace splitting, and the two larger
+# heis runs the monomial phases and the extension traces.
 REPORT_SHA256 = {
     "verify endoscopic --q 5": "732505976781d00f15ddab0c4c3f940f78a413766b5225a7480d8b174d0c7ada",
     "verify level0 --q 7": "3b2074d03357026ce6e97c5cb8c5a53792e5c357c5cb70071a30b3e7e6fbcec5",
@@ -95,6 +98,11 @@ REPORT_SHA256 = {
     "verify restriction --q 5": "7b3da5e0b8db7660e985eb4c5bbb0081b7566be1d3e945f8f0b6a4807c4b51ca",
     "verify heis": "40827e292e4d9da196c0ab1b0de1daa51768a7f90813d45983cf52617ccad754",
     "heis --p 7 --d 8 --realization nonsplit": "93545bea2756f91bd129b5b2997d4a406d636a0693d5cb29ed419292a455def4",
+    "heis --p 13 --d 14 --realization nonsplit": "89443c0e740c260c5081a6e36227e5361ef2d84d5af2948b1a44d8c471fee76f",
+    "heis --p 11 --d 10 --realization split": "593038d9188f55207954bb81ba19d08840cd18bc29233a785b5c9daef7e636bb",
+    "chartable gl2 --q 7": "e2620bbdc793ad103dd626880b3ee5b98b90d090773f3ae5bfb6e53b4ea49939",
+    "chartable u2 --q 7": "c3cef286c6102817a80c60c731a2fabe173b01db202725bb7d6778eeb03032d4",
+    "chartable sl2 --q 7": "410d515be870f8f87aa83c619e139b16d395e2933f807ef54b1eb122e5bc8cb4",
 }
 
 
@@ -217,12 +225,11 @@ class TestVerify:
         assert out == ""
         assert json.loads(target.read_text())["suite"] == "level0_basechange"
 
-    @pytest.mark.parametrize("threads", ["0", "-1", "x"])
-    def test_threads_below_one_is_usage_error(self, threads, capsys):
-        code, out, err = run(["verify", "heis", "--threads", threads], capsys)
+    def test_threads_flag_is_unrecognized(self, capsys):
+        code, out, err = run(["verify", "heis", "--threads", "2"], capsys)
         assert code == 2
         assert out == ""
-        assert "--threads" in err and "positive integer" in err
+        assert "unrecognized arguments: --threads 2" in err
 
     @pytest.mark.parametrize("raw", ["-5", "0", "abc"])
     def test_bad_max_group_env_exits_2(self, raw, monkeypatch, capsys):
@@ -233,11 +240,6 @@ class TestVerify:
             assert out == ""
             assert "BASECHANGE_MAX_GROUP must be a positive integer" in err
             assert "invalid literal" not in err and "exceeds" not in err
-
-    def test_thread_invariance_bytes(self, capsys):
-        _, out1, _ = run(["verify", "heis", "--threads", "1"], capsys)
-        _, out2, _ = run(["verify", "heis", "--threads", "3"], capsys)
-        assert out1 == out2
 
     def test_repeat_run_bytes(self, capsys):
         _, out1, _ = run(["verify", "endoscopic", "--q", "3"], capsys)
@@ -337,7 +339,7 @@ _POSITIONAL = {  # subcommand: (valid, invalid)
 _FLAGS = {
     "chartable": ["--q", "--format", "--out"],
     "cuspidal": ["--q", "--theta", "--format", "--out"],
-    "verify": ["--q", "--threads", "--out"],
+    "verify": ["--q", "--out"],
     "heis": ["--p", "--a", "--d", "--realization", "--out"],
     "bogus": [],
 }
@@ -412,6 +414,26 @@ class TestInternalError:
     def test_exit_codes_are_documented(self, capsys):
         _, out, _ = run(["--help"], capsys)
         assert "3 internal error" in " ".join(out.split())
+
+
+class TestOptionInventory:
+    """Every option string each subcommand accepts, read from the parser: a
+    new option has to change this inventory on purpose."""
+
+    def test_option_strings_per_subcommand(self):
+        parser = cli.build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: sorted(opt for action in sub._actions for opt in action.option_strings)
+            for name, sub in subparsers.choices.items()
+        }
+        assert options == {
+            "chartable": ["--format", "--help", "--out", "--q", "-h"],
+            "cuspidal": ["--format", "--help", "--out", "--q", "--theta", "-h"],
+            "verify": ["--help", "--out", "--q", "-h"],
+            "heis": ["--a", "--d", "--help", "--out", "--p", "--realization", "-h"],
+        }
+        assert sorted(opt for a in parser._actions for opt in a.option_strings) == ["--help", "-h"]
 
 
 class TestHelp:

@@ -177,6 +177,16 @@ class TestGL2:
         with pytest.raises(ValueError, match="quadratic"):
             gl2_cuspidal(MultChar(make_field(3), 1))
 
+    @pytest.mark.parametrize("t", [1, 7])
+    def test_orbit_sum_conjugates_by_the_q_power_over_gf9(self, t):
+        # L = GF(3^4) is the quadratic extension of GF(9): the conjugate of
+        # x is x^9, which the p-power Frobenius x^3 is not.
+        L = make_field(3, 4)
+        chi = MultChar(L, t)
+        orbit_sum = cuspchar._orbit_sum(chi, L)
+        for x in L.nonzero():
+            assert orbit_sum(x) == -(chi(x) + chi(L.pow(x, 9)))
+
     @pytest.mark.parametrize("q", [3, 5])
     def test_split_regular_classes_vanish(self, q):
         ctx = gl2_context(q)

@@ -560,9 +560,10 @@ class TestCharacterTable:
                 expected = cls.centralizer_orders[gi] if gi == hi else 0
                 assert total == expected
 
-    def test_size_bound_error(self):
+    def test_size_bound_error(self, monkeypatch):
+        monkeypatch.setenv("BASECHANGE_MAX_GROUP", "10")
         with pytest.raises(ValueError, match="exceeds character table bound 10"):
-            character_table(cyclic(12), bound=10)
+            character_table(cyclic(12))
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("BASECHANGE_MAX_GROUP", "5")

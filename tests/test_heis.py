@@ -3,7 +3,8 @@ extensions: frozen expected values plus structural property checks."""
 
 import pytest
 
-from basechange.cyclo import ONE, ZERO, root_of_unity
+from basechange import heis
+from basechange.cyclo import ONE, ZERO, Cyclotomic, root_of_unity
 from basechange.grpcore import orbits
 from basechange.heis import (
     ExtraspecialGroup,
@@ -381,7 +382,8 @@ def dense_mul(x, y):
 
 
 class PerturbedRep(HeisRep):
-    """eta with one phase of one element's monomial multiplied by zeta_p."""
+    """eta with one phase of one element's monomial multiplied by zeta_p,
+    i.e. one phase exponent moved by 1 mod p."""
 
     def __init__(self, group, target, slot):
         self.target, self.slot = target, slot
@@ -391,7 +393,7 @@ class PerturbedRep(HeisRep):
         x, phases = super()._build_mono(key)
         if key == self.target:
             phases = list(phases)
-            phases[self.slot] = phases[self.slot] * root_of_unity(self.p, 1)
+            phases[self.slot] = (phases[self.slot] + 1) % self.p
         return (x, tuple(phases))
 
 
@@ -426,6 +428,24 @@ class TestGeneratingSetCertificates:
         for g in G.group.elements:
             for h in G.group.elements:
                 assert rep._compose(rep._mono[g], rep._mono[h]) == rep._mono[G.mul_key(g, h)]
+
+    @pytest.mark.parametrize("p,a", [(3, 1), (3, 2), (7, 1)])
+    def test_monomials_are_integer_data(self, p, a):
+        rep = heisenberg_rep(p, a)
+        for x, exps in rep._mono.values():
+            assert len(x) == a and len(exps) == rep.dim
+            assert all(type(e) is int and 0 <= e < p for e in x + exps)
+
+    def test_homomorphism_certificate_does_no_cyclotomic_arithmetic(self, monkeypatch):
+        rep = heisenberg_rep(5, 1)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cyclotomic arithmetic in the certificate")
+
+        for name in ("__init__", "__add__", "__mul__", "__eq__"):
+            monkeypatch.setattr(Cyclotomic, name, forbidden)
+        monkeypatch.setattr(heis, "root_of_unity", forbidden)
+        rep._verify_homomorphism()
 
     def test_dense_matrices_multiply_on_all_pairs(self):
         rep = heisenberg_rep(3, 1)
@@ -499,6 +519,7 @@ class TestExtensionStorage:
     def test_extensions_share_the_normalized_powers(self):
         exts = extend(heisenberg_rep(3, 1), torus_realization(3, 4, "nonsplit"))
         assert all(e.lam is exts[0].lam for e in exts)
+        assert all(e.traces is exts[0].traces for e in exts)
         for e in exts:
             for j in range(1, 5):
                 assert e.trace(j) == _mtrace(e.op(j))
