@@ -225,11 +225,13 @@ class TestVerify:
         assert out == ""
         assert json.loads(target.read_text())["suite"] == "level0_basechange"
 
-    def test_threads_flag_is_unrecognized(self, capsys):
-        code, out, err = run(["verify", "heis", "--threads", "2"], capsys)
+    @pytest.mark.parametrize("threads", ["0", "-1", "x"])
+    def test_threads_below_one_is_usage_error(self, threads, capsys):
+        # verify has no --threads flag, so every value is a usage error
+        code, out, err = run(["verify", "heis", "--threads", threads], capsys)
         assert code == 2
         assert out == ""
-        assert "unrecognized arguments: --threads 2" in err
+        assert f"unrecognized arguments: --threads {threads}" in err
 
     @pytest.mark.parametrize("raw", ["-5", "0", "abc"])
     def test_bad_max_group_env_exits_2(self, raw, monkeypatch, capsys):
