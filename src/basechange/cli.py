@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(_SUITE_ALIASES) + sorted(SUITES),
         help="suite name (short or full)",
     )
-    p_verify.add_argument("--q", type=_odd_prime, default=3, help="base field size (odd prime)")
+    p_verify.add_argument("--q", type=_odd_prime, help="base field size (odd prime, default 3)")
     p_verify.add_argument("--out", default=None, help="report path (default stdout)")
 
     p_heis = sub.add_parser(
@@ -193,9 +193,11 @@ def _cmd_cuspidal(args) -> int:
 def _cmd_verify(args) -> int:
     suite_id = _SUITE_ALIASES.get(args.suite, args.suite)
     if suite_id == "heisenberg":
+        if args.q is not None:
+            raise ValueError("verify heis takes no --q: the heis suite runs its five fixed tuples")
         report = suite_heisenberg()
     else:
-        report = SUITES[suite_id](q=args.q)
+        report = SUITES[suite_id](q=3 if args.q is None else args.q)
     _emit(report_to_json(report), args.out)
     return 0 if report.passed else 1
 

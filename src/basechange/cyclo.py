@@ -165,10 +165,6 @@ class Cyclotomic:
     def order(self) -> int:
         return self._n
 
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self._den) for c in self._num)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self._num)
 
@@ -352,12 +348,11 @@ class Cyclotomic:
     # -- serialization ------------------------------------------------
 
     def serialize(self) -> str:
-        parts = []
-        for c in self.coefficients:
-            if c.denominator == 1:
-                parts.append(str(c.numerator))
-            else:
-                parts.append("%d/%d" % (c.numerator, c.denominator))
+        # Each coefficient c/den in lowest terms, as str(Fraction(c, den)).
+        den, parts = self._den, []
+        for c in self._num:
+            g = gcd(c, den)
+            parts.append("%d/%d" % (c // g, den // g) if den != g else "%d" % (c // g))
         return "cyc(%d)[%s]" % (self._n, ",".join(parts))
 
     def __repr__(self) -> str:

@@ -67,23 +67,25 @@ def _primitive_root(r: int) -> int:
 
 
 def _poly_mod(poly: list[int], mod: list[int], p: int) -> list[int]:
-    poly = [c % p for c in poly]
+    # The remainder of poly by the monic polynomial mod, in [0, p): each
+    # leading coefficient is reduced once, the remainder at the end.
+    poly = list(poly)
     dm = len(mod) - 1
+    low = mod[:dm]
     for i in range(len(poly) - 1, dm - 1, -1):
-        c = poly[i]
+        c = poly[i] % p
         if c:
-            for j in range(dm + 1):
-                poly[i - dm + j] = (poly[i - dm + j] - c * mod[j]) % p
-    out = poly[:dm]
+            poly[i - dm : i] = [x - c * m for x, m in zip(poly[i - dm : i], low)]
+    out = [c % p for c in poly[:dm]]
     return out + [0] * (dm - len(out))
 
 
 def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
+    nb = len(b)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
+            out[i : i + nb] = [s + x * y for s, y in zip(out[i : i + nb], b)]
     return _poly_mod(out, mod, p)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .cyclo import ZERO, Cyclotomic, _reduce_dense, dot
@@ -562,7 +562,9 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
     characteristic polynomial by the Hessenberg recurrence, and finds its
     roots as gcd(x^r - x, f) split by Cantor-Zassenhaus equal-degree
     factorisation.  The values are then lifted exactly through
-    root-of-unity multiplicity sums.  Randomness comes from a fixed seed;
+    root-of-unity multiplicity sums, once per rational class (a Galois
+    orbit of classes under power maps), and every lifted value is certified
+    against its eigenvector mod r.  Randomness comes from a fixed seed;
     the rows are sorted by (degree, serialized values).
     """
     bound = max_group_order()
@@ -602,8 +604,17 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
     if any(len(basis) != 1 for basis, _ in spaces):
         raise AssertionError("class matrices failed to separate characters")
 
-    lifts = [_lift_table(classes, l, exponent, zgen, r) for l in range(k)]
-    chars = []
+    # One lift per rational class: for e prime to o, chi(g^e) = sigma_e(chi(g)),
+    # so class power_class(l0, e) takes l0's multiplicities m_j at zeta_o^(je).
+    lifts, spread = {}, {}
+    for l0 in range(k):
+        if l0 not in spread:
+            lifts[l0] = _lift_table(classes, l0, exponent, zgen, r)
+            o = lifts[l0][0]
+            for e in range(1, o + 1):
+                if gcd(e, o) == 1:
+                    spread.setdefault(classes.power_class(l0, e), (l0, o, pow(e, -1, o)))
+    chars, mod_values = [], []
     ident = classes.class_of[group.id]
     for (w,), _ in spaces:
         if w[ident] % r == 0:
@@ -619,20 +630,25 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
         if deg * deg != deg_sq or deg == 0 or n % deg != 0:
             raise AssertionError("character degree recovery failed")
         modular = [(deg * w[l] * inv_size[l]) % r for l in range(k)]
-        values = []
-        for o, targets, coeffs in lifts:
+        mults = {}
+        for l0, (o, targets, coeffs) in lifts.items():
             at_targets = [modular[c] for c in targets]
-            mults = []
-            for row in coeffs:
-                mj = sum(map(mul, row, at_targets)) % r
-                if mj > deg:
-                    raise AssertionError("eigenvalue multiplicity lift out of range")
-                mults.append(mj)
-            if sum(mults) != deg:
+            m = mults[l0] = [sum(map(mul, coeff, at_targets)) % r for coeff in coeffs]
+            if max(m) > deg:
+                raise AssertionError("eigenvalue multiplicity lift out of range")
+            if sum(m) != deg:
                 raise AssertionError("eigenvalue multiplicities do not sum to degree")
-            # sum_j m_j zeta_o^j, reduced mod Phi_o.
-            values.append(Cyclotomic(o, 1, _reduce_dense(o, mults)))
+        values = []
+        for l in range(k):
+            # sum_j m_j zeta_o^(je), with f = 1/e mod o, reduced mod Phi_o.
+            l0, o, f = spread[l]
+            dense = [mults[l0][i * f % o] for i in range(o)]
+            values.append(Cyclotomic(o, 1, _reduce_dense(o, dense)))
         chars.append((deg, ClassFunction(classes, values)))
+        # Every lifted value's image mod r is the eigenvector's.
+        mod_values.append([_cyclotomic_mod(v, exponent, zgen, r) for v in values])
+        if mod_values[-1] != modular:
+            raise AssertionError("lifted value disagrees with its eigenvector mod r")
 
     if len(chars) != k:
         raise AssertionError("character count differs from class count")
@@ -642,9 +658,6 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
         if n % deg != 0:
             raise AssertionError("character degree does not divide group order")
     # Modular row orthonormality: cheap and strong; exact checks live in tests.
-    mod_values = []
-    for _, cf in chars:
-        mod_values.append([_cyclotomic_mod(v, exponent, zgen, r) for v in cf.values])
     weighted = [
         [classes.sizes[l] * row[inv_class[l]] for l in range(k)] for row in mod_values
     ]

@@ -15,7 +15,6 @@ are recoverable by tensoring with a character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -482,7 +481,6 @@ def _verify_intertwines(rep: HeisRep, action: TorusAction, A, j: int = 1):
     return True
 
 
-@dataclass(frozen=True)
 class Extension:
     """One of the d extensions of a Heisenberg representation to the
     semidirect product with the torus, labeled by the torus character
@@ -490,11 +488,12 @@ class Extension:
     lam holds the d normalized powers shared by all d extensions and traces
     their d traces, shared likewise."""
 
-    rep: HeisRep
-    action: TorusAction
-    label: int
-    lam: tuple
-    traces: tuple
+    def __init__(self, rep: HeisRep, action: TorusAction, label: int, lam: tuple, traces: tuple):
+        self.rep = rep
+        self.action = action
+        self.label = label
+        self.lam = lam
+        self.traces = traces
 
     def op(self, j: int):
         j %= self.action.order
@@ -689,10 +688,10 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str):
         v, z = y
         if v not in v_traces:
             v_traces[v] = rep.trace_product(op1, (v, 0))
-        tr = rep.theta(z) * v_traces[v]
+        # theta(z) is a unit: the trace at (v, 0) alone decides zero.
         reachable = yi in into_center
-        if reachable != (not tr.is_zero()):
-            support_bad = (y, reachable, tr.serialize())
+        if reachable != (not v_traces[v].is_zero()):
+            support_bad = (y, reachable, (rep.theta(z) * v_traces[v]).serialize())
             break
     checks.append(
         counterexample_check(

@@ -1,26 +1,33 @@
 """The report model shared by every check: a named Check with a status and
 an optional counterexample, and a Report of checks whose JSON form is
-byte-identical across runs.
+byte-identical across runs.  Plain classes: a cold start skips ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 _STATUSES = ("pass", "fail", "skipped")
 
 
-@dataclass
 class Check:
-    name: str
-    status: str
-    details: str
-    counterexample: str | None = None
+    """A named check; equal checks agree field by field."""
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError("unknown check status: %r" % self.status)
+    def __init__(self, name: str, status: str, details: str, counterexample: str | None = None):
+        if status not in _STATUSES:
+            raise ValueError("unknown check status: %r" % status)
+        self.name = name
+        self.status = status
+        self.details = details
+        self.counterexample = counterexample
+
+    def __eq__(self, other):
+        if not isinstance(other, Check):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    def __repr__(self):
+        return "Check(%s)" % ", ".join("%s=%r" % item for item in self.to_dict().items())
 
     def to_dict(self) -> dict:
         return {
@@ -31,11 +38,13 @@ class Check:
         }
 
 
-@dataclass
 class Report:
-    suite: str
-    params: dict
-    checks: list[Check]
+    """A suite's name, its parameters and its checks in run order."""
+
+    def __init__(self, suite: str, params: dict, checks: list[Check]):
+        self.suite = suite
+        self.params = params
+        self.checks = checks
 
     @property
     def passed(self) -> bool:

@@ -9,8 +9,6 @@ used when a configuration is out of the size bound, do not count).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .cyclo import ZERO
 from .ffield import MultChar, NormOneChar, make_field
 from .grpcore import (
@@ -494,7 +492,8 @@ def _run_heis_tuple(tup) -> list[Check]:
         lemma_H_verify(p, a, d, realization),
         torus_action_consequences(extraspecial_group(p, a), action),
     )
-    return [replace(c, name="%s:%s" % (prefix, c.name)) for sub in subs for c in sub.checks]
+    checks = [c for sub in subs for c in sub.checks]
+    return [Check(prefix + ":" + c.name, c.status, c.details, c.counterexample) for c in checks]
 
 
 def suite_heisenberg(tuples=None) -> Report:

@@ -103,6 +103,9 @@ REPORT_SHA256 = {
     "chartable gl2 --q 7": "e2620bbdc793ad103dd626880b3ee5b98b90d090773f3ae5bfb6e53b4ea49939",
     "chartable u2 --q 7": "c3cef286c6102817a80c60c731a2fabe173b01db202725bb7d6778eeb03032d4",
     "chartable sl2 --q 7": "410d515be870f8f87aa83c619e139b16d395e2933f807ef54b1eb122e5bc8cb4",
+    "chartable sl2 --q 5 --format csv": "6134cb11179f83af245a6564b14f86c408c4c96fb897cd300a93e8fb579e32cc",
+    "chartable gl2 --q 5 --format csv": "118947cbb183aca10cc4315618a92ea48c8c0de528276a27e748ce011d31af5a",
+    "chartable u2 --q 5 --format csv": "ef5173c62457b9575ac079f741130e1d0afe6553ec339ec7431493deeb48882f",
 }
 
 
@@ -232,6 +235,20 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert f"unrecognized arguments: --threads {threads}" in err
+
+    @pytest.mark.parametrize("suite", ["heis", "heisenberg"])
+    @pytest.mark.parametrize("q", ["3", "5"])
+    def test_heis_q_is_usage_error(self, suite, q, capsys):
+        # The heis suite runs its five fixed tuples; a --q would be inert.
+        code, out, err = run(["verify", suite, "--q", q], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: verify heis takes no --q: the heis suite runs its five fixed tuples\n"
+
+    def test_q_defaults_to_3(self, capsys):
+        _, default, _ = run(["verify", "level0"], capsys)
+        _, explicit, _ = run(["verify", "level0", "--q", "3"], capsys)
+        assert default == explicit and json.loads(default)["params"] == {"q": 3}
 
     @pytest.mark.parametrize("raw", ["-5", "0", "abc"])
     def test_bad_max_group_env_exits_2(self, raw, monkeypatch, capsys):
@@ -464,6 +481,13 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("class,")
+
+    def test_cold_import_skips_dataclasses_and_inspect(self):
+        # About 6 ms of every cold command; the report model needs neither.
+        code = "import sys, basechange.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_module_invocation_verify_twice_identical(self):
         cmd = [sys.executable, "-m", "basechange.cli", "verify", "level0", "--q", "3"]

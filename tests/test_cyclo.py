@@ -1,5 +1,6 @@
 """Tests for exact cyclotomic arithmetic."""
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -112,6 +113,19 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse("cyc(8)(1,2)")
+
+    @pytest.mark.parametrize("n", [1, 4, 12, 24])
+    def test_matches_a_fraction_reference(self, n):
+        # Zero, negative numerators and denominators > 1, on seeded values.
+        rng = random.Random(n)
+        values = [Cyclotomic(n, 1, (0,) * euler_phi(n)), Cyclotomic(n, 6, (-4,) * euler_phi(n))]
+        for den in (1, 2, 6, 12, 35):
+            for _ in range(20):
+                num = tuple(rng.randint(-40, 40) for _ in range(euler_phi(n)))
+                values.append(Cyclotomic(n, den, num))
+        for x in values:
+            parts = [str(Fraction(c, x._den)) for c in x._num]
+            assert x.serialize() == "cyc(%d)[%s]" % (n, ",".join(parts))
 
 
 class TestRingAxioms:

@@ -13,6 +13,8 @@ from basechange.ffield import (
     NormOneChar,
     _factorize,
     _is_prime,
+    _poly_mod,
+    _poly_mulmod,
     _poly_roots,
     _prime_power,
     _primitive_root,
@@ -282,6 +284,29 @@ def split_products(draw):
         )
         poly = poly_product(poly, factor, p)
     return p, poly, roots
+
+
+def naive_mod(poly, mod, p):
+    # Schoolbook division by the monic mod, reducing every term.
+    poly = [c % p for c in poly]
+    dm = len(mod) - 1
+    for i in range(len(poly) - 1, dm - 1, -1):
+        c = poly[i]
+        for j in range(dm + 1):
+            poly[i - dm + j] = (poly[i - dm + j] - c * mod[j]) % p
+    return (poly[:dm] + [0] * dm)[:dm]
+
+
+class TestPolynomialKernels:
+    @pytest.mark.parametrize("p", [3, 30241])
+    def test_mulmod_and_mod_match_schoolbook(self, p):
+        rng = random.Random(p)
+        for _ in range(200):
+            mod = [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [1]
+            a = [rng.randrange(p) for _ in range(rng.randint(1, 9))]
+            b = [rng.randrange(p) for _ in range(rng.randint(1, 9))]
+            assert _poly_mod(a, mod, p) == naive_mod(a, mod, p)
+            assert _poly_mulmod(a, b, mod, p) == naive_mod(poly_product(a, b, p), mod, p)
 
 
 class TestPrimeAndPolynomialHelpers:

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,14 @@ from hypothesis import strategies as st
 from basechange.cyclo import ONE, ZERO, Cyclotomic, euler_phi, root_of_unity
 from basechange.ffield import make_field
 from basechange.heis import extraspecial_group
-from basechange.rankone import build_gl2, build_sl2, mat_id, mat_inv, mat_mul
+from basechange.rankone import build_gl2, build_sl2, build_u2, mat_id, mat_inv, mat_mul
+from basechange import grpcore
 from basechange.grpcore import (
     ClassFunction,
     GroupTable,
     _hessenberg,
     _hessenberg_charpoly,
+    _lift_table as lift_table,
     _require_subgroup,
     character_table,
     conjugacy_classes,
@@ -594,6 +597,57 @@ class TestCharacterTable:
         a = character_table(s3())
         b = character_table(s3())
         assert [cf.serialize() for cf in a] == [cf.serialize() for cf in b]
+
+
+def oracle_group(family, spec_q5):
+    if family == "u2":
+        return build_u2(spec_q5)
+    return {"sl2": build_sl2, "gl2": build_gl2}[family](make_field(5))
+
+
+class TestRationalClassLift:
+    """The oracle lifts one class per Galois orbit of classes and certifies
+    the value at every class against its eigenvector mod r."""
+
+    @pytest.mark.parametrize(
+        "family,lifted,k", [("sl2", 7, 9), ("gl2", 15, 24), ("u2", 21, 36)]
+    )
+    def test_one_lift_per_rational_class(self, family, lifted, k, spec_q5, monkeypatch):
+        calls = []
+
+        def counting(classes, l, *args):
+            calls.append(l)
+            return lift_table(classes, l, *args)
+
+        monkeypatch.setattr(grpcore, "_lift_table", counting)
+        group = oracle_group(family, spec_q5)
+        assert len(character_table(group)) == k
+        assert len(calls) == len(set(calls)) == lifted
+        classes = conjugacy_classes(group)
+        rational = {
+            min(classes.power_class(l, e) for e in range(1, o + 1) if gcd(e, o) == 1)
+            for l, o in enumerate(classes.rep_orders)
+        }
+        assert sorted(calls) == sorted(rational)
+
+    @pytest.mark.parametrize("family", ["sl2", "gl2", "u2"])
+    def test_swapped_multiplicity_rows_trip_the_certificate(self, family, spec_q5, monkeypatch):
+        # Rows 0 and 1 of the first class of order > 2: the swapped
+        # multiplicities still lie in range and sum to the degree.  (Rows 1
+        # and 2 would be no fault: on a real class that swap moves no value.)
+        swapped = []
+
+        def swapping(classes, l, *args):
+            o, targets, coeffs = lift_table(classes, l, *args)
+            if o > 2 and not swapped:
+                swapped.append(l)
+                coeffs = [coeffs[1], coeffs[0]] + coeffs[2:]
+            return o, targets, coeffs
+
+        monkeypatch.setattr(grpcore, "_lift_table", swapping)
+        with pytest.raises(AssertionError, match="lifted value disagrees with its eigenvector mod r"):
+            character_table(oracle_group(family, spec_q5))
+        assert swapped
 
 
 class TestExport:
