@@ -25,7 +25,8 @@ from .cuspchar import (
 )
 from .ffield import MultChar, NormOneChar, _is_prime, make_field
 from .grpcore import max_group_order, table_to_csv, table_to_json
-from .heis import torus_realization
+from .heis import require_rank_one, torus_realization
+from .rankone import _require_size
 from .verify import SUITES, report_to_json, suite_heisenberg
 
 _SUITE_ALIASES = {
@@ -203,7 +204,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_heis(args) -> int:
-    # Validate the configuration before running anything heavy.
+    # Validate the configuration before any field or group is built: the
+    # half-rank, the group order p^(2a+1) against the size bound, the torus.
+    require_rank_one(args.a)
+    _require_size("Heis", args.p ** (2 * args.a + 1))
     torus_realization(args.p, args.d, args.realization)
     report = suite_heisenberg(tuples=[(args.p, args.a, args.d, args.realization)])
     _emit(report_to_json(report), args.out)

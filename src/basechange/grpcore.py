@@ -276,6 +276,7 @@ class ClassFunction:
         self.classes = classes
         self.group = classes.group
         self.values = values
+        self._text = None
 
     def on_class(self, ci: int) -> Cyclotomic:
         return self.values[ci]
@@ -313,7 +314,10 @@ class ClassFunction:
         )
 
     def serialize(self) -> tuple[str, ...]:
-        return tuple(v.serialize() for v in self.values)
+        # Made once: a table row is serialized as its sort key and on export.
+        if self._text is None:
+            self._text = tuple(v.serialize() for v in self.values)
+        return self._text
 
     def __repr__(self):
         return "ClassFunction(%s, deg=%s)" % (self.group.name, self.degree)
@@ -384,6 +388,7 @@ def induce(psi: ClassFunction, group: GroupTable) -> ClassFunction:
 def _nullspace(m: list[list[int]], r: int) -> tuple[list[list[int]], list[int]]:
     # A basis of the null space of the square matrix m over F_r, and its
     # free columns: vector b is 1 at free[b] and 0 at every other free column.
+    # A row is reduced only as it becomes the pivot: a step adds < r^2 to an entry.
     n = len(m)
     a = [row[:] for row in m]
     pivots = []
@@ -394,11 +399,11 @@ def _nullspace(m: list[list[int]], r: int) -> tuple[list[list[int]], list[int]]:
             continue
         a[prow], a[piv] = a[piv], a[prow]
         inv = pow(a[prow][col], r - 2, r)
-        a[prow] = [(x * inv) % r for x in a[prow]]
+        pivot = a[prow] = [x * inv % r for x in a[prow]]
         for i in range(n):
-            if i != prow and a[i][col]:
-                c = a[i][col]
-                a[i] = [(x - c * y) % r for x, y in zip(a[i], a[prow])]
+            c = a[i][col] % r
+            if c and i != prow:
+                a[i] = [x - c * y for x, y in zip(a[i], pivot)]
         pivots.append(col)
         prow += 1
     free = [c for c in range(n) if c not in pivots]

@@ -3,6 +3,15 @@ representations in the Schrodinger model, their extensions to the torus,
 the multiplicity system of an extension on the torus-center subgroup, and
 the sign law tying extension traces to a single torus character.
 
+Group elements are integer codes: a vector of GF(p)^a has its base-p
+digits as code, below P = p^a; v = (x, y) in GF(p)^a x GF(p)^a has
+code(x)·P + code(y), and (v, z) has code(v)·p + z, its index in sorted
+tuple order.  Three tables of P^2 entries carry the arithmetic
+(SymplecticSpace): sum codes in GF(p)^a, which are also the Schrodinger
+shifts u -> u + x, negation codes, and half x·y mod p.  Each torus power
+permutes vector codes by a list built once from its matrix.
+Counterexamples decode codes back to (v, z) tuples.
+
 Each eta(g) is stored as a monomial operator, a shift of GF(p)^a with one
 phase exponent e mod p per point, the phase being zeta_p^e: composing
 operators adds exponents, so the homomorphism certificate is integer
@@ -18,6 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from operator import mul
 
 from .cyclo import ONE, ZERO, Cyclotomic, dot, root_of_unity
 from .ffield import _is_prime, make_field, norm_one_generator
@@ -31,7 +41,8 @@ from .report import Check, Report, counterexample_check
 
 class SymplecticSpace:
     """GF(p)^(2a) with the standard symplectic pairing: the first a
-    coordinates span a Lagrangian L, the last a its dual."""
+    coordinates span a Lagrangian L, the last a its dual.  Vectors are
+    tuples, or their codes for the tables (see the module docstring)."""
 
     def __init__(self, p: int, a: int):
         if not _is_prime(p) or p == 2:
@@ -54,7 +65,13 @@ class SymplecticSpace:
                     raise AssertionError("pairing is not antisymmetric")
         if _nullspace([list(row) for row in self.gram], p)[0]:
             raise AssertionError("pairing is degenerate")
-        self._vectors = None
+        self._vectors = tuple(product(range(p), repeat=self.dim))
+        # The tables, at the code x·P + y of each vector v = (x, y): the code
+        # of x + y in GF(p)^a, the code of -v, and half x·y mod p.
+        half = (p + 1) // 2
+        self.sums = [self.code(self.add(v[:a], v[a:])) for v in self._vectors]
+        self.negs = [self.code(self.neg(v)) for v in self._vectors]
+        self.half_dots = [half * sum(map(mul, v[:a], v[a:])) % p for v in self._vectors]
 
     def _basis_pairing(self, i: int, j: int) -> int:
         a = self.a
@@ -66,15 +83,13 @@ class SymplecticSpace:
 
     def pairing(self, v, w) -> int:
         a = self.a
-        total = 0
-        for i in range(a):
-            total += v[i] * w[a + i] - v[a + i] * w[i]
-        return total % self.p
+        return sum(v[i] * w[a + i] - v[a + i] * w[i] for i in range(a)) % self.p
 
     def vectors(self):
-        if self._vectors is None:
-            self._vectors = tuple(product(range(self.p), repeat=self.dim))
-        return self._vectors
+        return self._vectors  # in code order
+
+    def code(self, v) -> int:
+        return sum(t * self.p**k for k, t in enumerate(reversed(v)))
 
     def add(self, v, w):
         return tuple((x + y) % self.p for x, y in zip(v, w))
@@ -87,40 +102,44 @@ class SymplecticSpace:
 
 
 class ExtraspecialGroup:
-    """Pairs (v, z) with (v,z)(v',z') = (v+v', z+z'+<v,v'>/2)."""
+    """Pairs (v, z) with (v,z)(v',z') = (v+v', z+z'+<v,v'>/2), on codes."""
 
     def __init__(self, space: SymplecticSpace):
         self.space = space
         self.p = space.p
         self.a = space.a
-        self.half = (space.p + 1) // 2
-        self.id_key = (space.zero, 0)
-        keys = [(v, z) for v in space.vectors() for z in range(space.p)]
-        self.group = GroupTable(
-            keys,
-            self.mul_key,
-            self.inv_key,
-            self.id_key,
-            name="Heis(p=%d,a=%d)" % (space.p, space.a),
-        )
-        self.center_keys = [(space.zero, z) for z in range(space.p)]
+        self.P = space.p**space.a
+        self.id_key = 0
+        name = "Heis(p=%d,a=%d)" % (space.p, space.a)
+        order = space.p ** (2 * space.a + 1)
+        self.group = GroupTable(range(order), self.mul_key, self.inv_key, self.id_key, name=name)
+        self.center_keys = list(range(space.p))
 
     def mul_key(self, g, h):
-        v, z = g
-        w, y = h
-        p = self.p
-        return (
-            self.space.add(v, w),
-            (z + y + self.half * self.space.pairing(v, w)) % p,
-        )
+        # <v, w> = x·y' - y·x' for v = (x, y) and w = (x', y').
+        p, P, sums, half_dots = self.p, self.P, self.space.sums, self.space.half_dots
+        v, z = divmod(g, p)
+        w, t = divmod(h, p)
+        x1, y1 = divmod(v, P)
+        x2, y2 = divmod(w, P)
+        z += t + half_dots[x1 * P + y2] - half_dots[x2 * P + y1]
+        return (sums[x1 * P + x2] * P + sums[y1 * P + y2]) * p + z % p
 
     def inv_key(self, g):
-        v, z = g
-        return (self.space.neg(v), (-z) % self.p)
+        v, z = divmod(g, self.p)
+        return self.space.negs[v] * self.p + (-z) % self.p
 
     def commutator_key(self, g, h):
         gh = self.mul_key(g, h)
         return self.mul_key(gh, self.mul_key(self.inv_key(g), self.inv_key(h)))
+
+    def encode(self, key) -> int:
+        v, z = key
+        return self.space.code(v) * self.p + z
+
+    def decode(self, g):
+        v, z = divmod(g, self.p)
+        return (self.space.vectors()[v], z)
 
 
 def build_extraspecial(p: int, a: int = 1) -> ExtraspecialGroup:
@@ -135,36 +154,35 @@ def build_extraspecial(p: int, a: int = 1) -> ExtraspecialGroup:
     if table.order != p ** (2 * a + 1):
         raise AssertionError("wrong group order")
     # Center: commuting with the 2a standard basis lifts is enough since
-    # they generate the group together with the center.
-    basis_lifts = []
-    for i in range(2 * a):
-        v = [0] * (2 * a)
-        v[i] = 1
-        basis_lifts.append((tuple(v), 0))
+    # they generate the group together with the center.  The i-th basis
+    # vector's code is p^(2a-1-i), so its lift's is p^(2a-i).
+    basis_lifts = [p ** (2 * a - i) for i in range(2 * a)]
     for key in table.elements:
         central = all(
             G.mul_key(key, b) == G.mul_key(b, key) for b in basis_lifts
         )
-        if central != (key[0] == space.zero):
+        if central != (key < p):
             raise AssertionError("center is not the central coordinate")
     # Commutator identity on every x against every generator s: [x, y s] =
     # [x, y] . y [x, s] y^-1 = [x, y] [x, s], as [x, s] = (0, <x, s>) is
     # central (the check above), and the pairing is additive, so induction
-    # on the word length of y gives [x, y] = (0, <x, y>) on every pair.
-    for g in table.elements:
-        for s in table.generators():
-            h = table.key(s)
-            if G.commutator_key(g, h) != (space.zero, space.pairing(g[0], h[0])):
+    # on the word length of y gives [x, y] = (0, <x, y>) on every pair.  The
+    # pairing is the tuple formula, independent of the tables.
+    vectors = space.vectors()
+    for s in table.generators():
+        w = vectors[s // p]
+        for g in table.elements:
+            if G.commutator_key(g, s) != space.pairing(vectors[g // p], w):
                 raise AssertionError("commutator does not realize the pairing")
     # Exponent p.
     for i in range(table.order):
         if table.power(i, p) != table.id:
             raise AssertionError("exponent is not p")
     # Pairing nondegeneracy, exhaustively.
-    for v in space.vectors():
+    for v in vectors:
         if v == space.zero:
             continue
-        if all(space.pairing(v, w) == 0 for w in space.vectors()):
+        if all(space.pairing(v, w) == 0 for w in vectors):
             raise AssertionError("pairing has a radical vector")
     return G
 
@@ -199,6 +217,7 @@ class TorusAction:
             if len(self.powers) > 100000:
                 raise AssertionError("order computation runaway")
         self.order = len(self.powers)
+        self._perms = [None] * self.order
         # Preserving the form on every basis pair makes t a symplectic map,
         # so (v, z) -> (t v, z) is a group automorphism; that is what makes
         # the twisted moves h x (t.h)^-1 of the orbit checks a group action.
@@ -222,9 +241,16 @@ class TorusAction:
         p, n = self.space.p, self.space.dim
         return tuple(sum(m[i][k] * v[k] for k in range(n)) % p for i in range(n))
 
+    def perm(self, j: int = 1) -> list[int]:
+        """t^j on vector codes, built from its matrix on first use."""
+        j %= self.order
+        if self._perms[j] is None:
+            self._perms[j] = [self.space.code(self.apply(v, j)) for v in self.space.vectors()]
+        return self._perms[j]
+
     def act_key(self, key, j: int = 1):
-        v, z = key
-        return (self.apply(v, j), z)
+        v, z = divmod(key, self.space.p)
+        return self.perm(j)[v] * self.space.p + z
 
     def fixed_space_basis(self, j: int):
         p, n = self.space.p, self.space.dim
@@ -233,16 +259,11 @@ class TorusAction:
         return [tuple(b) for b in _nullspace(delta, p)[0]]
 
     def fixed_vectors(self, j: int):
-        basis = self.fixed_space_basis(j)
-        p, n = self.space.p, self.space.dim
-        out = []
-        for coeffs in product(range(p), repeat=len(basis)):
-            v = [0] * n
-            for c, b in zip(coeffs, basis):
-                for i in range(n):
-                    v[i] = (v[i] + c * b[i]) % p
-            out.append(tuple(v))
-        return out
+        basis, p, n = self.fixed_space_basis(j), self.space.p, self.space.dim
+        return [
+            tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % p for i in range(n))
+            for coeffs in product(range(p), repeat=len(basis))
+        ]
 
     def hypothesis_H(self) -> bool:
         """Only the zero vector is fixed by every nontrivial power."""
@@ -335,7 +356,7 @@ def _is_zero_matrix(x) -> bool:
 
 
 class HeisRep:
-    """Schrodinger model: on functions of u in GF(p)^a,
+    """Schrodinger model: on functions of u in GF(p)^a, points by code,
     (eta((x,y),z) phi)(u) = theta(z + y.u + x.y/2) phi(u+x)."""
 
     def __init__(self, group: ExtraspecialGroup, theta_exp: int):
@@ -345,12 +366,11 @@ class HeisRep:
         self.p = group.p
         self.a = group.a
         self.theta_exp = theta_exp % group.p
-        self.dim = group.p**group.a
-        self.points = tuple(product(range(group.p), repeat=group.a))
-        self.pindex = {u: i for i, u in enumerate(self.points)}
-        self._mono = {}
-        for key in group.group.elements:
-            self._mono[key] = self._build_mono(key)
+        self.dim = n = group.p**group.a
+        # _shifts[x][u] is the code of u + x: row x of the sum table.
+        sums = group.space.sums
+        self._shifts = [sums[x * n : x * n + n] for x in range(n)]
+        self._mono = [self._build_mono(key) for key in group.group.elements]
         self._verify_trace_identity()
         self._verify_homomorphism()
 
@@ -358,46 +378,33 @@ class HeisRep:
         return root_of_unity(self.p, self.theta_exp * z)
 
     def _build_mono(self, key):
-        (v, z) = key
-        a, p, half = self.a, self.p, self.group.half
-        x, y = v[:a], v[a:]
-        base = z + half * sum(xi * yi for xi, yi in zip(x, y))
-        exps = tuple(
-            self.theta_exp * (base + sum(yi * ui for yi, ui in zip(y, u))) % p
-            for u in self.points
-        )
+        # y.u = 2 (half y.u), read from the half-dot table's row y.
+        p, n, t = self.p, self.dim, self.theta_exp
+        v, z = divmod(key, p)
+        x, y = divmod(v, n)
+        half_dots = self.group.space.half_dots
+        base = z + half_dots[x * n + y]
+        exps = tuple(t * (base + 2 * h) % p for h in half_dots[y * n : y * n + n])
         return (x, exps)
 
     def _phases(self, exps) -> list[Cyclotomic]:
         return [root_of_unity(self.p, e) for e in exps]
 
-    def _shift(self, u, x):
-        return tuple((ui + xi) % self.p for ui, xi in zip(u, x))
-
     def _compose(self, m1, m2):
         x1, e1 = m1
         x2, e2 = m2
-        exps = tuple(
-            (e1[i] + e2[self.pindex[self._shift(u, x1)]]) % self.p
-            for i, u in enumerate(self.points)
-        )
-        return (self._shift(x1, x2), exps)
+        p, shift = self.p, self._shifts[x1]
+        return (shift[x2], tuple((e + e2[s]) % p for e, s in zip(e1, shift)))
 
     def _verify_trace_identity(self):
         # tr eta(v, z) = p^a theta(z) if v = 0 else 0: the irreducibility
         # certificate, checked on every element.
-        for key, (x, exps) in self._mono.items():
-            v, z = key
-            if x == (0,) * self.a:
-                trace = sum(self._phases(exps), ZERO)
-            else:
-                trace = ZERO
-            if v == self.group.space.zero:
-                expected = self.dim * self.theta(z)
-            else:
-                expected = ZERO
+        for key, (x, exps) in enumerate(self._mono):
+            v, z = divmod(key, self.p)
+            trace = sum(self._phases(exps), ZERO) if x == 0 else ZERO
+            expected = self.dim * self.theta(z) if v == 0 else ZERO
             if trace != expected:
-                raise AssertionError("trace identity fails at %r" % (key,))
+                raise AssertionError("trace identity fails at %r" % (self.group.decode(key),))
 
     def _verify_homomorphism(self):
         """eta(e) = I, and eta(x s) = eta(x) eta(s) for every x and every
@@ -405,28 +412,28 @@ class HeisRep:
         its length with associativity gives eta(x y) = eta(x) eta(y) on every
         pair, at |G|·|gens| compositions.  The products x s are read from
         the generator columns that proved closure."""
-        table = self.group.group
-        if self._mono[self.group.id_key] != ((0,) * self.a, (0,) * self.dim):
+        table, mono = self.group.group, self._mono
+        if mono[self.group.id_key] != (0, (0,) * self.dim):
             raise AssertionError("representation is not a homomorphism")
         for s in table.generators():
-            h = self._mono[table.key(s)]
-            for g, gs in zip(table.elements, table.column(s)):
-                if self._compose(self._mono[g], h) != self._mono[table.key(gs)]:
+            h = mono[s]
+            for g, gs in zip(mono, table.column(s)):
+                if self._compose(g, h) != mono[gs]:
                     raise AssertionError("representation is not a homomorphism")
 
     def matrix(self, key):
         x, exps = self._mono[key]
         n = self.dim
         rows = [[ZERO] * n for _ in range(n)]
-        for i, (u, phase) in enumerate(zip(self.points, self._phases(exps))):
-            rows[i][self.pindex[self._shift(u, x)]] = phase
+        for row, s, phase in zip(rows, self._shifts[x], self._phases(exps)):
+            row[s] = phase
         return tuple(tuple(r) for r in rows)
 
     def trace_product(self, dense, key) -> Cyclotomic:
         """tr(dense * eta(key)), using the one-entry-per-row structure:
         the sum of dense[v+x][v] * phase(v)."""
         x, exps = self._mono[key]
-        column = [dense[self.pindex[self._shift(uv, x)]][v] for v, uv in enumerate(self.points)]
+        column = [dense[s][v] for v, s in enumerate(self._shifts[x])]
         return dot(column, self._phases(exps))
 
 
@@ -441,20 +448,20 @@ def heisenberg_rep(p: int, a: int = 1, theta_exp: int = 1) -> HeisRep:
 def intertwiner(rep: HeisRep, action: TorusAction, seed=None):
     """A dense operator A with A eta(g) A^-1 = eta(t g), built by averaging
     eta(t g) B eta(g)^-1 over the group for a matrix-unit seed B."""
-    n = rep.dim
-    space = rep.group.space
+    n, p = rep.dim, rep.p
+    # The code of -x for x in GF(p)^a is that of -(0, x), below n.
+    negs, shifts, perm = rep.group.space.negs, rep._shifts, action.perm(1)
     seeds = [seed] if seed is not None else list(product(range(n), repeat=2))
     for r, c in seeds:
-        ur, uc = rep.points[r], rep.points[c]
         rows = [[ZERO] * n for _ in range(n)]
-        for v in space.vectors():
-            x1, f1 = rep._mono[(action.apply(v), 0)]
-            x2, f2 = rep._mono[(v, 0)]
-            i = rep.pindex[tuple((ri - xi) % rep.p for ri, xi in zip(ur, x1))]
-            j = rep.pindex[tuple((ci - xi) % rep.p for ci, xi in zip(uc, x2))]
-            rows[i][j] = rows[i][j] + root_of_unity(rep.p, f1[i] - f2[j])
+        for v in range(n * n):
+            x1, f1 = rep._mono[perm[v] * p]
+            x2, f2 = rep._mono[v * p]
+            i = shifts[negs[x1]][r]
+            j = shifts[negs[x2]][c]
+            rows[i][j] = rows[i][j] + root_of_unity(p, f1[i] - f2[j])
         # the central coordinate only rescales the average by p
-        A = tuple(tuple(rep.p * e for e in row) for row in rows)
+        A = tuple(tuple(p * e for e in row) for row in rows)
         if not _is_zero_matrix(A):
             return A
     raise ValueError("intertwiner averaging yielded zero for every seed")
@@ -465,16 +472,14 @@ def _verify_intertwines(rep: HeisRep, action: TorusAction, A, j: int = 1):
     multiplicative in g, since eta is a homomorphism (HeisRep certifies it)
     and t^j acts by an automorphism (TorusAction certifies it), so the g
     satisfying it form a subgroup, and that subgroup holds the generators."""
-    table = rep.group.group
-    for s in table.generators():
-        key = table.key(s)
-        x, exps = rep._mono[key]
-        tx, texps = rep._mono[action.act_key(key, j)]
+    for s in rep.group.group.generators():
+        x, exps = rep._mono[s]
+        tx, texps = rep._mono[action.act_key(s, j)]
         # (A eta(s))[i][w + x] = A[i][w] zeta^exps[w] and
         # (eta(t s) A)[i][l] = zeta^texps[i] A[i + tx][l]; divide by the latter phase.
-        shifted = [rep.pindex[rep._shift(uw, x)] for uw in rep.points]
-        for i, ui in enumerate(rep.points):
-            row = A[rep.pindex[rep._shift(ui, tx)]]
+        shifted = rep._shifts[x]
+        for i, ti in enumerate(rep._shifts[tx]):
+            row = A[ti]
             phases = rep._phases(e - texps[i] for e in exps)
             if any(A[i][w] * phases[w] != row[l] for w, l in enumerate(shifted)):
                 return False
@@ -516,22 +521,28 @@ def extend(rep: HeisRep, action: TorusAction) -> list[Extension]:
     A = intertwiner(rep, action)
     if not _verify_intertwines(rep, action, A):
         raise AssertionError("averaged operator fails to intertwine")
-    powers = [_meye(rep.dim)]
-    for _ in range(d):
-        powers.append(_mmul(powers[-1], A))
-    Ad = powers[d]
-    c0 = Ad[0][0]
-    if c0.is_zero() or Ad != _mscale(c0, _meye(rep.dim)):
+    # c0 = A^d[0][0], from row 0 of the powers alone; (s0 A)^d = I below
+    # then certifies that A^d is the scalar c0, as s0^d c0 = 1.
+    n, cols, row = rep.dim, tuple(zip(*A)), A[0]
+    for _ in range(d - 1):
+        row = tuple(dot(row, col) for col in cols)
+    c0, det = row[0], _mdet(A)
+    if c0.is_zero() or det.is_zero():
         raise AssertionError("A^d is not a nonzero scalar")
-    det = _mdet(A)
     # alpha*dim + beta*d = 1; s0 is the same for every such pair, as
     # det(A)^d = c0^dim.
-    alpha = pow(rep.dim, -1, d)
-    beta = (1 - alpha * rep.dim) // d
+    alpha = pow(n, -1, d)
+    beta = (1 - alpha * n) // d
     s0 = det ** (-alpha) * c0 ** (-beta)
-    lam = tuple(_mscale(s0**j, powers[j]) for j in range(d))
-    if _mmul(lam[d - 1], _mscale(s0, A)) != _meye(rep.dim):
-        raise AssertionError("normalized operator is not of order d")
+    lam = [_meye(n), _mscale(s0, A)]
+    while len(lam) <= d:
+        lam.append(_mmul(lam[-1], lam[1]))
+    if lam[d] != _meye(n):
+        scalar = lam[d] == _mscale(lam[d][0][0], _meye(n))
+        raise AssertionError(
+            "normalized operator is not of order d" if scalar else "A^d is not a nonzero scalar"
+        )
+    lam = tuple(lam[:d])
     traces = tuple(_mtrace(op) for op in lam)
     return [Extension(rep, action, c, lam, traces) for c in range(d)]
 
@@ -587,6 +598,13 @@ def _twisted_moves(G: GroupTable, action: TorusAction, j: int):
     return [(G.inv(h), G.index[action.act_key(G.key(h), j)]) for h in G.generators()]
 
 
+def require_rank_one(a: int):
+    if a != 1:
+        raise ValueError(
+            "a = %d is not supported: torus realizations are built only for a = 1" % a
+        )
+
+
 def lemma_H_verify(p: int, a: int, d: int, realization: str):
     """Build the (p, a) extraspecial group, the requested order-d torus
     realization, all d extensions, and check: each extension's traces on
@@ -594,10 +612,7 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str):
     (epsilon = -1 iff d | p^a + 1), traces have squared modulus 1, the
     multiplicity multisets match the closed form, and coset traces are
     supported exactly on elements conjugate into the center."""
-    if a != 1:
-        raise ValueError(
-            "a = %d is not supported: torus realizations are built only for a = 1" % a
-        )
+    require_rank_one(a)
     action = torus_realization(p, d, realization)
     rep = heisenberg_rep(p, a)
     group = rep.group
@@ -682,16 +697,16 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str):
         x for orbit in orbits(G, _twisted_moves(G, action, 1), seeds=center) for x in orbit
     }
     # (v, z) = (0, z)(v, 0) and eta(0, z) = theta(z) I (see multiplicities),
-    # so the trace at (v, z) is theta(z) times the trace at (v, 0).
-    v_traces = {}
-    for yi, y in enumerate(G.elements):
-        v, z = y
-        if v not in v_traces:
-            v_traces[v] = rep.trace_product(op1, (v, 0))
+    # so the trace at (v, z) is theta(z) times the trace at (v, 0), the
+    # element met first in code order.
+    for y in G.elements:
+        z = y % p
+        if z == 0:
+            trace = rep.trace_product(op1, y)
         # theta(z) is a unit: the trace at (v, 0) alone decides zero.
-        reachable = yi in into_center
-        if reachable != (not v_traces[v].is_zero()):
-            support_bad = (y, reachable, (rep.theta(z) * v_traces[v]).serialize())
+        reachable = y in into_center
+        if reachable != (not trace.is_zero()):
+            support_bad = (group.decode(y), reachable, (rep.theta(z) * trace).serialize())
             break
     checks.append(
         counterexample_check(
@@ -720,9 +735,10 @@ def torus_action_consequences(group: ExtraspecialGroup, action: TorusAction):
     chi_bad = None
     for j in range(d):
         for v in action.fixed_vectors(j):
-            comm = group.mul_key(action.act_key((v, 0), j), group.inv_key((v, 0)))
-            if comm[0] != space.zero or comm[1] != 0:
-                chi_bad = (j, v, comm)
+            g = group.encode((v, 0))
+            comm = group.mul_key(action.act_key(g, j), group.inv_key(g))
+            if comm != group.id_key:
+                chi_bad = (j, v, group.decode(comm))
                 break
         if chi_bad:
             break
@@ -765,7 +781,7 @@ def torus_action_consequences(group: ExtraspecialGroup, action: TorusAction):
         for orbit in orbits(G, _twisted_moves(G, action, j), seeds=center):
             hits = sorted(set(orbit).intersection(center))
             if len(hits) > 1:
-                sep_bad = ((G.key(hits[0]), j), (G.key(hits[1]), j))
+                sep_bad = ((group.decode(hits[0]), j), (group.decode(hits[1]), j))
                 break
         if sep_bad:
             break

@@ -305,6 +305,28 @@ class TestHeis:
         assert "a = 2 is not supported" in err
         assert "Traceback" not in err and "KeyError" not in err
 
+    @pytest.mark.parametrize("p,order", [(4093, 68568592357), (23, 12167)])
+    def test_group_over_the_size_bound_is_usage_error(self, p, order, monkeypatch, capsys):
+        # Refused before any field or group is built.
+        def unreachable(*args):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(cli, "torus_realization", unreachable)
+        code, out, err = run(["heis", "--p", str(p), "--d", "2", "--realization", "split"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: Heis order %d exceeds size bound 10000\n" % order
+
+    def test_size_bound_follows_the_environment(self, monkeypatch, capsys):
+        argv = ["heis", "--p", "5", "--d", "4", "--realization", "split"]
+        monkeypatch.setenv("BASECHANGE_MAX_GROUP", "100")
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: Heis order 125 exceeds size bound 100\n"
+        monkeypatch.setenv("BASECHANGE_MAX_GROUP", "125")
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and "epsilon = 1" in out
+
 
 _OUT_COMMANDS = {
     "chartable": ["chartable", "sl2", "--q", "3"],

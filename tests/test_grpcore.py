@@ -20,6 +20,7 @@ from basechange.grpcore import (
     _hessenberg,
     _hessenberg_charpoly,
     _lift_table as lift_table,
+    _nullspace,
     _require_subgroup,
     character_table,
     conjugacy_classes,
@@ -670,6 +671,25 @@ class TestExport:
         assert len(data["irreducibles"]) == 4
         assert all(len(row) == 4 for row in data["irreducibles"])
 
+    @pytest.mark.parametrize("family,k", [("sl2", 9), ("gl2", 24), ("u2", 36)])
+    def test_each_value_is_serialized_once(self, family, k, spec_q5, monkeypatch):
+        # A row's sort key is its export text: k² serializations for a table
+        # built and exported both ways, 1,953 for the three families at q = 5.
+        calls = 0
+        serialize = Cyclotomic.serialize
+
+        def counted(self):
+            nonlocal calls
+            calls += 1
+            return serialize(self)
+
+        group = oracle_group(family, spec_q5)
+        monkeypatch.setattr(Cyclotomic, "serialize", counted)
+        table = character_table(group)
+        table_to_csv(group, table)
+        table_to_json(group, table)
+        assert calls == k * k
+
 
 # -- the oracle's linear algebra over F_r -------------------------------
 
@@ -720,3 +740,35 @@ class TestOracleLinearAlgebra:
             ]
             value = sum(c * pow(lam, e, R) for e, c in enumerate(poly)) % R
             assert value == det_mod(shifted, R)
+
+    @given(square_matrices(), st.sampled_from([3, 7, R]))
+    @settings(max_examples=80, deadline=None)
+    def test_nullspace_matches_stepwise_reduction(self, m, r):
+        # Reference: Gauss-Jordan that reduces every entry at every step.
+        n = len(m)
+        a = [[x % r for x in row] for row in m]
+        pivots, prow = [], 0
+        for col in range(n):
+            piv = next((i for i in range(prow, n) if a[i][col]), None)
+            if piv is None:
+                continue
+            a[prow], a[piv] = a[piv], a[prow]
+            inv = pow(a[prow][col], r - 2, r)
+            a[prow] = [x * inv % r for x in a[prow]]
+            for i in range(n):
+                if i != prow and a[i][col]:
+                    c = a[i][col]
+                    a[i] = [(x - c * y) % r for x, y in zip(a[i], a[prow])]
+            pivots.append(col)
+            prow += 1
+        free = [c for c in range(n) if c not in pivots]
+        basis = []
+        for f in free:
+            vec = [0] * n
+            vec[f] = 1
+            for i, col in enumerate(pivots):
+                vec[col] = -a[i][f] % r
+            basis.append(vec)
+        assert _nullspace(m, r) == (basis, free)
+        for vec in basis:
+            assert all(sum(x * y for x, y in zip(row, vec)) % r == 0 for row in m)

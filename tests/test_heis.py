@@ -1,6 +1,8 @@
 """Extraspecial groups, torus actions, Heisenberg representations and their
 extensions: frozen expected values plus structural property checks."""
 
+from itertools import product
+
 import pytest
 
 from basechange import heis
@@ -102,7 +104,8 @@ class TestExtraspecialGroup:
         sp = G.space
         for g in G.group.elements:
             for h in G.group.elements:
-                assert G.commutator_key(g, h) == (sp.zero, sp.pairing(g[0], h[0]))
+                comm = G.decode(G.commutator_key(g, h))
+                assert comm == (sp.zero, sp.pairing(G.decode(g)[0], G.decode(h)[0]))
 
     def test_exponent_p(self):
         G = extraspecial_group(5, 1)
@@ -169,7 +172,7 @@ class TestHeisRep:
         rep = heisenberg_rep(3, 1)
         zero_v = rep.group.space.zero
         for z in range(3):
-            m = rep.matrix((zero_v, z))
+            m = rep.matrix(rep.group.encode((zero_v, z)))
             for i in range(rep.dim):
                 for j in range(rep.dim):
                     expected = rep.theta(z) if i == j else 0
@@ -191,8 +194,8 @@ class TestHeisRep:
 
     def test_trace_product_matches_dense_trace(self):
         rep = heisenberg_rep(3, 1)
-        dense = rep.matrix(((1, 2), 1))
-        for key in ((0, 0), 0), ((1, 0), 2), ((2, 1), 0):
+        dense = rep.matrix(rep.group.encode(((1, 2), 1)))
+        for key in map(rep.group.encode, [((0, 0), 0), ((1, 0), 2), ((2, 1), 0)]):
             prod_trace = rep.trace_product(dense, key)
             m = rep.matrix(key)
             direct = sum(
@@ -419,7 +422,8 @@ class TestGeneratingSetCertificates:
         sp = G.space
         for g in G.group.elements:
             for h in G.group.elements:
-                assert G.commutator_key(g, h) == (sp.zero, sp.pairing(g[0], h[0]))
+                comm = G.decode(G.commutator_key(g, h))
+                assert comm == (sp.zero, sp.pairing(G.decode(g)[0], G.decode(h)[0]))
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_homomorphism_on_all_pairs(self, p):
@@ -432,9 +436,10 @@ class TestGeneratingSetCertificates:
     @pytest.mark.parametrize("p,a", [(3, 1), (3, 2), (7, 1)])
     def test_monomials_are_integer_data(self, p, a):
         rep = heisenberg_rep(p, a)
-        for x, exps in rep._mono.values():
-            assert len(x) == a and len(exps) == rep.dim
-            assert all(type(e) is int and 0 <= e < p for e in x + exps)
+        assert len(rep._mono) == rep.group.group.order
+        for x, exps in rep._mono:
+            assert type(x) is int and 0 <= x < p**a and len(exps) == rep.dim
+            assert all(type(e) is int and 0 <= e < p for e in exps)
 
     def test_homomorphism_certificate_does_no_cyclotomic_arithmetic(self, monkeypatch):
         rep = heisenberg_rep(5, 1)
@@ -466,7 +471,7 @@ class TestGeneratingSetCertificates:
 
     def test_perturbed_phase_breaks_the_homomorphism_at_p3(self):
         G = extraspecial_group(3, 1)
-        targets = [k for k in G.group.elements if k[0][0] != 0]
+        targets = [k for k in G.group.elements if G.decode(k)[0][0] != 0]
         assert len(targets) == 18
         for key in targets:
             with pytest.raises(AssertionError, match="not a homomorphism"):
@@ -476,7 +481,7 @@ class TestGeneratingSetCertificates:
     def test_perturbed_phase_breaks_the_homomorphism_at_p7(self, key):
         G = extraspecial_group(7, 1)
         with pytest.raises(AssertionError, match="not a homomorphism"):
-            PerturbedRep(G, key, 3)
+            PerturbedRep(G, G.encode(key), 3)
 
     @pytest.mark.parametrize("p,d", [(3, 4), (5, 6), (7, 8)])
     def test_perturbed_intertwiner_is_rejected(self, p, d):
@@ -516,6 +521,18 @@ class TestGeneratingSetCertificates:
 
 
 class TestExtensionStorage:
+    @pytest.mark.parametrize("diagonal", [(1, 2, 3), (1, 1, 0)], ids=["non-scalar", "singular"])
+    def test_a_non_scalar_power_is_refused(self, diagonal, monkeypatch):
+        # A stand-in intertwiner whose 4th power is not a nonzero scalar.
+        A = tuple(
+            tuple(Cyclotomic.rational(diagonal[i] if i == j else 0) for j in range(3))
+            for i in range(3)
+        )
+        monkeypatch.setattr(heis, "intertwiner", lambda rep, action: A)
+        monkeypatch.setattr(heis, "_verify_intertwines", lambda rep, action, A: True)
+        with pytest.raises(AssertionError, match="A\\^d is not a nonzero scalar"):
+            extend(heisenberg_rep(3, 1), torus_realization(3, 4, "nonsplit"))
+
     def test_extensions_share_the_normalized_powers(self):
         exts = extend(heisenberg_rep(3, 1), torus_realization(3, 4, "nonsplit"))
         assert all(e.lam is exts[0].lam for e in exts)
@@ -537,7 +554,7 @@ class TestExtensionStorage:
                 acc = ZERO
                 for j in range(d):
                     for z in range(p):
-                        tr = rep.trace_product(ext.op(j), (zero_v, z))
+                        tr = rep.trace_product(ext.op(j), rep.group.encode((zero_v, z)))
                         acc = acc + tr * (root_of_unity(d, c * j) * rep.theta(z)).conj()
                 full[c] = (acc / (d * p)).as_integer()
             assert multiplicities(ext) == full
@@ -550,9 +567,10 @@ class TestCosetTraces:
         # theta(z) tr(op eta(v, 0)), against trace_product on every element.
         rep = heisenberg_rep(p, a)
         op1 = extend(rep, torus_realization(p, d, realization))[0].op(1)
-        for v, z in rep.group.group.elements:
-            scaled = rep.theta(z) * rep.trace_product(op1, (v, 0))
-            assert scaled == rep.trace_product(op1, (v, z))
+        encode = rep.group.encode
+        for v, z in map(rep.group.decode, rep.group.group.elements):
+            scaled = rep.theta(z) * rep.trace_product(op1, encode((v, 0)))
+            assert scaled == rep.trace_product(op1, encode((v, z)))
 
     def test_support_check_takes_one_trace_per_vector(self, monkeypatch):
         p, a = 5, 1
@@ -567,3 +585,123 @@ class TestCosetTraces:
         monkeypatch.setattr(HeisRep, "trace_product", counted)
         assert lemma_H_verify(p, a, 6, "nonsplit").passed
         assert calls == p ** (2 * a)
+
+
+# -- integer codes ---------------------------------------------------------
+
+
+def tuple_mul(sp, g, h):
+    """The group law on (v, z) tuples, written from its definition."""
+    (v, z), (w, y) = g, h
+    return (sp.add(v, w), (z + y + (sp.p + 1) // 2 * sp.pairing(v, w)) % sp.p)
+
+
+CODE_CASES = [(3, 1), (3, 2), (5, 1)]
+
+
+class TestCodes:
+    """The codes against the tuples they stand for, by brute force."""
+
+    @pytest.mark.parametrize("p,a", CODE_CASES)
+    def test_code_order_is_sorted_tuple_order(self, p, a):
+        G = extraspecial_group(p, a)
+        sp = G.space
+        keys = sorted((v, z) for v in product(range(p), repeat=2 * a) for z in range(p))
+        assert list(G.group.elements) == list(range(p ** (2 * a + 1)))
+        assert [G.decode(c) for c in G.group.elements] == keys
+        assert [G.encode(k) for k in keys] == list(G.group.elements)
+        assert [sp.code(v) for v in sp.vectors()] == list(range(p ** (2 * a)))
+
+    @pytest.mark.parametrize("p,a", CODE_CASES)
+    def test_product_and_inverse_follow_the_tuple_law(self, p, a):
+        G = extraspecial_group(p, a)
+        sp = G.space
+        keys = [G.decode(c) for c in G.group.elements]
+        for g, gk in enumerate(keys):
+            inv = G.decode(G.inv_key(g))
+            assert tuple_mul(sp, gk, inv) == (sp.zero, 0)
+            for h, hk in enumerate(keys):
+                assert G.decode(G.mul_key(g, h)) == tuple_mul(sp, gk, hk)
+
+    @pytest.mark.parametrize("p,a", CODE_CASES)
+    def test_tables_have_p_to_the_2a_entries(self, p, a):
+        sp = extraspecial_group(p, a).space
+        for table in (sp.sums, sp.negs, sp.half_dots):
+            assert len(table) == p ** (2 * a)
+        assert len(heisenberg_rep(p, a)._shifts) == p**a
+
+    @pytest.mark.parametrize("p,a", CODE_CASES)
+    def test_shift_table_is_the_tuple_shift(self, p, a):
+        rep = heisenberg_rep(p, a)
+        points = list(product(range(p), repeat=a))
+        for x, xt in enumerate(points):
+            for u, ut in enumerate(points):
+                assert points[rep._shifts[x][u]] == rep.group.space.add(ut, xt)
+
+    @pytest.mark.parametrize("p,d,realization", [(t[0], t[2], t[3]) for t in TUPLES])
+    def test_torus_permutations_match_apply(self, p, d, realization):
+        action = torus_realization(p, d, realization)
+        sp, E = action.space, extraspecial_group(p, 1)
+        for j in range(-1, d + 1):
+            perm = action.perm(j)
+            assert sorted(perm) == list(range(p * p))
+            for c, v in enumerate(sp.vectors()):
+                assert sp.vectors()[perm[c]] == action.apply(v, j)
+                for z in range(p):
+                    assert E.decode(action.act_key(E.encode((v, z)), j)) == (action.apply(v, j), z)
+
+
+class TestFailingReports:
+    """A forced failure reads as it did on (v, z) tuple keys: the
+    counterexample texts are pinned."""
+
+    @pytest.mark.parametrize(
+        "tup,text",
+        [
+            ((3, 1, 4, "nonsplit"), "(((2, 0), 0), True, 'cyc(3)[0,0]')"),
+            ((5, 1, 4, "split"), "(((1, 1), 0), True, 'cyc(5)[0,0,0,0]')"),
+            ((7, 1, 8, "nonsplit"), "(((0, 6), 0), True, 'cyc(7)[0,0,0,0,0,0]')"),
+        ],
+    )
+    def test_coset_trace_support(self, tup, text, monkeypatch):
+        # The seventh trace taken (one per vector, in code order) reads zero.
+        calls = 0
+        trace_product = HeisRep.trace_product
+
+        def seventh_zero(self, dense, key):
+            nonlocal calls
+            calls += 1
+            return ZERO if calls == 7 else trace_product(self, dense, key)
+
+        monkeypatch.setattr(HeisRep, "trace_product", seventh_zero)
+        check = lemma_H_verify(*tup).checks[-1]
+        assert (check.name, check.status) == ("coset_trace_support", "fail")
+        assert check.counterexample == text
+
+    @pytest.mark.parametrize(
+        "tup,text",
+        [
+            ((3, 1, 4, "nonsplit"), "((((0, 0), 1), 2), (((0, 0), 2), 2))"),
+            ((5, 1, 4, "split"), "((((0, 0), 1), 2), (((0, 0), 4), 2))"),
+            ((7, 1, 8, "nonsplit"), "((((0, 0), 1), 2), (((0, 0), 6), 2))"),
+        ],
+    )
+    def test_torus_center_conjugacy_separated(self, tup, text, monkeypatch):
+        # At the third torus power, the orbits of the central elements 1
+        # and p - 1 are merged.
+        calls = 0
+
+        def merged(G, moves, seeds=None):
+            nonlocal calls
+            calls += 1
+            out = orbits(G, moves, seeds)
+            if calls == 3:
+                return [out[0], tuple(sorted(out[1] + out[-1]))] + out[2:-1]
+            return out
+
+        monkeypatch.setattr(heis, "orbits", merged)
+        p, a, d, realization = tup
+        rpt = torus_action_consequences(extraspecial_group(p, a), torus_realization(p, d, realization))
+        check = rpt.checks[-1]
+        assert (check.name, check.status) == ("torus_center_conjugacy_separated", "fail")
+        assert check.counterexample == text
