@@ -208,8 +208,10 @@ def _cmd_heis(args) -> int:
     # half-rank, the group order p^(2a+1) against the size bound, the torus.
     require_rank_one(args.a)
     _require_size("Heis", args.p ** (2 * args.a + 1))
-    torus_realization(args.p, args.d, args.realization)
-    report = suite_heisenberg(tuples=[(args.p, args.a, args.d, args.realization)])
+    action = torus_realization(args.p, args.d, args.realization)
+    report = suite_heisenberg(
+        tuples=[(args.p, args.a, args.d, args.realization)], actions=[action]
+    )
     _emit(report_to_json(report), args.out)
     return 0 if report.passed else 1
 

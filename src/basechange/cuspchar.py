@@ -6,13 +6,20 @@ Conventions: the base field k0 = GF(q) with q an odd prime, the quadratic
 extension l = GF(q^2), gamma the nontrivial automorphism of l/k0, l1 the
 norm-one subgroup.  Values not forced by a formula are 0 on split regular
 classes; U2 values off the torus are read from the oracle, never guessed.
+
+Exponent form: every formula value is (q-1)zeta_n^e, -zeta_n^e or
+-(zeta_n^a + zeta_n^b), with n the order of the parameter's values and
+integer exponents read from discrete logarithms.  ``cyclo.root_sum`` builds
+each from (n, coefficient, exponents), one shared object per distinct value,
+so no formula does Cyclotomic arithmetic per class, and every value keeps
+order n.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .cyclo import ZERO, Cyclotomic, conductor, root_of_unity
+from .cyclo import ZERO, Cyclotomic, conductor, root_sum
 from .ffield import MultChar, NormOneChar, make_field, norm_one_subgroup
 from .grpcore import ClassFunction, character_table, conjugacy_classes
 from .rankone import (
@@ -228,14 +235,15 @@ def _cuspidal_values(ctx: _Context, omega, elliptic) -> list[Cyclotomic]:
     """Values of the rank-one cuspidal shape on ctx's classes:
     (q-1)omega(z) on the central class of z, -omega(z) on every listed
     unipotent class z*n(b), elliptic(x) at one point x of each elliptic
-    class, and 0 on split regular classes."""
+    class, and 0 on split regular classes.  The omega values are built
+    from omega's exponents by ``root_sum``, at omega's order n."""
     emb = ctx.l.embedding(ctx.k0)
     values: list[Cyclotomic] = [ZERO] * len(ctx.classes)
-    qm1 = ctx.q - 1
+    n, qm1 = omega.n, ctx.q - 1
     for z, ci in ctx.central.items():
-        values[ci] = qm1 * omega(emb[z])
+        values[ci] = root_sum(n, qm1, (omega.exponent(emb[z]),))
     for (z, _b), ci in ctx.unipotent.items():
-        values[ci] = -omega(emb[z])
+        values[ci] = root_sum(n, -1, (omega.exponent(emb[z]),))
     for ci, x in ctx.elliptic_reps.items():
         values[ci] = elliptic(x)
     return values
@@ -248,7 +256,7 @@ def _q_power(L, x: int) -> int:
 
 def _orbit_sum(chi, L):
     """x -> -(chi(x) + chi(x^q)), the elliptic value of a cuspidal."""
-    return lambda x: -(chi(x) + chi(_q_power(L, x)))
+    return lambda x: root_sum(chi.n, -1, (chi.exponent(x), chi.exponent(_q_power(L, x))))
 
 
 # -- SL2 --------------------------------------------------------------
@@ -310,9 +318,9 @@ def _u2_torus_values(ctx: _U2Context, theta1, theta2) -> dict[int, Cyclotomic]:
     e1, e2 = theta1.exponent, theta2.exponent
     for (u1, u2), ci in ctx.torus_class.items():
         if u1 == u2:
-            val = qm1 * root_of_unity(n, e1(u1) + e2(u1))
+            val = root_sum(n, qm1, (e1(u1) + e2(u1),))
         else:
-            val = -(root_of_unity(n, e1(u1) + e2(u2)) + root_of_unity(n, e1(u2) + e2(u1)))
+            val = root_sum(n, -1, (e1(u1) + e2(u2), e1(u2) + e2(u1)))
         if ci in values:
             if values[ci] != val:
                 raise AssertionError("inconsistent torus values on one class")
@@ -355,17 +363,16 @@ def canonical_gamma_rep(theta_tilde: MultChar) -> MultChar:
 
 
 def _sigma0_values(ctx: _GL2Context, theta1, theta2, omega: MultChar) -> list[Cyclotomic]:
-    # Elliptic values in exponent form over N = q^2 - 1, where
-    # theta(x) = zeta_{q+1}^e = zeta_N^((q-1)e).
-    L, N, qm1 = ctx.l, ctx.l.q - 1, ctx.q - 1
+    # Elliptic values in exponent form over N = q^2 - 1.  At x = g^d,
+    # Omega(x^q) = zeta_N^(tqd), and x^(1-q) = u^(-d) for the norm-one
+    # generator u = g^(q-1), so theta_i(x^(1-q)) = zeta_(q+1)^(-s_i d)
+    # = zeta_N^(-(q-1) s_i d).
+    q, dlog = ctx.q, ctx.l.dlog
+    f1, f2 = omega.t * q - (q - 1) * theta1.s, omega.t * q - (q - 1) * theta2.s
 
     def elliptic(x):
-        a = omega.exponent(_q_power(L, x))
-        xn = L.pow(x, -qm1)
-        return -(
-            root_of_unity(N, a + qm1 * theta1.exponent(xn))
-            + root_of_unity(N, a + qm1 * theta2.exponent(xn))
-        )
+        d = dlog(x)
+        return root_sum(omega.n, -1, (f1 * d, f2 * d))
 
     return _cuspidal_values(ctx, omega, elliptic)
 

@@ -19,6 +19,15 @@ i * m / o of one integer histogram of length m, the lcm of the orders
 involved, so the whole sum pays one common denominator and one reduction
 mod Phi_m instead of one per product and one per addition.  The result
 has order m, as the same sum taken term by term from ``ZERO`` would.
+Each value lists its nonzero terms once, on first use, so a value shared
+by many sums is scanned once.
+
+Exponent form.  Character formulas know most values as c * (zeta_n^a +
+zeta_n^b + ...) with integer exponents.  ``root_sum`` builds such a value
+from (n, c, exponents) with one histogram and one reduction, and keeps one
+shared object per distinct value, so a formula evaluated on many classes
+does no Cyclotomic arithmetic at all.  The result has order n, as
+c * (root_of_unity(n, a) + ...) has.
 """
 
 from __future__ import annotations
@@ -129,7 +138,7 @@ def _normalize(den: int, num: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 class Cyclotomic:
     """An element of Q(zeta_n) in the power basis 1, zeta, ..., zeta^(phi(n)-1)."""
 
-    __slots__ = ("_n", "_den", "_num")
+    __slots__ = ("_n", "_den", "_num", "_terms")
     __hash__ = None  # cross-order equality makes hashing a trap
 
     def __init__(self, n: int, den: int, num: tuple[int, ...]):
@@ -164,6 +173,15 @@ class Cyclotomic:
     @property
     def order(self) -> int:
         return self._n
+
+    def _nonzero(self) -> tuple[tuple[int, int], ...]:
+        # (i, c) for each nonzero coefficient, listed on first use: shared
+        # values pay for it once across every dot they enter.
+        try:
+            return self._terms
+        except AttributeError:
+            self._terms = tuple((i, c) for i, c in enumerate(self._num) if c)
+            return self._terms
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self._num)
@@ -373,6 +391,24 @@ def _root(n: int, k: int) -> Cyclotomic:
     return Cyclotomic(n, 1, _reduce_dense(n, dense))
 
 
+def root_sum(n: int, coeff: int, exponents) -> Cyclotomic:
+    """coeff * (zeta_n^e1 + zeta_n^e2 + ...) as an element of Q(zeta_n), for
+    an integer coeff and integer exponents: the exponents are accumulated
+    as one histogram at n and reduced once.  One shared object per (n,
+    coeff, multiset of exponents mod n)."""
+    if n < 1:
+        raise ValueError("order must be a positive integer")
+    return _root_sum(n, coeff, tuple(sorted([e % n for e in exponents])))
+
+
+@lru_cache(maxsize=None)
+def _root_sum(n: int, coeff: int, exponents: tuple[int, ...]) -> Cyclotomic:
+    hist = [0] * n
+    for e in exponents:
+        hist[e] += coeff
+    return Cyclotomic(n, 1, _reduce_dense(n, hist))
+
+
 def conductor(values) -> int:
     """The lcm of the orders of values (1 for none)."""
     return lcm(*{v._n for v in values})
@@ -397,13 +433,12 @@ def dot(xs, ys, weights=None, conj: bool = False, den: int = 1) -> Cyclotomic:
         sx = m // x._n
         sy = -(m // y._n) if conj else m // y._n
         scale = w * (common // (x._den * y._den))
-        terms = [(j * sy, c) for j, c in enumerate(y._num) if c]
-        for i, a in enumerate(x._num):
-            if a:
-                a *= scale
-                base = i * sx
-                for e, c in terms:
-                    hist[(base + e) % m] += a * c
+        terms = y._nonzero()
+        for i, a in x._nonzero():
+            a *= scale
+            base = i * sx
+            for j, c in terms:
+                hist[(base + j * sy) % m] += a * c
     return Cyclotomic(m, common * den, _reduce_dense(m, hist))
 
 

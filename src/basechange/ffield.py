@@ -421,20 +421,22 @@ def norm_one_subgroup(field: FField, sub: FField) -> list[int]:
 
 
 class MultChar:
-    """Character of GF(p^k)^x: chi(g^j) = zeta_{q-1}^{t j} on the fixed generator g."""
+    """Character of GF(p^k)^x: chi(g^j) = zeta_{q-1}^{t j} on the fixed generator g.
+    Its values are n-th roots of unity, n = q - 1."""
 
     def __init__(self, field: FField, t: int):
         self.field = field
-        self.t = t % (field.q - 1)
+        self.n = field.q - 1
+        self.t = t % self.n
 
     def exponent(self, x: int) -> int:
         """e with chi(x) = zeta_{q-1}^e, reduced mod q-1."""
         if x == self.field.zero:
             raise ValueError("character undefined at zero")
-        return self.t * self.field.dlog(x) % (self.field.q - 1)
+        return self.t * self.field.dlog(x) % self.n
 
     def __call__(self, x: int) -> Cyclotomic:
-        return root_of_unity(self.field.q - 1, self.exponent(x))
+        return root_of_unity(self.n, self.exponent(x))
 
     def __eq__(self, other):
         return (
@@ -480,13 +482,15 @@ class MultChar:
 
 class NormOneChar:
     """Character of the norm-one subgroup of a quadratic pair, on the fixed
-    generator u = g^(q-1): theta(u^m) = zeta_{q+1}^{s m}."""
+    generator u = g^(q-1): theta(u^m) = zeta_{q+1}^{s m}.  Its values are
+    n-th roots of unity, n = q + 1."""
 
     def __init__(self, field: FField, sub: FField, s: int):
         _require_quadratic(field, sub)
         self.field = field
         self.sub = sub
-        self.s = s % (sub.q + 1)
+        self.n = sub.q + 1
+        self.s = s % self.n
 
     def _log_u(self, x: int) -> int:
         d = self.field.dlog(x)
@@ -497,10 +501,10 @@ class NormOneChar:
 
     def exponent(self, x: int) -> int:
         """e with theta(x) = zeta_{q+1}^e, reduced mod q+1."""
-        return self.s * self._log_u(x) % (self.sub.q + 1)
+        return self.s * self._log_u(x) % self.n
 
     def __call__(self, x: int) -> Cyclotomic:
-        return root_of_unity(self.sub.q + 1, self.exponent(x))
+        return root_of_unity(self.n, self.exponent(x))
 
     def __eq__(self, other):
         return (

@@ -568,9 +568,11 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
     roots as gcd(x^r - x, f) split by Cantor-Zassenhaus equal-degree
     factorisation.  The values are then lifted exactly through
     root-of-unity multiplicity sums, once per rational class (a Galois
-    orbit of classes under power maps), and every lifted value is certified
-    against its eigenvector mod r.  Randomness comes from a fixed seed;
-    the rows are sorted by (degree, serialized values).
+    orbit of classes under power maps).  Each distinct value, fixed by its
+    order and multiplicities, is reduced, imaged mod r and serialized once;
+    every class's image is certified against its eigenvector mod r.
+    Randomness comes from a fixed seed; the rows are sorted by (degree,
+    serialized values).
     """
     bound = max_group_order()
     n = group.order
@@ -619,6 +621,11 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
             for e in range(1, o + 1):
                 if gcd(e, o) == 1:
                     spread.setdefault(classes.power_class(l0, e), (l0, o, pow(e, -1, o)))
+    # A lifted value is fixed by its order o and multiplicities, which are
+    # reduced once per distinct pair; each distinct value is then built,
+    # imaged mod r and serialized once, and shared by every class and row.
+    by_mults: dict[tuple, tuple[Cyclotomic, int, str]] = {}
+    by_value: dict[tuple, tuple[Cyclotomic, int, str]] = {}
     chars, mod_values = [], []
     ident = classes.class_of[group.id]
     for (w,), _ in spaces:
@@ -643,15 +650,28 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
                 raise AssertionError("eigenvalue multiplicity lift out of range")
             if sum(m) != deg:
                 raise AssertionError("eigenvalue multiplicities do not sum to degree")
-        values = []
+        row = []
         for l in range(k):
             # sum_j m_j zeta_o^(je), with f = 1/e mod o, reduced mod Phi_o.
             l0, o, f = spread[l]
-            dense = [mults[l0][i * f % o] for i in range(o)]
-            values.append(Cyclotomic(o, 1, _reduce_dense(o, dense)))
-        chars.append((deg, ClassFunction(classes, values)))
+            m = mults[l0]
+            dense = [m[i * f % o] for i in range(o)]
+            mkey = (o, *dense)
+            entry = by_mults.get(mkey)
+            if entry is None:
+                vkey = (o, _reduce_dense(o, dense))
+                entry = by_value.get(vkey)
+                if entry is None:
+                    v = Cyclotomic(o, 1, vkey[1])
+                    entry = by_value[vkey] = (v, _cyclotomic_mod(v, exponent, zgen, r), v.serialize())
+                by_mults[mkey] = entry
+            row.append(entry)
+        values, images, texts = zip(*row)
+        cf = ClassFunction(classes, values)
+        cf._text = texts
+        chars.append((deg, cf))
         # Every lifted value's image mod r is the eigenvector's.
-        mod_values.append([_cyclotomic_mod(v, exponent, zgen, r) for v in values])
+        mod_values.append(list(images))
         if mod_values[-1] != modular:
             raise AssertionError("lifted value disagrees with its eigenvector mod r")
 

@@ -605,15 +605,17 @@ def require_rank_one(a: int):
         )
 
 
-def lemma_H_verify(p: int, a: int, d: int, realization: str):
+def lemma_H_verify(p: int, a: int, d: int, realization: str, action: TorusAction | None = None):
     """Build the (p, a) extraspecial group, the requested order-d torus
-    realization, all d extensions, and check: each extension's traces on
-    nontrivial torus powers equal epsilon times a single torus character
-    (epsilon = -1 iff d | p^a + 1), traces have squared modulus 1, the
-    multiplicity multisets match the closed form, and coset traces are
-    supported exactly on elements conjugate into the center."""
+    realization (unless the caller passes it as action), all d extensions,
+    and check: each extension's traces on nontrivial torus powers equal
+    epsilon times a single torus character (epsilon = -1 iff d | p^a + 1),
+    traces have squared modulus 1, the multiplicity multisets match the
+    closed form, and coset traces are supported exactly on elements
+    conjugate into the center."""
     require_rank_one(a)
-    action = torus_realization(p, d, realization)
+    if action is None:
+        action = torus_realization(p, d, realization)
     rep = heisenberg_rep(p, a)
     group = rep.group
     exts = extend(rep, action)

@@ -20,6 +20,7 @@ from .grpcore import (
 )
 from .rankone import (
     UnitarySpec,
+    _require_size,
     build_gl2,
     build_u2,
     mat_mul,
@@ -40,6 +41,7 @@ from .cuspchar import (
 from .heis import (
     extraspecial_group,
     lemma_H_verify,
+    require_rank_one,
     torus_action_consequences,
     torus_realization,
 )
@@ -475,35 +477,42 @@ DEFAULT_HEIS_TUPLES = (
 )
 
 
-def _run_heis_tuple(tup) -> list[Check]:
+def _run_heis_tuple(tup, action=None) -> list[Check]:
+    """The tuple's checks under a "p.._a.._d.._realization:" prefix, or one
+    skipped check when its group exceeds the size bound (nothing is built)
+    or its torus is impossible.  One torus serves both sub-reports.  The
+    half-rank is checked first, so p^(2a+1) is formed only at a = 1."""
     p, a, d, realization = tup
     prefix = "p%d_a%d_d%d_%s" % (p, a, d, realization)
+    require_rank_one(a)
     try:
-        action = torus_realization(p, d, realization)
+        _require_size("Heis", p ** (2 * a + 1))
     except ValueError as e:
-        return [
-            Check(
-                name="%s:realization" % prefix,
-                status="skipped",
-                details=str(e),
-            )
-        ]
+        return [Check(name="%s:size" % prefix, status="skipped", details=str(e))]
+    if action is None:
+        try:
+            action = torus_realization(p, d, realization)
+        except ValueError as e:
+            return [Check(name="%s:realization" % prefix, status="skipped", details=str(e))]
     subs = (
-        lemma_H_verify(p, a, d, realization),
+        lemma_H_verify(p, a, d, realization, action),
         torus_action_consequences(extraspecial_group(p, a), action),
     )
     checks = [c for sub in subs for c in sub.checks]
     return [Check(prefix + ":" + c.name, c.status, c.details, c.counterexample) for c in checks]
 
 
-def suite_heisenberg(tuples=None) -> Report:
+def suite_heisenberg(tuples=None, actions=None) -> Report:
     """Aggregate the extraspecial-group checks (trace sign law, multiplicity
     multisets, coset support, action consequences) over a list of
-    (p, a, d, realization) tuples, run one after another."""
+    (p, a, d, realization) tuples, run one after another.  actions, when
+    given, holds each tuple's TorusAction, already built by the caller."""
     if tuples is None:
         tuples = DEFAULT_HEIS_TUPLES
     tuples = [tuple(t) for t in tuples]
-    checks = [c for t in tuples for c in _run_heis_tuple(t)]
+    if actions is None:
+        actions = [None] * len(tuples)
+    checks = [c for t, action in zip(tuples, actions) for c in _run_heis_tuple(t, action)]
     return Report(
         suite="heisenberg",
         params={"tuples": [list(t) for t in tuples]},

@@ -90,8 +90,12 @@ SEED_Q5_JSON_SHA256 = {
 # reports built on the cuspidal formulas, as recorded for the benchmark at
 # the seed; a reordered class list or a changed formula value changes them.
 # The q = 7 tables pin the oracle's eigenspace splitting, and the two larger
-# heis runs the monomial phases and the extension traces.
+# heis runs the monomial phases and the extension traces.  The q = 5
+# cuspidal exports pin the formulas' values and the orders they are stored at.
 REPORT_SHA256 = {
+    "cuspidal sl2 --q 5 --format json": "3ae333ecf1f9c8da4adca18c9d8fd2ec67a41b31c29ea0c34dc65af4720f1d6f",
+    "cuspidal gl2 --q 5 --format json": "3978388ee985416d6a4e845ab138678c8be072ffd988e36322181a17f69c797c",
+    "cuspidal u2 --q 5 --format json": "34667f18c49b12620e404a7f758080a0939e48459ff731784efe6aa8d759f6f5",
     "verify endoscopic --q 5": "732505976781d00f15ddab0c4c3f940f78a413766b5225a7480d8b174d0c7ada",
     "verify level0 --q 7": "3b2074d03357026ce6e97c5cb8c5a53792e5c357c5cb70071a30b3e7e6fbcec5",
     "verify normbij --q 3": "2bacc7cc04b2182532638e2883c47ff29724040bbd2fd6f0f45daa290ba74cf4",
@@ -266,6 +270,23 @@ class TestVerify:
         assert out1 == out2
 
 
+def count_torus_builds(monkeypatch) -> list:
+    """Record every torus_realization call the CLI, the suite and the
+    lemma make."""
+    from basechange import heis, verify
+
+    calls = []
+    real = heis.torus_realization
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (cli, verify, heis):
+        monkeypatch.setattr(module, "torus_realization", counted)
+    return calls
+
+
 class TestHeis:
     def test_reports_negative_epsilon(self, capsys):
         code, out, _ = run(
@@ -316,6 +337,28 @@ class TestHeis:
         assert code == 2
         assert out == ""
         assert err == "error: Heis order %d exceeds size bound 10000\n" % order
+
+    def test_builds_its_torus_once(self, monkeypatch, capsys):
+        calls = count_torus_builds(monkeypatch)
+        code, _, _ = run(["heis", "--p", "7", "--d", "8", "--realization", "nonsplit"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_verify_heis_skips_tuples_over_the_size_bound(self, monkeypatch, capsys):
+        monkeypatch.setenv("BASECHANGE_MAX_GROUP", "100")
+        calls = count_torus_builds(monkeypatch)
+        code, out, _ = run(["verify", "heis"], capsys)
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        skipped = [c for c in checks if c["status"] == "skipped"]
+        assert [(c["name"], c["details"]) for c in skipped] == [
+            ("p5_a1_d4_split:size", "Heis order 125 exceeds size bound 100"),
+            ("p5_a1_d6_nonsplit:size", "Heis order 125 exceeds size bound 100"),
+            ("p7_a1_d8_nonsplit:size", "Heis order 343 exceeds size bound 100"),
+        ]
+        assert len(checks) == 2 * 8 + 3
+        assert all(c["name"].startswith("p3_") for c in checks if c["status"] == "pass")
+        assert [call[0] for call in calls] == [3, 3]
 
     def test_size_bound_follows_the_environment(self, monkeypatch, capsys):
         argv = ["heis", "--p", "5", "--d", "4", "--realization", "split"]

@@ -8,7 +8,7 @@ oracle once and pinning the result; class order is the deterministic
 import pytest
 
 from basechange import cuspchar
-from basechange.cyclo import Cyclotomic
+from basechange.cyclo import ZERO, Cyclotomic, root_of_unity
 from basechange.cuspchar import (
     FAMILIES,
     _sl2_values,
@@ -434,6 +434,104 @@ class TestIndexAgainstScan:
 
             m.setattr(cuspchar, "_u2_torus_values", promoted)
             assert u2_cuspidal(th1, th2) is row
+
+
+# Term-by-term references: the formulas as Cyclotomic sums and products of
+# root_of_unity values, one operation per term, as they were written before
+# the values were built from exponents.
+
+
+def reference_cuspidal_values(ctx, omega, elliptic):
+    emb = ctx.l.embedding(ctx.k0)
+    values = [ZERO] * len(ctx.classes)
+    for z, ci in ctx.central.items():
+        values[ci] = (ctx.q - 1) * omega(emb[z])
+    for (z, _b), ci in ctx.unipotent.items():
+        values[ci] = -omega(emb[z])
+    for ci, x in ctx.elliptic_reps.items():
+        values[ci] = elliptic(x)
+    return values
+
+
+def reference_orbit_sum(chi, L):
+    return lambda x: -(chi(x) + chi(L.frobenius(x, L.k // 2)))
+
+
+def reference_sigma0_values(ctx, theta1, theta2, omega):
+    L, N, qm1 = ctx.l, ctx.l.q - 1, ctx.q - 1
+
+    def elliptic(x):
+        a = omega.exponent(L.frobenius(x, L.k // 2))
+        xn = L.pow(x, -qm1)
+        return -(
+            root_of_unity(N, a + qm1 * theta1.exponent(xn))
+            + root_of_unity(N, a + qm1 * theta2.exponent(xn))
+        )
+
+    return reference_cuspidal_values(ctx, omega, elliptic)
+
+
+def reference_u2_torus_values(ctx, theta1, theta2):
+    values = {}
+    qm1, n = ctx.q - 1, ctx.q + 1
+    e1, e2 = theta1.exponent, theta2.exponent
+    for (u1, u2), ci in ctx.torus_class.items():
+        if u1 == u2:
+            values[ci] = qm1 * root_of_unity(n, e1(u1) + e2(u1))
+        else:
+            values[ci] = -(root_of_unity(n, e1(u1) + e2(u2)) + root_of_unity(n, e1(u2) + e2(u1)))
+    return values
+
+
+def assert_same_values(built, reference):
+    # Equal as numbers, and stored at the same orders: the texts agree.
+    assert len(built) == len(reference)
+    assert all(a == b for a, b in zip(built, reference))
+    assert [v.serialize() for v in built] == [v.serialize() for v in reference]
+
+
+class TestExponentForm:
+    """The exponent-form formulas against the term-by-term references, at
+    every parameter."""
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_sigma0_values(self, q):
+        ctx = gl2_context(q)
+        L = ctx.l
+        for s1, s2 in regular_pairs(q):
+            th1, th2 = norm_one(q, s1), norm_one(q, s2)
+            for j1 in range(q - 1):
+                for j2 in range(q - 1):
+                    omega = MultChar(L, s1 + (q + 1) * j1) * MultChar(L, s2 + (q + 1) * j2)
+                    assert_same_values(
+                        cuspchar._sigma0_values(ctx, th1, th2, omega),
+                        reference_sigma0_values(ctx, th1, th2, omega),
+                    )
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_u2_torus_values(self, q):
+        ctx = u2_context(q)
+        for s1, s2 in regular_pairs(q):
+            th1, th2 = norm_one(q, s1), norm_one(q, s2)
+            built = _u2_torus_values(ctx, th1, th2)
+            reference = reference_u2_torus_values(ctx, th1, th2)
+            assert sorted(built) == sorted(reference)
+            assert_same_values([built[ci] for ci in sorted(built)], [reference[ci] for ci in sorted(built)])
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_gl2_and_sl2_cuspidal_values(self, q):
+        ctx = gl2_context(q)
+        for chi in regular_mult(q):
+            assert_same_values(
+                gl2_cuspidal(chi).values,
+                reference_cuspidal_values(ctx, chi, reference_orbit_sum(chi, ctx.l)),
+            )
+        ctx = sl2_context(q)
+        for theta in regular_norm_one(q):
+            assert_same_values(
+                sl2_cuspidal(theta).values,
+                reference_cuspidal_values(ctx, theta, reference_orbit_sum(theta, ctx.l)),
+            )
 
 
 class TestStandardAccess:

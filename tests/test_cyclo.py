@@ -17,6 +17,7 @@ from basechange.cyclo import (
     euler_phi,
     parse,
     root_of_unity,
+    root_sum,
 )
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 24]
@@ -280,6 +281,43 @@ class TestKeys:
         assert root_of_unity(12, 5) == root_of_unity(12, 5).promote(24)
 
 
+class TestRootSum:
+    @given(
+        st.sampled_from(ORDERS),
+        st.integers(-6, 6),
+        st.lists(st.integers(-50, 50), max_size=4),
+    )
+    @settings(max_examples=150)
+    def test_equals_the_term_by_term_sum(self, n, coeff, exponents):
+        naive = ZERO.promote(n)
+        for e in exponents:
+            naive = naive + root_of_unity(n, e)
+        naive = Cyclotomic.rational(coeff) * naive
+        got = root_sum(n, coeff, exponents)
+        # Same value at the same order n: the serialization is byte-identical.
+        assert got.order == n
+        assert got.serialize() == naive.serialize()
+
+    def test_one_object_per_exponent_multiset(self):
+        assert root_sum(24, -1, (5, 19)) is root_sum(24, -1, [43, -19])
+        assert root_sum(6, 4, (1,)) is not root_sum(6, 4, (1, 1))
+        assert root_sum(6, 4, (1, 1)) == root_sum(6, 8, (1,))
+        assert root_sum(6, 1, (5,)) is not root_of_unity(6, 5)
+        assert root_sum(6, 1, (5,)).serialize() == root_of_unity(6, 5).serialize()
+
+    def test_shapes_of_the_rank_one_formulas(self):
+        # (q-1) zeta^e, -zeta^e and -(zeta^a + zeta^b), here with q = 5.
+        z = root_of_unity(24, 1)
+        assert root_sum(24, 4, (7,)) == 4 * z**7
+        assert root_sum(24, -1, (7,)) == -(z**7)
+        assert root_sum(24, -1, (7, 12)) == -(z**7 + z**12)
+        assert root_sum(24, -1, (0, 12)).is_zero()
+
+    def test_rejects_a_nonpositive_order(self):
+        with pytest.raises(ValueError):
+            root_sum(0, 1, (1,))
+
+
 def naive_dot(xs, ys, weights, conj, den):
     total = ZERO
     for x, y, w in zip(xs, ys, weights):
@@ -324,6 +362,15 @@ class TestDot:
 
     def test_empty_sum_is_a_rational_zero(self):
         assert dot([], []).serialize() == "cyc(1)[0]"
+
+    def test_shared_values_give_the_same_sum_every_time(self):
+        # A value lists its nonzero terms once; reusing it must not change
+        # any later sum.
+        x = root_sum(24, -1, (9, 14))
+        ys = [x, ONE, root_of_unity(8, 3)]
+        first = dot([x, x, x], ys, [1, 2, 3], conj=True, den=5)
+        assert dot([x, x, x], ys, [1, 2, 3], conj=True, den=5).serialize() == first.serialize()
+        assert first.serialize() == naive_dot([x, x, x], ys, [1, 2, 3], True, 5).serialize()
 
     def test_lengths_must_agree(self):
         with pytest.raises(ValueError):

@@ -650,6 +650,51 @@ class TestRationalClassLift:
             character_table(oracle_group(family, spec_q5))
         assert swapped
 
+    @pytest.mark.parametrize("family", ["sl2", "gl2", "u2"])
+    def test_wrong_shared_image_trips_the_certificate(self, family, spec_q5, monkeypatch):
+        # A distinct value's image mod r is made once and shared by every
+        # class that takes the value; a wrong one must still fail the
+        # comparison with the eigenvector.
+        real, wrong = grpcore._cyclotomic_mod, []
+
+        def off_by_one(value, *args):
+            image = real(value, *args)
+            if value.order > 2 and not wrong:
+                wrong.append(value)
+                return image + 1
+            return image
+
+        monkeypatch.setattr(grpcore, "_cyclotomic_mod", off_by_one)
+        with pytest.raises(AssertionError, match="lifted value disagrees with its eigenvector mod r"):
+            character_table(oracle_group(family, spec_q5))
+        assert wrong
+
+    @pytest.mark.parametrize("family,reduced", [("sl2", 50), ("gl2", 135), ("u2", 214)])
+    def test_each_multiplicity_vector_is_reduced_once(self, family, reduced, spec_q5, monkeypatch):
+        # A lifted value is fixed by its class's order o and the eigenvalue
+        # multiplicities of rho(g) there, which in turn are fixed by the
+        # values chi(g^e), e < o: one reduction per distinct such pair.
+        # Different multiplicities can give one value, so this is more than
+        # the number of distinct values.
+        calls = 0
+        real = grpcore._reduce_dense
+
+        def counting(n, dense):
+            nonlocal calls
+            calls += 1
+            return real(n, dense)
+
+        group = oracle_group(family, spec_q5)
+        monkeypatch.setattr(grpcore, "_reduce_dense", counting)
+        table = character_table(group)
+        classes = conjugacy_classes(group)
+        pairs = {
+            (o, tuple(row.serialize()[classes.power_class(l, e)] for e in range(o)))
+            for row in table
+            for l, o in enumerate(classes.rep_orders)
+        }
+        assert calls == len(pairs) == reduced
+
 
 class TestExport:
     def test_csv_shape(self):
@@ -673,8 +718,10 @@ class TestExport:
 
     @pytest.mark.parametrize("family,k", [("sl2", 9), ("gl2", 24), ("u2", 36)])
     def test_each_value_is_serialized_once(self, family, k, spec_q5, monkeypatch):
-        # A row's sort key is its export text: k² serializations for a table
-        # built and exported both ways, 1,953 for the three families at q = 5.
+        # Each distinct value is serialized once, when it is first lifted;
+        # the rows' sort keys and both exports reuse that text: 34, 78 and
+        # 115 of the k² values at q = 5, 227 calls against 1,953.
+        distinct = {"sl2": 34, "gl2": 78, "u2": 115}[family]
         calls = 0
         serialize = Cyclotomic.serialize
 
@@ -688,7 +735,9 @@ class TestExport:
         table = character_table(group)
         table_to_csv(group, table)
         table_to_json(group, table)
-        assert calls == k * k
+        assert len(table) == k
+        assert calls == distinct
+        assert distinct == len({text for row in table for text in row.serialize()})
 
 
 # -- the oracle's linear algebra over F_r -------------------------------

@@ -173,6 +173,41 @@ class TestHeisenbergSuite:
         assert rpt.checks[0].status == "skipped"
         assert "realization impossible" in rpt.checks[0].details
 
+    def test_each_tuple_builds_its_torus_once(self, monkeypatch):
+        from basechange import heis, verify
+
+        calls = []
+        real = heis.torus_realization
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "torus_realization", counted)
+        monkeypatch.setattr(heis, "torus_realization", counted)
+        assert suite_heisenberg().passed
+        assert calls == [(p, d, realization) for p, _a, d, realization in DEFAULT_HEIS_TUPLES]
+
+    def test_size_bound_skips_a_tuple_before_building(self, monkeypatch):
+        from basechange import verify
+
+        def unreachable(*args):
+            raise AssertionError("a group was built")
+
+        monkeypatch.setenv("BASECHANGE_MAX_GROUP", "124")
+        monkeypatch.setattr(verify, "torus_realization", unreachable)
+        monkeypatch.setattr(verify, "extraspecial_group", unreachable)
+        rpt = suite_heisenberg(tuples=[(5, 1, 4, "split")])
+        assert rpt.passed
+        assert [c.to_dict() for c in rpt.checks] == [
+            {
+                "name": "p5_a1_d4_split:size",
+                "status": "skipped",
+                "details": "Heis order 125 exceeds size bound 124",
+                "counterexample": None,
+            }
+        ]
+
     def test_epsilon_branches_in_details(self):
         rpt = suite_heisenberg()
         by_name = {c.name: c for c in rpt.checks}
