@@ -334,11 +334,14 @@ class Cyclotomic:
         return result
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self._match(o)
-        return a._den == b._den and a._num == b._num
+        if isinstance(other, Cyclotomic):
+            a, b = self._match(other)
+            return a._den == b._den and a._num == b._num
+        # The stored residue is canonical in the power basis, so a value is
+        # rational exactly when its non-constant coefficients vanish.
+        if isinstance(other, (int, Fraction)):
+            return self.as_rational() == other
+        return NotImplemented
 
     # -- Galois action ------------------------------------------------
 

@@ -4,7 +4,10 @@ subgroups.  Everything is table-based: these are desk-scale fields (at most
 a few thousand elements), and determinism matters more than asymptotics.
 
 Elements are represented as int indices into the lexicographic enumeration
-of coefficient tuples (c0,...,c_{k-1}), c0 compared first.
+of coefficient tuples (c0,...,c_{k-1}), c0 compared first.  The tables come
+from discrete logs: the generator (the least index of order q - 1) and its
+q - 2 powers are the only polynomial products, the product table is
+g^i g^j = g^(i+j), and the sum table adds base-p digits by place value.
 """
 
 from __future__ import annotations
@@ -207,8 +210,6 @@ class FField:
         self.zero = self._index[(0,) * k]
         self.one = self._index[(1,) + (0,) * (k - 1)]
         self._build_tables()
-        self.generator = self._find_generator()
-        self._build_dlog()
         self._embeddings: dict[tuple[int, int], list[int]] = {}
         self._frobenius: dict[int, list[int]] = {}
 
@@ -223,45 +224,38 @@ class FField:
         raise AssertionError("no irreducible polynomial found")
 
     def _build_tables(self):
-        q, p, k = self.q, self.p, self.k
+        # From discrete logs (module docstring).  Index i has base-p digits
+        # c0, ..., c_{k-1}, c0 the most significant, and zero is index 0.
+        q, p = self.q, self.p
         mod = list(self.modulus)
-        self._add = [[0] * q for _ in range(q)]
-        self._mul = [[0] * q for _ in range(q)]
-        self._neg = [0] * q
-        for i, ti in enumerate(self._tuples):
-            self._neg[i] = self._index[tuple((-c) % p for c in ti)]
-            for j, tj in enumerate(self._tuples):
-                if j < i:
-                    self._add[i][j] = self._add[j][i]
-                    self._mul[i][j] = self._mul[j][i]
-                    continue
-                s = tuple((a + b) % p for a, b in zip(ti, tj))
-                self._add[i][j] = self._index[s]
-                prod_poly = _poly_mulmod(list(ti), list(tj), mod, p)
-                self._mul[i][j] = self._index[tuple(prod_poly[:k])]
-
-    def _find_generator(self) -> int:
-        target = self.q - 1
-        for x in range(self.q):
-            if x == self.zero:
-                continue
-            e, y = 1, x
-            while y != self.one:
-                y = self._mul[y][x]
-                e += 1
-            if e == target:
-                return x
-        raise AssertionError("no generator found")
-
-    def _build_dlog(self):
-        self._dlog = [None] * self.q
+        one = _poly_mod([1], mod, p)
+        primes = _factorize(q - 1)
+        self.generator = next(
+            x
+            for x in range(q)
+            if x != self.zero
+            and all(_poly_powmod(list(self._tuples[x]), (q - 1) // l, mod, p) != one for l in primes)
+        )
+        g, power = list(self._tuples[self.generator]), one
         self._gpow = [self.one]
-        x = self.one
-        self._dlog[self.one] = 0
-        for j in range(1, self.q - 1):
-            x = self._mul[x][self.generator]
+        for _ in range(q - 2):
+            power = _poly_mulmod(power, g, mod, p)
+            self._gpow.append(self._index[tuple(power)])
+        self._dlog = [None] * q
+        for j, x in enumerate(self._gpow):
             self._dlog[x] = j
-            self._gpow.append(x)
+        twice, logs = self._gpow * 2, self._dlog[1:]
+        self._mul = [[0] * q] + [[0] + [twice[d + e] for e in logs] for d in logs]
+        rows, place = [[0]], 1
+        for _ in range(self.k):
+            rows = [
+                [(c + t) % p * place + r for t in range(p) for r in row]
+                for c in range(p)
+                for row in rows
+            ]
+            place *= p
+        self._add = rows
+        self._neg = [row.index(self.zero) for row in rows]
 
     # -- arithmetic ---------------------------------------------------
 

@@ -34,16 +34,27 @@ def max_group_order() -> int:
     return bound
 
 
-class GroupTable:
-    """A finite group as sorted canonical keys plus index-level mul/inv."""
+def product_column(group: "GroupTable", kb) -> list[int]:
+    """The default column kernel: one ``mul_key`` product per element."""
+    index, mul_key = group.index, group._mul_key
+    return [index[mul_key(k, kb)] for k in group.elements]
 
-    def __init__(self, keys, mul_key, inv_key, id_key, name: str = "G"):
+
+class GroupTable:
+    """A finite group as sorted canonical keys plus index-level mul/inv.
+
+    ``column_kernel(group, kb)`` lists the index of x·b for every x, raising
+    KeyError off the carrier; a family passes one that tabulates b once
+    and then looks products up (``rankone``, ``heis``)."""
+
+    def __init__(self, keys, mul_key, inv_key, id_key, name: str = "G", column_kernel=product_column):
         self.name = name
         self.elements = sorted(keys)
         self.index = {k: i for i, k in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate element keys")
         self._mul_key = mul_key
+        self._kernel = column_kernel
         if id_key not in self.index:
             raise ValueError("identity not in carrier")
         self.id = self.index[id_key]
@@ -53,7 +64,8 @@ class GroupTable:
         except KeyError:
             raise ValueError("not closed under inversion") from None
         self._orders: list[int | None] = [None] * self.order
-        self._classes_cache = None
+        # Index tables derived from the group once: its classes, rankone's tau.
+        self.derived: dict = {}
         self._generators: tuple[int, ...] | None = None
         self._columns: dict[int, list[int]] = {}
         self._check_axioms()
@@ -79,9 +91,11 @@ class GroupTable:
     def _check_axioms(self):
         """Identity and inverse axioms on every element, closure through
         ``generators()`` (its docstring has the proof), associativity on
-        300 sampled triples: at most (3 + |gens|)·n + 1200 products."""
-        for i in range(self.order):
-            if self.mul(self.id, i) != i or self.mul(i, self.id) != i:
+        300 sampled triples: 2n + 1200 products and 1 + |gens| kernel
+        columns.  The identity's column is built directly, not through
+        ``column()``: under a false identity axiom the closure need not end."""
+        for i, right in enumerate(self._column(self.id)):
+            if self.mul(self.id, i) != i or right != i:
                 raise ValueError("identity axiom fails")
             if self.mul(i, self.inv_table[i]) != self.id:
                 raise ValueError("inverse axiom fails")
@@ -133,9 +147,9 @@ class GroupTable:
         """A generating set, found greedily and cached: elements drawn from a
         fixed seed, each outside the subgroup the earlier ones generate,
         until the closure of the identity under them is the whole group.
-        This proves closure: every x·g is formed by ``mul``, which raises off
-        the carrier, so S·g ⊆ S, and by associativity S·(g1⋯gm) ⊆ S.  Each
-        x·g is formed exactly once and kept as g's ``column``."""
+        This proves closure: every x·g is formed by the column kernel, which
+        raises off the carrier, so S·g ⊆ S, and by associativity
+        S·(g1⋯gm) ⊆ S.  Each generator's column is kept."""
         if self._generators is None:
             rng = random.Random(_CHECK_SEED)
             reached = [self.id]
@@ -144,18 +158,18 @@ class GroupTable:
                 g = rng.randrange(self.order)
                 if g in seen:
                     continue
-                col = self._columns[g] = [0] * self.order
+                col = self._columns[g] = self._column(g)
                 # The old closure is closed under the old generators, so it
                 # needs products with g only; what is new needs them all.
                 new = []
                 for x in reached:
-                    col[x] = y = self.mul(x, g)
+                    y = col[x]
                     if y not in seen:
                         seen.add(y)
                         new.append(y)
                 for x in new:
-                    for h, col_h in self._columns.items():
-                        col_h[x] = y = self.mul(x, h)
+                    for col_h in self._columns.values():
+                        y = col_h[x]
                         if y not in seen:
                             seen.add(y)
                             new.append(y)
@@ -163,18 +177,18 @@ class GroupTable:
             self._generators = tuple(self._columns)
         return self._generators
 
+    def _column(self, b: int) -> list[int]:
+        try:
+            return self._kernel(self, self.elements[b])
+        except KeyError:
+            raise ValueError("not closed under multiplication") from None
+
     def column(self, b: int) -> list[int]:
         """column(b)[x] is the index of x·b.  A generator's column is kept
-        from generators(); any other costs n products and is not kept."""
+        from generators(); any other is one kernel call and is not kept."""
         self.generators()
         col = self._columns.get(b)
-        if col is None:
-            index, kb, mul_key = self.index, self.elements[b], self._mul_key
-            try:
-                col = [index[mul_key(k, kb)] for k in self.elements]
-            except KeyError:
-                raise ValueError("not closed under multiplication") from None
-        return col
+        return self._column(b) if col is None else col
 
     def __repr__(self):
         return "GroupTable(%s, order=%d)" % (self.name, self.order)
@@ -187,12 +201,16 @@ def orbits(group: GroupTable, moves, seeds=None) -> list[tuple[int, ...]]:
     Each orbit is its seed's closure under the moves.  When the moves are a
     generating set's images under a group action, that closure is the whole
     orbit under the group: every move permutes a finite set, so its inverse
-    is one of its powers.  A move is four list lookups on columns,
-    a x b = inv[column(a⁻¹)[inv[column(b)[x]]]], so a move whose a⁻¹ and b
-    are generators costs no product at all.
+    is one of its powers.  Each move is composed once into a permutation,
+    a x b = inv[column(a⁻¹)[inv[column(b)[x]]]], so the closure is one
+    lookup per move and element, and a move whose a⁻¹ and b are generators
+    costs no product at all.
     """
     inv = group.inv_table
-    cols = [(group.column(inv[a]), group.column(b)) for a, b in moves]
+    perms = []
+    for a, b in moves:
+        ca = group.column(inv[a])
+        perms.append([inv[ca[inv[y]]] for y in group.column(b)])
     seen = bytearray(group.order)
     out = []
     for seed in range(group.order) if seeds is None else seeds:
@@ -201,8 +219,8 @@ def orbits(group: GroupTable, moves, seeds=None) -> list[tuple[int, ...]]:
         seen[seed] = 1
         orbit = [seed]
         for x in orbit:
-            for ca, cb in cols:
-                y = inv[ca[inv[cb[x]]]]
+            for m in perms:
+                y = m[x]
                 if not seen[y]:
                     seen[y] = 1
                     orbit.append(y)
@@ -252,9 +270,9 @@ class ConjClasses:
 
 
 def conjugacy_classes(group: GroupTable) -> ConjClasses:
-    if group._classes_cache is None:
-        group._classes_cache = ConjClasses(group)
-    return group._classes_cache
+    if "classes" not in group.derived:
+        group.derived["classes"] = ConjClasses(group)
+    return group.derived["classes"]
 
 
 class ClassFunction:

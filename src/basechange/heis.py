@@ -112,8 +112,20 @@ class ExtraspecialGroup:
         self.id_key = 0
         name = "Heis(p=%d,a=%d)" % (space.p, space.a)
         order = space.p ** (2 * space.a + 1)
-        self.group = GroupTable(range(order), self.mul_key, self.inv_key, self.id_key, name=name)
+        self.group = GroupTable(range(order), self.mul_key, self.inv_key, self.id_key, name, self.column)
         self.center_keys = list(range(space.p))
+
+    def column(self, group: GroupTable, h) -> list[int]:
+        """The column kernel: (v, z)·h for every code, from two tables over
+        the vector codes v = (x, y) tabulated once for h = ((x', y'), t): the
+        translation code(v + w)·p and the phase t + <v, w>/2."""
+        p, P, sums, half_dots = self.p, self.P, self.space.sums, self.space.half_dots
+        w, t = divmod(h, p)
+        x2, y2 = divmod(w, P)
+        xs = [(s * P, t + hd) for s, hd in zip(sums[x2::P], half_dots[y2::P])]
+        ys = list(zip(sums[y2::P], half_dots[x2 * P : x2 * P + P]))
+        table = [((X + Y) * p, e - f) for X, e in xs for Y, f in ys]
+        return [c + (z + e) % p for c, e in table for z in range(p)]
 
     def mul_key(self, g, h):
         # <v, w> = x·y' - y·x' for v = (x, y) and w = (x', y').

@@ -36,6 +36,20 @@ def mat_mul(F: FField, x: Mat2, y: Mat2) -> Mat2:
     return (A[ma[e]][mb[g]], A[ma[f]][mb[h]], A[mc[e]][md[g]], A[mc[f]][md[h]])
 
 
+def mat_column(F: FField, G: GroupTable, y: Mat2) -> list[int]:
+    """The column kernel of matrix groups: [index of x·y for x in G].  The
+    row products (a, b)·y are tabulated once, Q^2 pairs, and x = (a, b, c, d)
+    gives x·y = rows[a][b] + rows[c][d], formed and looked up in one step."""
+    e, f, g, h = y
+    A, M = F._add, F._mul
+    rows = [
+        [(Ae[bg], Af[bh]) for bg, bh in zip(M[g], M[h])]
+        for Ae, Af in ((A[ae], A[af]) for ae, af in zip(M[e], M[f]))
+    ]
+    index = G.index
+    return [index[rows[a][b] + rows[c][d]] for a, b, c, d in G.elements]
+
+
 def mat_det(F: FField, x: Mat2) -> int:
     a, b, c, d = x
     return F._add[F._mul[a][d]][F._neg[F._mul[b][c]]]
@@ -65,19 +79,20 @@ def _require_size(family: str, order: int):
         raise ValueError("%s order %d exceeds size bound %d" % (family, order, bound))
 
 
+def matrix_group(F: FField, keys, name: str) -> GroupTable:
+    """A GroupTable of invertible 2x2 matrices over F, with mat_column as
+    its column kernel."""
+    kernel = partial(mat_column, F)
+    return GroupTable(keys, partial(mat_mul, F), partial(mat_inv, F), mat_id(F), name, kernel)
+
+
 def _enumerate_gl2_subgroup(F: FField, family: str, expected: int, det_ok) -> GroupTable:
     """The matrices over F whose determinant passes det_ok, as a GroupTable
     of the given expected order."""
     _require_size(family, expected)
     # A generator, so no second list of the keys outlives the sort.
     keys = (m for m in product(F.elements(), repeat=4) if det_ok(mat_det(F, m)))
-    G = GroupTable(
-        keys,
-        partial(mat_mul, F),
-        partial(mat_inv, F),
-        mat_id(F),
-        name="%s(%d)" % (family, F.q),
-    )
+    G = matrix_group(F, keys, "%s(%d)" % (family, F.q))
     if G.order != expected:
         raise AssertionError("%s enumeration has wrong order" % family)
     return G
@@ -131,32 +146,31 @@ def build_u2(spec: UnitarySpec) -> GroupTable:
     """The unitary group of the pair, as a subgroup of GL2(GF(q^2)).
 
     Enumeration is pruned column-by-column; brute force over all of
-    GF(q^2)^4 would be q^8 candidates.
+    GF(q^2)^4 would be q^8 candidates.  For each isotropic first column
+    (a, c), the second column solves the linear condition
+    bar(a)·d + bar(c)·b = 1: q^2 candidates per first column.
     """
     expected = spec.q * (spec.q - 1) * (spec.q + 1) ** 2
     _require_size("U2", expected)
     F = spec.field
-    iso_cols = []
-    pairs = []
-    for a, c in product(F.elements(), repeat=2):
-        # Column conditions from conj(g)^T * antidiag(1,1) * g = antidiag(1,1).
-        bar = lambda x: F.frobenius(x, spec.sub.k)
-        if F.add(F.mul(bar(a), c), F.mul(bar(c), a)) == F.zero:
-            iso_cols.append((a, c))
+    A, M = F._add, F._mul
+    bar = [F.frobenius(x, spec.sub.k) for x in F.elements()]
+    # Column conditions from conj(g)^T * antidiag(1,1) * g = antidiag(1,1).
+    iso_cols = {
+        (a, c) for a, c in product(F.elements(), repeat=2) if A[M[bar[a]][c]][M[bar[c]][a]] == F.zero
+    }
+    candidates = []
     for a, c in iso_cols:
-        bar_a = F.frobenius(a, spec.sub.k)
-        bar_c = F.frobenius(c, spec.sub.k)
-        for b, d in iso_cols:
-            if F.add(F.mul(bar_a, d), F.mul(bar_c, b)) == F.one:
-                pairs.append((a, b, c, d))
-    keys = [g for g in pairs if is_unitary(spec, g)]
-    G = GroupTable(
-        keys,
-        partial(mat_mul, F),
-        partial(mat_inv, F),
-        mat_id(F),
-        name="U2(%d)" % spec.q,
-    )
+        if bar[a] != F.zero:  # d = (1 - bar(c)·b) / bar(a)
+            s = F.inv(bar[a])
+            solutions = [(b, M[s][F.sub(F.one, M[bar[c]][b])]) for b in F.elements()]
+        elif bar[c] != F.zero:  # b = 1 / bar(c)
+            solutions = [(F.inv(bar[c]), d) for d in F.elements()]
+        else:
+            continue
+        candidates += [(a, b, c, d) for b, d in solutions if (b, d) in iso_cols]
+    keys = [g for g in candidates if is_unitary(spec, g)]
+    G = matrix_group(F, keys, "U2(%d)" % spec.q)
     if G.order != expected:
         raise AssertionError("U2 enumeration has wrong order")
     return G
@@ -177,6 +191,22 @@ def norm_tau(spec: UnitarySpec, g: Mat2) -> Mat2:
     return mat_mul(spec.field, g, tau(spec, g))
 
 
+def tau_permutation(G: GroupTable, spec: UnitarySpec) -> list[int]:
+    """T[x] is the index of tau(x) in G = GL2(GF(q^2)), built once per group:
+    with w = (x-bar-transpose)^-1 from the entrywise Frobenius and inv_table,
+    tau(x) = J^-1 w J, and J^-1 u = (u^-1 J)^-1, so two reads of J's column."""
+    key = ("tau", spec.q)
+    if key not in G.derived:
+        fr = [spec.field.frobenius(x, spec.sub.k) for x in spec.field.elements()]
+        index, inv = G.index, G.inv_table
+        cj = G.column(index[spec.gram])
+        G.derived[key] = [
+            inv[cj[inv[cj[inv[index[fr[a], fr[c], fr[b], fr[d]]]]]]]
+            for a, b, c, d in G.elements
+        ]
+    return G.derived[key]
+
+
 def tau_classes(G: GroupTable, spec: UnitarySpec) -> list[tuple[int, ...]]:
     """Partition of G = GL2(GF(q^2)) into twisted-conjugacy orbits of
     g -> h^-1 g tau(h), ordered by least seed index.
@@ -184,20 +214,18 @@ def tau_classes(G: GroupTable, spec: UnitarySpec) -> list[tuple[int, ...]]:
     Since tau is a homomorphism, h -> (x -> h^-1 x tau(h)) is a right group
     action, so the orbits under the moves of G.generators() are exact.
     """
-    return orbits(G, [(G.inv(g), G.index[tau(spec, G.key(g))]) for g in G.generators()])
+    T = tau_permutation(G, spec)
+    return orbits(G, [(G.inv(g), T[g]) for g in G.generators()])
 
 
 def norm_class_map(
     G: GroupTable, spec: UnitarySpec, partition: list[tuple[int, ...]]
 ) -> list[int]:
-    """For each twisted class, the ordinary conjugacy class of N_tau(seed)."""
+    """For each twisted class, the ordinary conjugacy class of N_tau(seed),
+    with N_tau(x) = x·T[x]."""
     classes = conjugacy_classes(G)
-    out = []
-    for orbit in partition:
-        seed = orbit[0]
-        n = G.index[norm_tau(spec, G.key(seed))]
-        out.append(classes.class_of[n])
-    return out
+    T = tau_permutation(G, spec)
+    return [classes.class_of[G.mul(orbit[0], T[orbit[0]])] for orbit in partition]
 
 
 # -- torus embeddings -------------------------------------------------

@@ -25,8 +25,8 @@ from .rankone import (
     build_u2,
     mat_mul,
     norm_class_map,
-    norm_tau,
     tau_classes,
+    tau_permutation,
 )
 from .cuspchar import (
     gl2_context,
@@ -161,11 +161,11 @@ def suite_norm_bijection(q: int = 3) -> Report:
     )
 
     well_failures = []
+    T = tau_permutation(G, spec)
     for oi, orbit in enumerate(partition):
         target = images[oi]
         for member in orbit:
-            n = G.index[norm_tau(spec, G.key(member))]
-            if classes.class_of[n] != target:
+            if classes.class_of[G.mul(member, T[member])] != target:
                 well_failures.append((oi, member))
                 break
 

@@ -71,6 +71,17 @@ class TestPinnedValues:
         assert root_of_unity(6) == 1 + root_of_unity(3)
         assert root_of_unity(2) == -1
 
+    def test_rational_comparison_needs_no_promotion(self, monkeypatch):
+        def promote(self, m):
+            raise AssertionError("promoted")
+
+        monkeypatch.setattr(Cyclotomic, "promote", promote)
+        assert root_of_unity(12, 4) + root_of_unity(12, 8) == -1
+        assert root_of_unity(5) != 1 and 1 != root_of_unity(5)
+        assert Cyclotomic.from_coeffs(7, [Fraction(1, 2)] + [0] * 5) == Fraction(1, 2)
+        assert root_of_unity(4) * root_of_unity(4, 3) == 1
+        assert root_of_unity(3) != 1.0
+
     def test_cyclotomic_polynomials(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
         assert cyclotomic_polynomial(2) == (1, 1)

@@ -75,6 +75,52 @@ class TestConstruction:
             assert F.mul(a, F.inv(a)) == F.one
 
 
+def pairwise_tables(F):
+    """The tables by definition: digitwise sums, and products of the
+    coefficient polynomials reduced by the modulus, one pair at a time; the
+    generator is the least element of order q - 1 under that product."""
+    p, k, q = F.p, F.k, F.q
+    tuples = list(itertools.product(range(p), repeat=k))
+    index = {t: i for i, t in enumerate(tuples)}
+    mod = list(F.modulus)
+
+    def poly_mul(a, b):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for i in range(len(prod) - 1, k - 1, -1):
+            c = prod[i]
+            for j in range(k + 1):
+                prod[i - k + j] -= c * mod[j]
+        return index[tuple(c % p for c in prod[:k])]
+
+    add = [[index[tuple((x + y) % p for x, y in zip(a, b))] for b in tuples] for a in tuples]
+    mul = [[poly_mul(a, b) for b in tuples] for a in tuples]
+    neg = [index[tuple(-x % p for x in a)] for a in tuples]
+    one = index[(1,) + (0,) * (k - 1)]
+
+    def powers(x):
+        out = [one]
+        while mul[out[-1]][x] != one:
+            out.append(mul[out[-1]][x])
+        return out
+
+    generator = next(x for x in range(1, q) if len(powers(x)) == q - 1)
+    gpow = powers(generator)
+    dlog = [None] * q
+    for j, x in enumerate(gpow):
+        dlog[x] = j
+    return add, mul, neg, generator, dlog, gpow
+
+
+class TestTables:
+    @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2), (11, 2)])
+    def test_tables_match_the_pairwise_polynomial_definition(self, p, k):
+        F = make_field(p, k)
+        assert (F._add, F._mul, F._neg, F.generator, F._dlog, F._gpow) == pairwise_tables(F)
+
+
 class TestFrobeniusNormTrace:
     def test_frobenius_generates_automorphisms(self):
         F = make_field(5, 2)

@@ -13,7 +13,7 @@ from basechange.cyclo import ONE, ZERO, Cyclotomic, euler_phi, root_of_unity
 from basechange.ffield import make_field
 from basechange.heis import extraspecial_group
 from basechange.rankone import build_gl2, build_sl2, build_u2, mat_id, mat_inv, mat_mul
-from basechange import grpcore
+from basechange import grpcore, rankone
 from basechange.grpcore import (
     ClassFunction,
     GroupTable,
@@ -252,13 +252,63 @@ def counted_gl2(q):
     return G, calls
 
 
+def mul_key_column(G, b):
+    """The reference column: one key product per element."""
+    return [G.index[G._mul_key(k, G.elements[b])] for k in G.elements]
+
+
 class TestColumns:
     def test_column_is_right_multiplication(self, engine_groups):
-        # S4, D4, GL2(3), SL2(5), U2(3) and Heis(3).
+        # S4, D4, GL2(3), SL2(5), U2(3) and Heis(3), every b: the matrix and
+        # extraspecial kernels against their mul_key, exhaustively.
         for G in engine_groups:
             for b in range(G.order):
                 col = G.column(b)
                 assert col == [G.mul(x, b) for x in range(G.order)], (G.name, b)
+                assert col == mul_key_column(G, b), (G.name, b)
+
+    def test_kernel_columns_of_larger_groups(self, gl2_q9):
+        groups = [gl2_q9] + [extraspecial_group(p, a).group for p, a in [(3, 1), (3, 2), (5, 1)]]
+        for G in groups:
+            rng = random.Random(G.order)
+            others = rng.sample([b for b in range(G.order) if b not in G.generators()], 5)
+            for b in G.generators() + tuple(others):
+                assert G.column(b) == mul_key_column(G, b), (G.name, b)
+
+    def test_matrix_group_build_and_classes_cost(self, monkeypatch):
+        # Left identity and inverse loops, 300 associativity triples and
+        # the representatives' orders; every column comes from the kernel.
+        calls = [0]
+
+        def counted(F, x, y):
+            calls[0] += 1
+            return mat_mul(F, x, y)
+
+        monkeypatch.setattr(rankone, "mat_mul", counted)
+        G = build_gl2(make_field(3, 2))
+        cls = conjugacy_classes(G)
+        assert G.order == 5760
+        assert calls[0] <= 2 * G.order + 1200 + sum(o - 1 for o in cls.rep_orders)
+
+    def test_kernel_rejects_a_carrier_missing_an_inverse_pair(self):
+        F = make_field(3)
+        g = (F.one, F.one, F.zero, F.one)
+        keys = [k for k in build_gl2(F).elements if k not in (g, mat_inv(F, g))]
+        raised = []
+
+        def kernel(G, y):
+            try:
+                return rankone.mat_column(F, G, y)
+            except KeyError:
+                raised.append(y)
+                raise
+
+        with pytest.raises(ValueError, match="not closed under multiplication"):
+            GroupTable(
+                keys, lambda x, y: mat_mul(F, x, y), lambda x: mat_inv(F, x), mat_id(F),
+                column_kernel=kernel,
+            )
+        assert raised
 
     def test_generator_columns_are_the_closure_products(self):
         G, calls = counted_gl2(3)

@@ -25,6 +25,7 @@ from basechange.rankone import (
     norm_tau,
     tau,
     tau_classes,
+    tau_permutation,
     u2_basis_change,
     u2_torus_element,
 )
@@ -137,6 +138,13 @@ class TestTau:
         for k in gl2_q9.elements[:50]:
             tau(spec_q3, k)
         assert spec_q3.gram not in calls and len(calls) == 50
+
+    def test_tau_permutation_is_tau(self, spec_q3, gl2_q9):
+        G = gl2_q9
+        T = tau_permutation(G, spec_q3)
+        assert T == [G.index[tau(spec_q3, G.key(x))] for x in range(G.order)]
+        assert [T[y] for y in T] == list(range(G.order))
+        assert tau_permutation(G, spec_q3) is T
 
     def test_tau_involution_all_elements(self, spec_q3, gl2_q9):
         for k in gl2_q9.elements:
