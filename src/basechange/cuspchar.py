@@ -92,32 +92,36 @@ class _Context:
         return [ci for ci in range(len(self.classes)) if ci not in listed]
 
 
-class _GL2Context(_Context):
-    def __init__(self, q: int):
-        k0 = make_field(q)
-        super().__init__(q, k0, make_field(q, 2), build_gl2(k0))
-        self.embed = embed_quadratic_torus(self.l, self.k0)
-        F, cls, G = self.k0, self.classes, self.group
-        self.central = {
-            x: cls.class_of[G.index[mat_scalar(F, x)]] for x in F.nonzero()
-        }
-        # Every n(b), b != 0, is conjugate to n(1): one class per z.
-        n1 = (F.one, F.one, F.zero, F.one)
+class _LinearContext(_Context):
+    """GL2 or SL2 at q, with three class families: the central scalars z,
+    the unipotent z·n(b) for each offset b, and the elliptic torus points
+    outside k0, each by the class it lies in."""
+
+    def __init__(self, q: int, k0, l, group, centre, offsets, torus):
+        super().__init__(q, k0, l, group)
+        embed, F, cls, G = embed_quadratic_torus(l, k0), k0, self.classes, group
+        self.central = {z: cls.class_of[G.index[mat_scalar(F, z)]] for z in centre}
         self.unipotent = {
-            (x, F.one): cls.class_of[G.index[mat_mul(F, mat_scalar(F, x), n1)]]
-            for x in F.nonzero()
+            (z, b): cls.class_of[G.index[mat_mul(F, mat_scalar(F, z), (F.one, b, F.zero, F.one))]]
+            for z in centre
+            for b in offsets
         }
-        embedded = set(self.l.embedding(self.k0))
-        self.elliptic = {}
-        for x in self.l.nonzero():
-            if x not in embedded:
-                self.elliptic[x] = cls.class_of[G.index[self.embed(x)]]
+        rational = set(l.embedding(k0))
+        self.elliptic = {x: cls.class_of[G.index[embed(x)]] for x in torus if x not in rational}
+        # One of x, x^q per elliptic class (x^q = x^-1 on the norm-one
+        # torus): the formulas agree on both.
+        self.elliptic_reps = {ci: x for x, ci in self.elliptic.items()}
+
+
+class _GL2Context(_LinearContext):
+    def __init__(self, q: int):
+        F, l = make_field(q), make_field(q, 2)
+        # Every n(b), b != 0, is conjugate to n(1): one class per z.
+        super().__init__(q, F, l, build_gl2(F), tuple(F.nonzero()), (F.one,), l.nonzero())
         if len(self.central) != q - 1 or len(self.unipotent) != q - 1:
             raise AssertionError("central/unipotent classification failed")
         if len(set(self.elliptic.values())) != q * (q - 1) // 2:
             raise AssertionError("elliptic classification failed")
-        # One of x, x^q per elliptic class: the formulas agree on both.
-        self.elliptic_reps = {ci: x for x, ci in self.elliptic.items()}
         self.split_classes = self._split_classes(2 * (q - 1) + q * (q - 1) // 2)
 
     @cached_property
@@ -134,32 +138,11 @@ class _GL2Context(_Context):
         return _KeyIndex((gl2_cuspidal(c).values, c) for c in self.cuspidal_parameters)
 
 
-class _SL2Context(_Context):
+class _SL2Context(_LinearContext):
     def __init__(self, q: int):
-        k0 = make_field(q)
-        super().__init__(q, k0, make_field(q, 2), build_sl2(k0))
-        self.embed = embed_quadratic_torus(self.l, self.k0)
-        F, cls, G = self.k0, self.classes, self.group
-        one, minus = F.one, F.neg(F.one)
-        self.central = {
-            x: cls.class_of[G.index[mat_scalar(F, x)]] for x in (one, minus)
-        }
-        nu = F.smallest_nonsquare()
-        self.unipotent = {}
-        for x in (one, minus):
-            for n_off in (F.one, nu):
-                n = (F.one, n_off, F.zero, F.one)
-                key = (x, n_off)
-                self.unipotent[key] = cls.class_of[G.index[mat_mul(F, mat_scalar(F, x), n)]]
-        l1 = norm_one_subgroup(self.l, self.k0)
-        emb = self.l.embedding(self.k0)
-        central_points = {emb[one], emb[minus]}
-        self.elliptic = {}
-        for u in l1:
-            if u not in central_points:
-                self.elliptic[u] = cls.class_of[G.index[self.embed(u)]]
-        # One of u, u^-1 per elliptic class: the formula agrees on both.
-        self.elliptic_reps = {ci: u for u, ci in self.elliptic.items()}
+        F, l = make_field(q), make_field(q, 2)
+        centre, offsets = (F.one, F.neg(F.one)), (F.one, F.smallest_nonsquare())
+        super().__init__(q, F, l, build_sl2(F), centre, offsets, norm_one_subgroup(l, F))
         self.split_classes = self._split_classes(2 + 4 + (q - 1) // 2)
 
 

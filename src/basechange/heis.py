@@ -16,10 +16,12 @@ Each eta(g) is stored as a monomial operator, a shift of GF(p)^a with one
 phase exponent e mod p per point, the phase being zeta_p^e: composing
 operators adds exponents, so the homomorphism certificate is integer
 arithmetic.  Cyclotomic values appear only in the trace identity and where
-an operator meets a dense one (the intertwiner and the extension operators,
-tuples of Cyclotomic entries).  Every assertion is exact.  The torus is
-modeled as acting faithfully (order d, gcd(d,p)=1); central-kernel twists
-are recoverable by tensoring with a character.
+an operator meets a dense one (the intertwiner A, whose entries are root
+sums, and its powers, tuples of Cyclotomic entries).  The d extensions
+share one chain of bare powers A^j and the scalar s0 with (s0 A)^d = I; an
+extension operator is a power scaled on demand.  Every assertion is exact.
+The torus is modeled as acting faithfully (order d, gcd(d,p)=1);
+central-kernel twists are recoverable by tensoring with a character.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from itertools import product
 from math import gcd
 from operator import mul
 
-from .cyclo import ONE, ZERO, Cyclotomic, dot, root_of_unity
+from .cyclo import ONE, ZERO, Cyclotomic, dot, root_of_unity, root_sum
 from .ffield import _is_prime, make_field, norm_one_generator
 from .grpcore import GroupTable, _nullspace, orbits
 from .rankone import embed_quadratic_torus
@@ -360,10 +362,6 @@ def _mdet(x) -> Cyclotomic:
     return det
 
 
-def _is_zero_matrix(x) -> bool:
-    return all(e.is_zero() for row in x for e in row)
-
-
 # -- Heisenberg representation ----------------------------------------
 
 
@@ -465,16 +463,16 @@ def intertwiner(rep: HeisRep, action: TorusAction, seed=None):
     negs, shifts, perm = rep.group.space.negs, rep._shifts, action.perm(1)
     seeds = [seed] if seed is not None else list(product(range(n), repeat=2))
     for r, c in seeds:
-        rows = [[ZERO] * n for _ in range(n)]
+        exps = [[[] for _ in range(n)] for _ in range(n)]
         for v in range(n * n):
             x1, f1 = rep._mono[perm[v] * p]
             x2, f2 = rep._mono[v * p]
             i = shifts[negs[x1]][r]
             j = shifts[negs[x2]][c]
-            rows[i][j] = rows[i][j] + root_of_unity(p, f1[i] - f2[j])
+            exps[i][j].append(f1[i] - f2[j])
         # the central coordinate only rescales the average by p
-        A = tuple(tuple(p * e for e in row) for row in rows)
-        if not _is_zero_matrix(A):
+        A = tuple(tuple(root_sum(p, p, e) for e in row) for row in exps)
+        if not all(e.is_zero() for row in A for e in row):
             return A
     raise ValueError("intertwiner averaging yielded zero for every seed")
 
@@ -501,20 +499,22 @@ def _verify_intertwines(rep: HeisRep, action: TorusAction, A, j: int = 1):
 class Extension:
     """One of the d extensions of a Heisenberg representation to the
     semidirect product with the torus, labeled by the torus character
-    separating it from the others: lambda_c(t^j) = zeta_d^(cj) lam[j], where
-    lam holds the d normalized powers shared by all d extensions and traces
-    their d traces, shared likewise."""
+    separating it from the others: lambda_c(t^j) = zeta_d^(cj) s0^j A^j.
+    The scalar s0, the bare powers A^0 ... A^(d-1) of the intertwiner A and
+    the d traces tr lambda_0(t^j) are shared by all d extensions."""
 
-    def __init__(self, rep: HeisRep, action: TorusAction, label: int, lam: tuple, traces: tuple):
+    def __init__(self, rep: HeisRep, action: TorusAction, label: int, s0, powers, traces):
         self.rep = rep
         self.action = action
         self.label = label
-        self.lam = lam
+        self.s0 = s0
+        self.powers = powers
         self.traces = traces
 
     def op(self, j: int):
         j %= self.action.order
-        return _mscale(root_of_unity(self.action.order, self.label * j), self.lam[j])
+        scalar = root_of_unity(self.action.order, self.label * j) * self.s0**j
+        return _mscale(scalar, self.powers[j])
 
     def trace(self, j: int) -> Cyclotomic:
         j %= self.action.order
@@ -533,30 +533,25 @@ def extend(rep: HeisRep, action: TorusAction) -> list[Extension]:
     A = intertwiner(rep, action)
     if not _verify_intertwines(rep, action, A):
         raise AssertionError("averaged operator fails to intertwine")
-    # c0 = A^d[0][0], from row 0 of the powers alone; (s0 A)^d = I below
-    # then certifies that A^d is the scalar c0, as s0^d c0 = 1.
-    n, cols, row = rep.dim, tuple(zip(*A)), A[0]
-    for _ in range(d - 1):
-        row = tuple(dot(row, col) for col in cols)
-    c0, det = row[0], _mdet(A)
-    if c0.is_zero() or det.is_zero():
+    # A^0 ... A^d by d - 1 products.  A^d = c0 I entrywise and s0^d c0 = 1
+    # together certify (s0 A)^d = I.
+    n = rep.dim
+    powers = [_meye(n), A]
+    while len(powers) <= d:
+        powers.append(_mmul(powers[-1], A))
+    c0, det = powers[d][0][0], _mdet(A)
+    if c0.is_zero() or det.is_zero() or powers[d] != _mscale(c0, _meye(n)):
         raise AssertionError("A^d is not a nonzero scalar")
     # alpha*dim + beta*d = 1; s0 is the same for every such pair, as
     # det(A)^d = c0^dim.
     alpha = pow(n, -1, d)
     beta = (1 - alpha * n) // d
     s0 = det ** (-alpha) * c0 ** (-beta)
-    lam = [_meye(n), _mscale(s0, A)]
-    while len(lam) <= d:
-        lam.append(_mmul(lam[-1], lam[1]))
-    if lam[d] != _meye(n):
-        scalar = lam[d] == _mscale(lam[d][0][0], _meye(n))
-        raise AssertionError(
-            "normalized operator is not of order d" if scalar else "A^d is not a nonzero scalar"
-        )
-    lam = tuple(lam[:d])
-    traces = tuple(_mtrace(op) for op in lam)
-    return [Extension(rep, action, c, lam, traces) for c in range(d)]
+    if s0**d * c0 != ONE:
+        raise AssertionError("normalized operator is not of order d")
+    powers = tuple(powers[:d])
+    traces = tuple(s0**j * _mtrace(op) for j, op in enumerate(powers))
+    return [Extension(rep, action, c, s0, powers, traces) for c in range(d)]
 
 
 def multiplicities(ext: Extension) -> dict[int, int]:
@@ -568,8 +563,8 @@ def multiplicities(ext: Extension) -> dict[int, int]:
     # its diagonal sum to p^a theta(z), which forces each to be theta(z).  So
     # the central factor of the torus x center sum cancels to p, leaving a
     # character sum over the torus alone: with tr lambda_c'(t^j) =
-    # zeta_d^(c'j) tr lam[j], the multiplicity of xi_c is
-    # (1/d) sum_j zeta_d^((c'-c)j) tr lam[j].
+    # zeta_d^(c'j) traces[j], the multiplicity of xi_c is
+    # (1/d) sum_j zeta_d^((c'-c)j) traces[j].
     out = {}
     total = 0
     for c in range(d):
@@ -577,13 +572,13 @@ def multiplicities(ext: Extension) -> dict[int, int]:
         try:
             m = dot(ext.traces, chars, den=d).as_integer()
         except ValueError:
-            raise ValueError("multiplicity is not an integer for label %d" % c)
+            raise AssertionError("multiplicity is not an integer for label %d" % c)
         if m < 0:
-            raise ValueError("negative multiplicity for label %d" % c)
+            raise AssertionError("negative multiplicity for label %d" % c)
         out[c] = m
         total += m
     if total != rep.dim:
-        raise ValueError("multiplicities do not sum to p^a (bug)")
+        raise AssertionError("multiplicities do not sum to p^a (bug)")
     return out
 
 
@@ -703,8 +698,10 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str, action: TorusAction
     # Coset support: tr lambda(t) eta(y) != 0 iff h y (t.h)^-1 reaches the
     # center for some h, i.e. ty is conjugate into tZ within the group: iff
     # y lies in the orbit of a central element under those moves.
+    # lambda(t) is s0 A^(1 mod d) up to a root of unity, and the nonzero
+    # scalar decides no zero: take traces against the bare power.
     support_bad = None
-    op1 = exts[0].op(1)
+    bare, scale = exts[0].powers[1 % d], exts[0].s0 ** (1 % d)
     G = group.group
     center = [G.index[k] for k in group.center_keys]
     into_center = {
@@ -716,11 +713,11 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str, action: TorusAction
     for y in G.elements:
         z = y % p
         if z == 0:
-            trace = rep.trace_product(op1, y)
+            trace = rep.trace_product(bare, y)
         # theta(z) is a unit: the trace at (v, 0) alone decides zero.
         reachable = y in into_center
         if reachable != (not trace.is_zero()):
-            support_bad = (group.decode(y), reachable, (rep.theta(z) * trace).serialize())
+            support_bad = (group.decode(y), reachable, (rep.theta(z) * scale * trace).serialize())
             break
     checks.append(
         counterexample_check(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from basechange import cli
+from basechange import cli, heis
 from basechange.cli import main
 
 
@@ -90,8 +90,10 @@ SEED_Q5_JSON_SHA256 = {
 # reports built on the cuspidal formulas, as recorded for the benchmark at
 # the seed; a reordered class list or a changed formula value changes them.
 # The q = 7 tables pin the oracle's eigenspace splitting, and the two larger
-# heis runs the monomial phases and the extension traces.  The q = 5
-# cuspidal exports pin the formulas' values and the orders they are stored at.
+# heis runs the monomial phases and the extension traces; the d = 12 runs
+# are pinned to their earlier output, and the d = 1 runs pin the chain's
+# edge, where op(1) wraps to op(0) = I.  The q = 5 cuspidal exports pin the
+# formulas' values and the orders they are stored at.
 REPORT_SHA256 = {
     "cuspidal sl2 --q 5 --format json": "3ae333ecf1f9c8da4adca18c9d8fd2ec67a41b31c29ea0c34dc65af4720f1d6f",
     "cuspidal gl2 --q 5 --format json": "3978388ee985416d6a4e845ab138678c8be072ffd988e36322181a17f69c797c",
@@ -104,6 +106,10 @@ REPORT_SHA256 = {
     "heis --p 7 --d 8 --realization nonsplit": "93545bea2756f91bd129b5b2997d4a406d636a0693d5cb29ed419292a455def4",
     "heis --p 13 --d 14 --realization nonsplit": "89443c0e740c260c5081a6e36227e5361ef2d84d5af2948b1a44d8c471fee76f",
     "heis --p 11 --d 10 --realization split": "593038d9188f55207954bb81ba19d08840cd18bc29233a785b5c9daef7e636bb",
+    "heis --p 11 --d 12 --realization nonsplit": "48bcbaf919553a5d3120c02c0b03d245f43317487304c5f70d694c5b43b673b4",
+    "heis --p 13 --d 12 --realization split": "7a10cd9a3def0281d899ccd60fd8d4bc9c8d34cfc7e8c6fe7b7f7afa8990cf16",
+    "heis --p 3 --d 1 --realization split": "66ee430325a20a8157c7a153cee85794c71fa088a6e45efa04397034f8530f79",
+    "heis --p 3 --d 1 --realization nonsplit": "a2d17fb3314265d77e9c6d6aed0f54af468d05d058dabf087d6fc750fade2947",
     "chartable gl2 --q 7": "e2620bbdc793ad103dd626880b3ee5b98b90d090773f3ae5bfb6e53b4ea49939",
     "chartable u2 --q 7": "c3cef286c6102817a80c60c731a2fabe173b01db202725bb7d6778eeb03032d4",
     "chartable sl2 --q 7": "410d515be870f8f87aa83c619e139b16d395e2933f807ef54b1eb122e5bc8cb4",
@@ -494,6 +500,29 @@ class TestInternalError:
         assert code == 3
         assert out == ""
         assert err == line
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["heis", "--p", "3", "--d", "4", "--realization", "nonsplit"], ["verify", "heis"]],
+        ids=["heis", "verify heis"],
+    )
+    def test_a_broken_multiplicity_invariant_exits_3(self, argv, monkeypatch, capsys):
+        # traces[0] off by one leaves a non-integer multiplicity: an
+        # invariant of a certified extension, not a usage error.
+        extend = heis.extend
+
+        def off_by_one(rep, action):
+            exts = extend(rep, action)
+            traces = (exts[0].traces[0] + 1,) + exts[0].traces[1:]
+            for e in exts:
+                e.traces = traces
+            return exts
+
+        monkeypatch.setattr(heis, "extend", off_by_one)
+        code, out, err = run(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: AssertionError: multiplicity is not an integer for label 0\n"
 
     def test_exit_codes_are_documented(self, capsys):
         _, out, _ = run(["--help"], capsys)

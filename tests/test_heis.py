@@ -533,14 +533,35 @@ class TestExtensionStorage:
         with pytest.raises(AssertionError, match="A\\^d is not a nonzero scalar"):
             extend(heisenberg_rep(3, 1), torus_realization(3, 4, "nonsplit"))
 
+    def test_order_d_failure_is_named(self, monkeypatch):
+        # A doubled determinant changes s0 but not A: A^d stays the scalar
+        # c0, and s0^d c0 is no longer 1.
+        mdet = heis._mdet
+        monkeypatch.setattr(heis, "_mdet", lambda x: 2 * mdet(x))
+        with pytest.raises(AssertionError, match="normalized operator is not of order d"):
+            extend(heisenberg_rep(3, 1), torus_realization(3, 4, "nonsplit"))
+
     def test_extensions_share_the_normalized_powers(self):
+        # The normalized powers are s0^j A^j on one shared chain of bare
+        # powers, scaled by op(j) on demand.
         exts = extend(heisenberg_rep(3, 1), torus_realization(3, 4, "nonsplit"))
-        assert all(e.lam is exts[0].lam for e in exts)
+        assert all(e.powers is exts[0].powers for e in exts)
+        assert all(e.s0 is exts[0].s0 for e in exts)
         assert all(e.traces is exts[0].traces for e in exts)
+        assert len(exts[0].powers) == 4
         for e in exts:
             for j in range(1, 5):
                 assert e.trace(j) == _mtrace(e.op(j))
                 assert e.op(j) == dense_mul(e.op(j - 1), e.op(1))
+
+    @pytest.mark.parametrize("realization", ["split", "nonsplit"])
+    def test_order_one_torus_wraps_to_the_identity(self, realization):
+        # At d = 1 the chain holds A^0 alone, and op(1) is op(0) = I.
+        rep = heisenberg_rep(3, 1)
+        (ext,) = extend(rep, torus_realization(3, 1, realization))
+        ident = tuple(tuple(ONE if i == j else ZERO for j in range(3)) for i in range(3))
+        assert ext.op(1) == ext.op(0) == ident
+        assert ext.trace(1) == ext.trace(0) == 3
 
     @pytest.mark.parametrize("p,a,d,realization", TUPLES[:4])
     def test_multiplicities_match_the_torus_center_sum(self, p, a, d, realization):
