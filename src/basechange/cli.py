@@ -25,8 +25,6 @@ from .cuspchar import (
 )
 from .ffield import MultChar, NormOneChar, _is_prime, make_field
 from .grpcore import max_group_order, table_to_csv, table_to_json
-from .heis import require_rank_one, torus_realization
-from .rankone import _require_size
 from .verify import SUITES, report_to_json, suite_heisenberg
 
 _SUITE_ALIASES = {
@@ -204,14 +202,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_heis(args) -> int:
-    # Validate the configuration before any field or group is built: the
-    # half-rank, the group order p^(2a+1) against the size bound, the torus.
-    require_rank_one(args.a)
-    _require_size("Heis", args.p ** (2 * args.a + 1))
-    action = torus_realization(args.p, args.d, args.realization)
-    report = suite_heisenberg(
-        tuples=[(args.p, args.a, args.d, args.realization)], actions=[action]
-    )
+    # The suite validates the configuration before any field or group is
+    # built; a configuration it skips is a usage error here.
+    report = suite_heisenberg([(args.p, args.a, args.d, args.realization)])
+    for check in report.checks:
+        if check.status == "skipped":
+            raise ValueError(check.details)
     _emit(report_to_json(report), args.out)
     return 0 if report.passed else 1
 

@@ -17,7 +17,6 @@ from .ffield import _is_prime, _poly_roots, _primitive_root
 
 DEFAULT_MAX_GROUP = 10000
 _CHECK_SEED = 3735928559
-_SPLIT_CLASSES = 4
 
 
 def max_group_order() -> int:
@@ -489,29 +488,23 @@ def _hessenberg_charpoly(h: list[list[int]], r: int) -> list[int]:
 # -- the character-table oracle ---------------------------------------
 
 
-def _class_row(group, classes, combo: dict[int, int], j: int, r: int) -> list[int]:
-    # Row j of sum_i c_i M_i, where M_i[j][l] = #{x in C_i : x^-1 z_l in C_j}.
+def _class_row(group, classes, ci: int, j: int, r: int) -> list[int]:
+    # Row j of M_i, i = ci, where M_i[j][l] = #{x in C_i : x^-1 z_l in C_j}.
     # Counting pairs in C_i x C_j with product in C_l two ways gives
     # M_i[j][l] = |C_j| #{x in C_i : x y_j in C_l} / |C_l|, y_j in C_j, so a
     # row costs |C_i| products instead of the |C_i| k of a whole matrix.
-    k = len(classes)
     sizes = classes.sizes
     class_of = classes.class_of
     yj = classes.representatives[j]
-    row = [0] * k
-    for ci, coeff in combo.items():
-        counts = [0] * k
-        for x in classes.classes[ci]:
-            counts[class_of[group.mul(x, yj)]] += 1
-        for l, hits in enumerate(counts):
-            if hits:
-                row[l] += coeff * (sizes[j] * hits // sizes[l])
-    return [x % r for x in row]
+    counts = [0] * len(classes)
+    for x in classes.classes[ci]:
+        counts[class_of[group.mul(x, yj)]] += 1
+    return [(sizes[j] * hits // sizes[l]) % r for l, hits in enumerate(counts)]
 
 
-def _split(group, classes, spaces, combo: dict[int, int], r: int, rng) -> list:
+def _split(group, classes, spaces, ci: int, r: int, rng) -> list:
     # Split every subspace of dimension > 1 into the eigenspaces of the
-    # combination sum_i c_i M_i restricted to it.  Each space is a basis in
+    # class matrix M_ci restricted to it.  Each space is a basis in
     # reduced echelon form with its pivots: vector b is 1 at pivots[b] and 0
     # at every other pivot, so the coordinates of any w in the span are
     # w[pivots[0]], w[pivots[1]], ...
@@ -524,7 +517,7 @@ def _split(group, classes, spaces, combo: dict[int, int], r: int, rng) -> list:
             continue
         for p in pivots:
             if p not in rows:
-                rows[p] = _class_row(group, classes, combo, p, r)
+                rows[p] = _class_row(group, classes, ci, p, r)
         # Coordinates of M b in the echelon basis are its pivot entries.
         rmat = [[sum(map(mul, rows[p], b)) % r for b in basis] for p in pivots]
         lam = rmat[0][0]
@@ -577,11 +570,11 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
     Dixon-Schneider class-sum method over F_r, with r the smallest prime
     r = 1 (mod exp G) exceeding 2*sqrt(|G|)*exp(G), so that eigenvalue data
     determines character values.  F_r^k is split into common eigenspaces of
-    the class matrices M_i: first by one random F_r-combination of the
-    _SPLIT_CLASSES smallest classes, then by the other class matrices one
-    at a time on the subspaces still of dimension > 1.  Each split restricts
-    M_i to a subspace through the rows of M_i at the pivots of its echelon
-    basis, reduces the restriction to Hessenberg form, takes the
+    the class matrices M_i class by class, in ascending (size, index) order
+    and with no combination of classes, on the subspaces still of dimension
+    > 1, until every subspace is a line.  Each split restricts M_i to a
+    subspace through the rows of M_i at the pivots of its echelon basis,
+    reduces the restriction to Hessenberg form, takes the
     characteristic polynomial by the Hessenberg recurrence, and finds its
     roots as gcd(x^r - x, f) split by Cantor-Zassenhaus equal-degree
     factorisation.  The values are then lifted exactly through
@@ -589,8 +582,8 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
     orbit of classes under power maps).  Each distinct value, fixed by its
     order and multiplicities, is reduced, imaged mod r and serialized once;
     every class's image is certified against its eigenvector mod r.
-    Randomness comes from a fixed seed; the rows are sorted by (degree,
-    serialized values).
+    The root finding draws from a fixed seed; the rows are sorted by
+    (degree, serialized values).
     """
     bound = max_group_order()
     n = group.order
@@ -615,17 +608,11 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
     inv_class = [classes.inverse_class(ci) for ci in range(k)]
     inv_size = [pow(size, r - 2, r) for size in classes.sizes]
     rng = random.Random(_CHECK_SEED)
-    by_size = sorted(range(1, k), key=lambda ci: (classes.sizes[ci], ci))
-    mixed, rest = by_size[:_SPLIT_CLASSES], by_size[_SPLIT_CLASSES:]
     spaces = [([[int(i == j) for i in range(k)] for j in range(k)], list(range(k)))]
-    combo = {ci: rng.randrange(1, r) for ci in mixed}
-    spaces = _split(group, classes, spaces, combo, r, rng)
-    # The mixed classes come last: they split only what the combination
-    # merged by an unlucky choice of coefficients.
-    for ci in rest + mixed:
+    for ci in sorted(range(1, k), key=lambda ci: (classes.sizes[ci], ci)):
         if all(len(basis) == 1 for basis, _ in spaces):
             break
-        spaces = _split(group, classes, spaces, {ci: 1}, r, rng)
+        spaces = _split(group, classes, spaces, ci, r, rng)
     if any(len(basis) != 1 for basis, _ in spaces):
         raise AssertionError("class matrices failed to separate characters")
 

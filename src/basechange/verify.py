@@ -477,7 +477,7 @@ DEFAULT_HEIS_TUPLES = (
 )
 
 
-def _run_heis_tuple(tup, action=None) -> list[Check]:
+def _run_heis_tuple(tup) -> list[Check]:
     """The tuple's checks under a "p.._a.._d.._realization:" prefix, or one
     skipped check when its group exceeds the size bound (nothing is built)
     or its torus is impossible.  One torus serves both sub-reports.  The
@@ -489,11 +489,10 @@ def _run_heis_tuple(tup, action=None) -> list[Check]:
         _require_size("Heis", p ** (2 * a + 1))
     except ValueError as e:
         return [Check(name="%s:size" % prefix, status="skipped", details=str(e))]
-    if action is None:
-        try:
-            action = torus_realization(p, d, realization)
-        except ValueError as e:
-            return [Check(name="%s:realization" % prefix, status="skipped", details=str(e))]
+    try:
+        action = torus_realization(p, d, realization)
+    except ValueError as e:
+        return [Check(name="%s:realization" % prefix, status="skipped", details=str(e))]
     subs = (
         lemma_H_verify(p, a, d, realization, action),
         torus_action_consequences(extraspecial_group(p, a), action),
@@ -502,17 +501,14 @@ def _run_heis_tuple(tup, action=None) -> list[Check]:
     return [Check(prefix + ":" + c.name, c.status, c.details, c.counterexample) for c in checks]
 
 
-def suite_heisenberg(tuples=None, actions=None) -> Report:
+def suite_heisenberg(tuples=None) -> Report:
     """Aggregate the extraspecial-group checks (trace sign law, multiplicity
     multisets, coset support, action consequences) over a list of
-    (p, a, d, realization) tuples, run one after another.  actions, when
-    given, holds each tuple's TorusAction, already built by the caller."""
+    (p, a, d, realization) tuples, run one after another."""
     if tuples is None:
         tuples = DEFAULT_HEIS_TUPLES
     tuples = [tuple(t) for t in tuples]
-    if actions is None:
-        actions = [None] * len(tuples)
-    checks = [c for t, action in zip(tuples, actions) for c in _run_heis_tuple(t, action)]
+    checks = [c for t in tuples for c in _run_heis_tuple(t)]
     return Report(
         suite="heisenberg",
         params={"tuples": [list(t) for t in tuples]},

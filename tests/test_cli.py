@@ -277,8 +277,7 @@ class TestVerify:
 
 
 def count_torus_builds(monkeypatch) -> list:
-    """Record every torus_realization call the CLI, the suite and the
-    lemma make."""
+    """Record every torus_realization call the suite and the lemma make."""
     from basechange import heis, verify
 
     calls = []
@@ -288,7 +287,7 @@ def count_torus_builds(monkeypatch) -> list:
         calls.append(args)
         return real(*args)
 
-    for module in (cli, verify, heis):
+    for module in (verify, heis):
         monkeypatch.setattr(module, "torus_realization", counted)
     return calls
 
@@ -338,7 +337,10 @@ class TestHeis:
         def unreachable(*args):
             raise AssertionError("a field was built")
 
-        monkeypatch.setattr(cli, "torus_realization", unreachable)
+        from basechange import verify
+
+        for module in (verify, heis):
+            monkeypatch.setattr(module, "torus_realization", unreachable)
         code, out, err = run(["heis", "--p", str(p), "--d", "2", "--realization", "split"], capsys)
         assert code == 2
         assert out == ""

@@ -21,6 +21,7 @@ from basechange.grpcore import (
     _hessenberg_charpoly,
     _lift_table as lift_table,
     _nullspace,
+    _class_row,
     _require_subgroup,
     character_table,
     conjugacy_classes,
@@ -744,6 +745,53 @@ class TestRationalClassLift:
             for l, o in enumerate(classes.rep_orders)
         }
         assert calls == len(pairs) == reduced
+
+
+class TestClassSplitting:
+    """The oracle splits F_r^k by one class matrix at a time, smallest class
+    first, reading each matrix a row at a time."""
+
+    @pytest.mark.parametrize("name", ["s3", "gl2_q3", "u2_q3"])
+    def test_class_row_is_the_class_matrix(self, name, gl2_q3, u2_q3):
+        # M_i[j][l] = #{x in C_i : x^-1 z_l in C_j}, counted over all of G.
+        group = {"s3": s3(), "gl2_q3": gl2_q3, "u2_q3": u2_q3}[name]
+        classes = conjugacy_classes(group)
+        k, r = len(classes), 10007
+        counts = [[[0] * k for _ in range(k)] for _ in range(k)]
+        for l, z in enumerate(classes.representatives):
+            for x in range(group.order):
+                ci = classes.class_of[x]
+                cj = classes.class_of[group.mul(group.inv(x), z)]
+                counts[ci][cj][l] += 1
+        for i in range(k):
+            for j in range(k):
+                assert _class_row(group, classes, i, j, r) == [c % r for c in counts[i][j]]
+
+    @pytest.mark.parametrize(
+        "q,splits", [(5, {"sl2": 2, "gl2": 19, "u2": 28}), (7, {"sl2": 7, "gl2": 37, "u2": 56})]
+    )
+    def test_split_rounds(self, q, splits, monkeypatch):
+        calls = []
+        split = grpcore._split
+
+        def counted(group, classes, spaces, ci, *args):
+            calls.append(ci)
+            return split(group, classes, spaces, ci, *args)
+
+        monkeypatch.setattr(grpcore, "_split", counted)
+        got = {}
+        for family in splits:
+            if family == "u2":
+                group = build_u2(rankone.UnitarySpec(q))
+            else:
+                group = {"sl2": build_sl2, "gl2": build_gl2}[family](make_field(q))
+            calls.clear()
+            character_table(group)
+            classes = conjugacy_classes(group)
+            order = sorted(range(1, len(classes)), key=lambda ci: (classes.sizes[ci], ci))
+            assert calls == order[: len(calls)]
+            got[family] = len(calls)
+        assert got == splits
 
 
 class TestExport:

@@ -726,3 +726,38 @@ class TestFailingReports:
         check = rpt.checks[-1]
         assert (check.name, check.status) == ("torus_center_conjugacy_separated", "fail")
         assert check.counterexample == text
+
+    @pytest.mark.parametrize(
+        "tup,modulus_text,multiset_text",
+        [
+            ((3, 1, 4, "nonsplit"), "(0, 2, 'cyc(12)[3,0,0,0]')", "(0, [0, 0, 1, 2])"),
+            ((5, 1, 4, "split"), "(0, 2, 'cyc(20)[5,0,0,0,0,0,0,0]')", "(0, [0, 0, 2, 3])"),
+            (
+                (7, 1, 8, "nonsplit"),
+                "(0, 4, 'cyc(56)[7" + ",0" * 23 + "]')",
+                "(0, [0, 0, 0, 0, 1, 2, 2, 2])",
+            ),
+        ],
+    )
+    def test_label_checks(self, tup, modulus_text, multiset_text, monkeypatch):
+        # Adding d to the shared trace at t^(d/2) keeps every multiplicity an
+        # integer (it moves each by +-1) but breaks all three label checks.
+        def perturbed(rep, action):
+            exts = extend(rep, action)
+            half = action.order // 2
+            traces = list(exts[0].traces)
+            traces[half] = traces[half] + action.order
+            traces = tuple(traces)
+            for ext in exts:
+                ext.traces = traces
+            return exts
+
+        monkeypatch.setattr(heis, "extend", perturbed)
+        checks = lemma_H_verify(*tup).checks[1:4]
+        assert [(c.name, c.status, c.counterexample) for c in checks] == [
+            ("trace_sign_law", "fail", "(0, [])"),
+            ("trace_modulus_one", "fail", modulus_text),
+            ("multiplicity_multiset", "fail", multiset_text),
+        ]
+        eps = -1 if (tup[0] + 1) % tup[2] == 0 else 1
+        assert checks[0].details == "epsilon = %d; extension label -> character exponent: {}" % eps
