@@ -12,7 +12,6 @@ override, a positive integer).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .cuspchar import (
@@ -25,7 +24,8 @@ from .cuspchar import (
 )
 from .ffield import MultChar, NormOneChar, _is_prime, make_field
 from .grpcore import max_group_order, table_to_csv, table_to_json
-from .verify import SUITES, report_to_json, suite_heisenberg
+from .report import report_to_json
+from .verify import SUITES, suite_heisenberg
 
 _SUITE_ALIASES = {
     "level0": "level0_basechange",
@@ -120,17 +120,13 @@ def _emit(text: str, out_path: str | None):
         raise ValueError("cannot write --out %r: %s" % (out_path, e.strerror or e)) from None
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def _cmd_chartable(args) -> int:
     group = standard_group(args.family, args.q)
     table = standard_table(args.family, args.q)
     if args.format == "csv":
         _emit(table_to_csv(group, table), args.out)
     else:
-        _emit(_json_dumps(table_to_json(group, table)), args.out)
+        _emit(report_to_json(table_to_json(group, table)), args.out)
     return 0
 
 
@@ -185,7 +181,7 @@ def _cmd_cuspidal(args) -> int:
         obj["family"] = args.family
         obj["q"] = args.q
         obj["params"] = param_info
-        _emit(_json_dumps(obj), args.out)
+        _emit(report_to_json(obj), args.out)
     return 0
 
 

@@ -34,6 +34,11 @@ from .rankone import (
 )
 
 
+class IdentificationError(AssertionError):
+    """A formula-built character equal to no oracle row, or to several: a
+    transcription fault in a formula, never a usage error."""
+
+
 # -- shared contexts (built once per q) -------------------------------
 
 
@@ -327,9 +332,9 @@ def u2_cuspidal(theta1: NormOneChar, theta2: NormOneChar) -> ClassFunction:
     wanted = _u2_torus_values(ctx, theta1, theta2)
     hits = ctx.torus_index.lookup(wanted[ci] for ci in ctx.torus_classes)
     if not hits:
-        raise ValueError("Ennola mismatch: no oracle irreducible fits the torus values")
+        raise IdentificationError("Ennola mismatch: no oracle irreducible fits the torus values")
     if len(hits) > 1:
-        raise ValueError("ambiguous: several oracle irreducibles fit the torus values")
+        raise IdentificationError("ambiguous: several oracle irreducibles fit the torus values")
     return ctx.table[hits[0]]
 
 
@@ -384,12 +389,12 @@ def sigma0(
     built = ClassFunction(ctx.classes, _sigma0_values(ctx, theta1, theta2, Theta1 * Theta2))
     hits = ctx.cuspidal_index.lookup(built.values)
     if not hits:
-        raise ValueError(
+        raise IdentificationError(
             "no cuspidal identification for the built class function "
             "(formula transcription bug)"
         )
     if len(hits) > 1:
-        raise ValueError("ambiguous cuspidal identification")
+        raise IdentificationError("ambiguous cuspidal identification")
     return built, hits[0]
 
 

@@ -62,8 +62,8 @@ class GroupTable:
             self.inv_table = [self.index[inv_key(k)] for k in self.elements]
         except KeyError:
             raise ValueError("not closed under inversion") from None
-        self._orders: list[int | None] = [None] * self.order
-        # Index tables derived from the group once: its classes, rankone's tau.
+        # Index tables derived from the group once: its classes, rankone's
+        # tau, its fusion into each supergroup.
         self.derived: dict = {}
         self._generators: tuple[int, ...] | None = None
         self._columns: dict[int, list[int]] = {}
@@ -128,16 +128,6 @@ class GroupTable:
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def element_order(self, g: int) -> int:
-        cached = self._orders[g]
-        if cached is None:
-            e, x = 1, g
-            while x != self.id:
-                x = self.mul(x, g)
-                e += 1
-            self._orders[g] = cached = e
-        return cached
 
     def key(self, i: int):
         return self.elements[i]
@@ -228,18 +218,24 @@ def orbits(group: GroupTable, moves, seeds=None) -> list[tuple[int, ...]]:
 
 
 class ConjClasses:
-    """Conjugacy partition with deterministic class ordering."""
+    """Conjugacy partition with deterministic class ordering, and the power
+    table on the classes: ``powers[ci][e]`` is the class of repᵉ, 0 ≤ e < o."""
 
     def __init__(self, group: GroupTable):
         self.group = group
-        n = group.order
-        raw = orbits(group, [(group.inv(g), g) for g in group.generators()])
-        # Deterministic order: element order, then size, then least index.
-        order_key = []
+        n, ident = group.order, group.id
+        raw = orbits(group, [(group.inv_table[g], g) for g in group.generators()])
+        # Each representative walked once through x⁰ … x^(o−1): o − 1
+        # products, the last of which returns to the identity.
+        walks = []
         for c in raw:
-            rep = c[0]
-            order_key.append((group.element_order(rep), len(c), rep))
-        perm = sorted(range(len(raw)), key=lambda i: order_key[i])
+            walk, x = [ident], c[0]
+            while x != ident:
+                walk.append(x)
+                x = group.mul(x, c[0])
+            walks.append(walk)
+        # Deterministic order: element order, then size, then least index.
+        perm = sorted(range(len(raw)), key=lambda i: (len(walks[i]), len(raw[i]), raw[i][0]))
         self.classes = tuple(raw[i] for i in perm)
         self.representatives = tuple(c[0] for c in self.classes)
         self.sizes = tuple(len(c) for c in self.classes)
@@ -248,13 +244,11 @@ class ConjClasses:
             for x in c:
                 lookup[x] = ci
         self.class_of = tuple(lookup)
-        self.centralizer_orders = []
-        for s in self.sizes:
-            if group.order % s != 0:
-                raise AssertionError("class size does not divide group order")
-            self.centralizer_orders.append(group.order // s)
-        self.centralizer_orders = tuple(self.centralizer_orders)
-        self.rep_orders = tuple(group.element_order(r) for r in self.representatives)
+        if any(n % s for s in self.sizes):
+            raise AssertionError("class size does not divide group order")
+        self.centralizer_orders = tuple(n // s for s in self.sizes)
+        self.powers = tuple(tuple(lookup[x] for x in walks[i]) for i in perm)
+        self.rep_orders = tuple(len(row) for row in self.powers)
         if self.rep_orders[0] != 1:
             raise AssertionError("identity class is not first")
 
@@ -262,10 +256,10 @@ class ConjClasses:
         return len(self.classes)
 
     def inverse_class(self, ci: int) -> int:
-        return self.class_of[self.group.inv(self.representatives[ci])]
+        return self.powers[ci][-1]
 
     def power_class(self, ci: int, e: int) -> int:
-        return self.class_of[self.group.power(self.representatives[ci], e)]
+        return self.powers[ci][e % self.rep_orders[ci]]
 
 
 def conjugacy_classes(group: GroupTable) -> ConjClasses:
@@ -352,46 +346,47 @@ def inner_product(phi: ClassFunction, psi: ClassFunction) -> Cyclotomic:
     return dot(phi.values, psi.values, phi.classes.sizes, conj=True, den=phi.group.order)
 
 
-def _require_subgroup(sub: GroupTable, group: GroupTable):
-    """H <= G: same identity, H's keys in G, and H's product equal to G's on
-    x·s for every x in H and s in H.generators(); by induction on word length
-    the inclusion is then a homomorphism, at |H|·|gens| products.  H's side
-    reads its generator columns, which hold exactly those products."""
+def fusion(sub: GroupTable, group: GroupTable) -> tuple[int, ...]:
+    """The G-class of each class of H <= G, kept in H.derived once its
+    certificate holds: the same identity, H's keys in G, and x·s in H equal
+    to its image's product in G for x in H and s in H.generators(), read
+    from H's generator columns.  By induction on word length the embedding
+    is then a homomorphism, at |H|·|gens| products of G."""
+    fused = sub.derived.get(("fusion", group))
+    if fused is not None:
+        return fused
     if sub.key(sub.id) != group.key(group.id):
         raise ValueError("H is not a subgroup of G (identity differs)")
-    for k in sub.elements:
-        if k not in group.index:
-            raise ValueError("H is not a subgroup of G")
+    try:
+        embed = [group.index[k] for k in sub.elements]
+    except KeyError:
+        raise ValueError("H is not a subgroup of G") from None
     for s in sub.generators():
-        gs = group.index[sub.elements[s]]
-        for ki, xs in zip(sub.elements, sub.column(s)):
-            gk = group.elements[group.mul(group.index[ki], gs)]
-            if sub.key(xs) != gk:
+        gs = embed[s]
+        for x, xs in zip(embed, sub.column(s)):
+            if group.mul(x, gs) != embed[xs]:
                 raise ValueError("H multiplication disagrees with G")
+    class_of = conjugacy_classes(group).class_of
+    fused = tuple(class_of[embed[rep]] for rep in conjugacy_classes(sub).representatives)
+    sub.derived[("fusion", group)] = fused
+    return fused
 
 
 def restrict(chi: ClassFunction, sub: GroupTable) -> ClassFunction:
     """Transport values of a G-class function to the classes of H <= G."""
-    group = chi.group
-    _require_subgroup(sub, group)
-    sub_classes = conjugacy_classes(sub)
-    values = []
-    for rep in sub_classes.representatives:
-        gi = group.index[sub.key(rep)]
-        values.append(chi.on_element(gi))
-    return ClassFunction(sub_classes, values)
+    values = [chi.values[ci] for ci in fusion(sub, chi.group)]
+    return ClassFunction(conjugacy_classes(sub), values)
 
 
 def induce(psi: ClassFunction, group: GroupTable) -> ClassFunction:
     """Frobenius induction of a class function from H <= G up to G."""
     sub = psi.group
-    _require_subgroup(sub, group)
+    fused = fusion(sub, group)
     classes = conjugacy_classes(group)
     # Frobenius class formula: Ind psi(g) = |C_G(g)|/|H| sum_{h in H ~ g} psi(h),
     # summed over the classes of H by the G-class each one falls in.
     sums = [ZERO] * len(classes)
-    for rep, size, value in zip(psi.classes.representatives, psi.classes.sizes, psi.values):
-        ci = classes.class_of[group.index[sub.key(rep)]]
+    for ci, size, value in zip(fused, psi.classes.sizes, psi.values):
         sums[ci] = sums[ci] + value * size
     return ClassFunction(
         classes,
@@ -548,8 +543,8 @@ def _lift_table(classes, l: int, exponent: int, zgen: int, r: int):
     # Eigenvalue multiplicities of rho(g), g in class l of order o:
     # m_j = (1/o) sum_e chi(g^e) zeta_o^(-je).  Gather the e by the class
     # of g^e, so m_j = sum_c coeff[j][c] * chi(class c) for each character.
-    o = classes.rep_orders[l]
-    power_classes = [classes.power_class(l, e) for e in range(o)]
+    power_classes = classes.powers[l]
+    o = len(power_classes)
     targets = sorted(set(power_classes))
     slot = {c: i for i, c in enumerate(targets)}
     z_inv = pow(pow(zgen, exponent // o, r), r - 2, r)
@@ -593,9 +588,7 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
         )
     classes = conjugacy_classes(group)
     k = len(classes)
-    exponent = 1
-    for o in classes.rep_orders:
-        exponent = lcm(exponent, o)
+    exponent = lcm(*classes.rep_orders)
     s = isqrt(n)
     if s * s < n:
         s += 1
@@ -617,15 +610,15 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
         raise AssertionError("class matrices failed to separate characters")
 
     # One lift per rational class: for e prime to o, chi(g^e) = sigma_e(chi(g)),
-    # so class power_class(l0, e) takes l0's multiplicities m_j at zeta_o^(je).
+    # so class powers[l0][e] takes l0's multiplicities m_j at zeta_o^(je).
     lifts, spread = {}, {}
     for l0 in range(k):
         if l0 not in spread:
             lifts[l0] = _lift_table(classes, l0, exponent, zgen, r)
-            o = lifts[l0][0]
-            for e in range(1, o + 1):
+            o = classes.rep_orders[l0]
+            for e, c in enumerate(classes.powers[l0]):
                 if gcd(e, o) == 1:
-                    spread.setdefault(classes.power_class(l0, e), (l0, o, pow(e, -1, o)))
+                    spread.setdefault(c, (l0, o, pow(e, -1, o)))
     # A lifted value is fixed by its order o and multiplicities, which are
     # reduced once per distinct pair; each distinct value is then built,
     # imaged mod r and serialized once, and shared by every class and row.

@@ -411,7 +411,7 @@ class HeisRep:
         # certificate, checked on every element.
         for key, (x, exps) in enumerate(self._mono):
             v, z = divmod(key, self.p)
-            trace = sum(self._phases(exps), ZERO) if x == 0 else ZERO
+            trace = root_sum(self.p, 1, exps) if x == 0 else ZERO
             expected = self.dim * self.theta(z) if v == 0 else ZERO
             if trace != expected:
                 raise AssertionError("trace identity fails at %r" % (self.group.decode(key),))

@@ -58,8 +58,10 @@ class Report:
         }
 
 
-def report_to_json(report: Report) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+def report_to_json(obj) -> str:
+    """A Report or a JSON-ready value as sorted JSON: the one JSON writer."""
+    obj = obj.to_dict() if isinstance(obj, Report) else obj
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _bulk_check(name: str, failures: list, detail_ok: str) -> Check:

@@ -29,6 +29,7 @@ from .rankone import (
     tau_permutation,
 )
 from .cuspchar import (
+    IdentificationError,
     gl2_context,
     gl2_cuspidal,
     sigma0,
@@ -404,7 +405,7 @@ def suite_endoscopic_finite(q: int = 3) -> Report:
                 u2_failures.append((s1, s2, "degree"))
             if u2_cuspidal(theta2, theta1) != row:
                 swap_failures.append((s1, s2))
-        except ValueError as e:
+        except IdentificationError as e:
             u2_failures.append((s1, s2, str(e)))
 
         seen_invariants = set()

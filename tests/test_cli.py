@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from basechange import cli, heis
+from basechange import cli, cuspchar, heis
 from basechange.cli import main
 
 
@@ -525,6 +525,49 @@ class TestInternalError:
         assert code == 3
         assert out == ""
         assert err == "internal error: AssertionError: multiplicity is not an integer for label 0\n"
+
+    @staticmethod
+    def _off_by_one(real, pick):
+        def perturbed(*args):
+            values = real(*args)
+            ci = pick(values)
+            values[ci] = values[ci] + 1
+            return values
+
+        return perturbed
+
+    def test_a_transfer_matching_no_cuspidal_exits_3(self, monkeypatch, capsys):
+        # A formula fault, not a usage error: sigma0 identifies nothing.
+        ctx = cuspchar.gl2_context(3)
+        pick = lambda values: next(iter(ctx.elliptic_reps))
+        monkeypatch.setattr(
+            cuspchar, "_sigma0_values", self._off_by_one(cuspchar._sigma0_values, pick)
+        )
+        code, out, err = run(["verify", "endoscopic", "--q", "3"], capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            "internal error: IdentificationError: no cuspidal identification for "
+            "the built class function (formula transcription bug)\n"
+        )
+
+    def test_an_ennola_mismatch_exits_3_from_cuspidal_and_fails_a_check(
+        self, monkeypatch, capsys
+    ):
+        pick = lambda values: next(iter(values))
+        monkeypatch.setattr(
+            cuspchar, "_u2_torus_values", self._off_by_one(cuspchar._u2_torus_values, pick)
+        )
+        code, out, err = run(["cuspidal", "u2", "--q", "3"], capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            "internal error: IdentificationError: Ennola mismatch: no oracle "
+            "irreducible fits the torus values\n"
+        )
+        # The endoscopic suite reports it as its failed U2 check.
+        code, out, err = run(["verify", "endoscopic", "--q", "3"], capsys)
+        assert (code, err) == (1, "")
+        failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
+        assert failed == ["u2_unique_oracle_match"]
 
     def test_exit_codes_are_documented(self, capsys):
         _, out, _ = run(["--help"], capsys)

@@ -11,6 +11,7 @@ from basechange import cuspchar
 from basechange.cyclo import ZERO, Cyclotomic, root_of_unity
 from basechange.cuspchar import (
     FAMILIES,
+    IdentificationError,
     _sl2_values,
     _u2_torus_values,
     canonical_gamma_rep,
@@ -355,7 +356,7 @@ class TestIndexAgainstScan:
             return values
 
         monkeypatch.setattr(cuspchar, "_sigma0_values", perturbed)
-        with pytest.raises(ValueError, match="no cuspidal identification"):
+        with pytest.raises(IdentificationError, match="no cuspidal identification"):
             sigma0(*first_sigma0_args(3))
 
     def test_equal_keys_are_ambiguous(self, monkeypatch):
@@ -367,7 +368,7 @@ class TestIndexAgainstScan:
         monkeypatch.setattr(
             cuspchar, "gl2_cuspidal", lambda c: real(ident) if c == other else real(c)
         )
-        with pytest.raises(ValueError, match="ambiguous cuspidal identification"):
+        with pytest.raises(IdentificationError, match="ambiguous cuspidal identification"):
             sigma0(*first_sigma0_args(3))
         assert sorted(len(items) for items in ctx.cuspidal_index.by_key.values())[-1] == 2
 
@@ -409,12 +410,12 @@ class TestIndexAgainstScan:
 
         with monkeypatch.context() as m:
             m.setattr(cuspchar, "_u2_torus_values", perturbed)
-            with pytest.raises(ValueError, match="Ennola mismatch"):
+            with pytest.raises(IdentificationError, match="Ennola mismatch"):
                 u2_cuspidal(th1, th2)
         with monkeypatch.context() as m:
             m.setattr(ctx, "table", ctx.table + [row])
             m.delattr(ctx, "torus_index")
-            with pytest.raises(ValueError, match="ambiguous: several oracle irreducibles"):
+            with pytest.raises(IdentificationError, match="ambiguous: several oracle irreducibles"):
                 u2_cuspidal(th1, th2)
         with monkeypatch.context() as m:
             u = ctx.l1[1]

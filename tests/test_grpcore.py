@@ -22,9 +22,9 @@ from basechange.grpcore import (
     _lift_table as lift_table,
     _nullspace,
     _class_row,
-    _require_subgroup,
     character_table,
     conjugacy_classes,
+    fusion,
     induce,
     inner_product,
     max_group_order,
@@ -74,8 +74,9 @@ class TestGroupTable:
         G = cyclic(12)
         assert G.power(G.index[1], 7) == G.index[7]
         assert G.power(G.index[5], -1) == G.index[7]
-        assert G.element_order(G.index[4]) == 3
-        assert G.element_order(G.id) == 1
+        cls = conjugacy_classes(G)
+        assert cls.rep_orders[cls.class_of[G.index[4]]] == 3
+        assert cls.rep_orders[cls.class_of[G.id]] == 1
 
     def test_from_generators(self):
         G = GroupTable.from_generators(
@@ -374,6 +375,41 @@ class TestConjClasses:
         assert len(conjugacy_classes(sl2_q3)) == 7
 
 
+class TestPowerTable:
+    """ConjClasses walks each representative once through its powers; every
+    power and inverse class is read from that table."""
+
+    @pytest.fixture(scope="class")
+    def groups(self, gl2_q9, u2_q5):
+        return [gl2_q9, u2_q5, extraspecial_group(3, 2).group]
+
+    def test_powers_match_binary_powers(self, groups):
+        for G in groups:
+            cls = conjugacy_classes(G)
+            for ci, (rep, o) in enumerate(zip(cls.representatives, cls.rep_orders)):
+                assert len(cls.powers[ci]) == o
+                assert [e for e in range(1, 2 * o) if G.power(rep, e) == G.id] == [o]
+                for e in range(2 * o):
+                    assert cls.powers[ci][e % o] == cls.class_of[G.power(rep, e)], (G.name, ci, e)
+                    assert cls.power_class(ci, e) == cls.powers[ci][e % o]
+
+    def test_inverse_class_matches_inv(self, groups):
+        for G in groups:
+            cls = conjugacy_classes(G)
+            for ci, rep in enumerate(cls.representatives):
+                assert cls.inverse_class(ci) == cls.class_of[G.inv(rep)], (G.name, ci)
+
+    def test_classes_and_oracle_call_no_power_or_inv(self, spec_q3, monkeypatch):
+        G = build_u2(spec_q3)
+
+        def banned(*args):
+            raise AssertionError("a class-level fact was recomputed from elements")
+
+        monkeypatch.setattr(GroupTable, "power", banned)
+        monkeypatch.setattr(GroupTable, "inv", banned)
+        assert len(character_table(G)) == len(conjugacy_classes(G)) == 16
+
+
 class TestInnerProduct:
     def test_trivial_self(self):
         G = s3()
@@ -527,7 +563,7 @@ class TestRestrictInduce:
 
 def agrees_on_all_pairs(sub, group):
     """H's product against G's on every pair: the all-pairs oracle for the
-    generating-set check in _require_subgroup."""
+    generating-set check in fusion."""
     return all(
         sub.key(sub.mul(i, j)) == group.key(group.mul(group.index[a], group.index[b]))
         for i, a in enumerate(sub.elements)
@@ -551,7 +587,7 @@ class TestSubgroupCertificate:
 
     def test_subgroups_pass_and_agree_on_all_pairs(self, pairs):
         for H, G in pairs:
-            _require_subgroup(H, G)
+            fusion(H, G)
             assert agrees_on_all_pairs(H, G), (H.name, G.name)
 
     def test_a_foreign_law_on_the_same_keys_is_rejected(self):
@@ -571,6 +607,48 @@ class TestSubgroupCertificate:
         assert not agrees_on_all_pairs(H, G)
         with pytest.raises(ValueError, match="H multiplication disagrees with G"):
             restrict(trivial_character(G), H)
+
+
+class TestFusion:
+    """fusion(H, G) is the G-class of each H-class, certified once per pair
+    and read by restrict and induce."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self, u2_q3, gl2_q9):
+        pmul = lambda a, b: tuple(a[b[i]] for i in range(3))
+        pinv = lambda a: tuple(sorted(range(3), key=lambda i: a[i]))
+        a3 = GroupTable.from_generators([(1, 2, 0)], pmul, pinv, (0, 1, 2))
+        F5 = make_field(5)
+        return [(a3, s3()), (build_sl2(F5), build_gl2(F5)), (u2_q3, gl2_q9)]
+
+    def test_fusion_is_the_class_of_every_key(self, pairs):
+        for H, G in pairs:
+            hc, gc = conjugacy_classes(H), conjugacy_classes(G)
+            fused = fusion(H, G)
+            assert len(fused) == len(hc)
+            for c, ci in zip(hc.classes, fused):
+                assert {gc.class_of[G.index[H.key(x)]] for x in c} == {ci}, (H.name, G.name)
+            assert fusion(H, G) is fused
+
+    def test_a_second_restrict_makes_no_product(self, monkeypatch):
+        calls = [0]
+
+        def counted(F, x, y):
+            calls[0] += 1
+            return mat_mul(F, x, y)
+
+        monkeypatch.setattr(rankone, "mat_mul", counted)
+        F = make_field(5)
+        G, H = build_gl2(F), build_sl2(F)
+        chi, psi = trivial_character(G), trivial_character(H)
+        calls[0] = 0
+        first = restrict(chi, H)
+        # The certificate: one product of G per element of H and generator.
+        assert calls[0] == H.order * len(H.generators())
+        calls[0] = 0
+        assert restrict(chi, H) == first
+        assert induce(psi, G).degree == G.order // H.order
+        assert calls[0] == 0
 
 
 class TestCharacterTable:

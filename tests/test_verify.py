@@ -125,6 +125,23 @@ class TestRestriction:
         assert "1 of 3 split" in suite_restriction_sl2(3).checks[1].details
         assert "2 of 10 split" in suite_restriction_sl2(5).checks[1].details
 
+    def test_the_subgroup_is_certified_once(self, monkeypatch):
+        # Every restrict of the suite reads one fusion map; its certificate
+        # is the only product of GL2(5) the suite takes once the tables exist.
+        gl, sl = FAMILIES["gl2"](5), FAMILIES["sl2"](5)
+        assert gl.table and sl.table
+        monkeypatch.delitem(sl.group.derived, ("fusion", gl.group), raising=False)
+        calls = [0]
+        real = gl.group._mul_key
+
+        def counted(x, y):
+            calls[0] += 1
+            return real(x, y)
+
+        monkeypatch.setattr(gl.group, "_mul_key", counted)
+        assert suite_restriction_sl2(5).passed
+        assert calls[0] == sl.group.order * len(sl.group.generators())
+
     @pytest.mark.parametrize("family", ["gl2", "sl2"])
     @pytest.mark.parametrize("q", [3, 5])
     def test_cuspidal_rows_are_the_rows_without_n_fixed_vectors(self, family, q):
