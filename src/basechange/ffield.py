@@ -131,17 +131,48 @@ def _poly_monic(poly: list[int], p: int) -> list[int]:
     return [(c * inv_lead) % p for c in poly]
 
 
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a mod the odd prime p, or None for a non-square:
+    Tonelli-Shanks, p - 1 = q 2^s with q odd."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    # x^2 = a t with t of 2-power order; each step lowers the order of t.
+    c, t, x = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, x = i, b * b % p, t * b * b % p, x * b % p
+    return x
+
+
 def _poly_roots(poly: list[int], p: int, rng) -> list[int]:
     """The distinct roots in GF(p) of poly (nonzero leading coefficient), ascending.
 
-    g = gcd(x^p - x, poly) is the product of the distinct linear factors;
-    it is split by equal-degree factorisation (Cantor-Zassenhaus): for a
-    random a, gcd((x + a)^((p-1)/2) - 1, g) and gcd((x + a)^((p-1)/2) + 1, g)
-    hold the roots lam with lam + a a nonzero square and a non-square.
+    Degrees 1 and 2 by formula.  Else g = gcd(x^p - x, poly), the product of
+    the distinct linear factors, is split by equal-degree factorisation
+    (Cantor-Zassenhaus): for a random a, gcd((x + a)^((p-1)/2) -+ 1, g) hold
+    the roots lam with lam + a a nonzero square and a non-square.
     """
     f = _poly_monic(poly, p)
     if len(f) < 2:
         return []
+    if len(f) == 2:
+        return [-f[0] % p]
+    if len(f) == 3:
+        # The quadratic formula: x = (-b +- sqrt(b^2 - 4c)) / 2.
+        s = _sqrt_mod(f[1] * f[1] - 4 * f[0], p)
+        if s is None:
+            return []
+        half = (p + 1) // 2
+        return sorted({(-f[1] + s) * half % p, (-f[1] - s) * half % p})
     xp = _poly_powmod([0, 1], p, f, p) + [0]
     xp[1] = (xp[1] - 1) % p
     stack = [_poly_monic(_poly_gcd(xp, f, p), p)]

@@ -539,6 +539,35 @@ def _split(group, classes, spaces, ci: int, r: int, rng) -> list:
     return out
 
 
+def _central_spaces(group, classes, exponent: int, zgen: int, r: int) -> list:
+    # Eigenspaces of M_z, z the central class of largest order o (least index
+    # on ties): row j of M_z is the unit vector at perm[j], the class of z y_j,
+    # so on a cycle of length L, lam^L = 1, the eigenvector is lam^t at member t
+    # with pivot member 0, the least; disjoint supports keep it reduced echelon.
+    k, orders = len(classes), classes.rep_orders
+    zc = max((ci for ci in range(k) if classes.sizes[ci] == 1), key=lambda ci: (orders[ci], -ci))
+    rows = [_class_row(group, classes, zc, j, r) for j in range(k)]
+    perm = [row.index(1) if sum(row) == 1 else -1 for row in rows]
+    if sorted(perm) != list(range(k)):
+        raise AssertionError("central class matrix is not a permutation matrix")
+    cycles = []
+    for j0 in range(k):
+        cycle = [j0]
+        while perm[cycle[-1]] != j0:
+            cycle.append(perm[cycle[-1]])
+        if min(cycle) == j0:
+            cycles.append(cycle)
+    o, spaces = orders[zc], []
+    for t in range(o):
+        lam = pow(zgen, exponent // o * t, r)
+        live = [cycle for cycle in cycles if pow(lam, len(cycle), r) == 1]
+        basis = [[pow(lam, c.index(j), r) if j in c else 0 for j in range(k)] for c in live]
+        spaces.append((basis, [c[0] for c in live]))
+    if sum(len(basis) for basis, _ in spaces) != k:
+        raise AssertionError("central eigenspace dimensions do not sum to the class count")
+    return spaces
+
+
 def _lift_table(classes, l: int, exponent: int, zgen: int, r: int):
     # Eigenvalue multiplicities of rho(g), g in class l of order o:
     # m_j = (1/o) sum_e chi(g^e) zeta_o^(-je).  Gather the e by the class
@@ -564,15 +593,15 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
 
     Dixon-Schneider class-sum method over F_r, with r the smallest prime
     r = 1 (mod exp G) exceeding 2*sqrt(|G|)*exp(G), so that eigenvalue data
-    determines character values.  F_r^k is split into common eigenspaces of
-    the class matrices M_i class by class, in ascending (size, index) order
-    and with no combination of classes, on the subspaces still of dimension
-    > 1, until every subspace is a line.  Each split restricts M_i to a
-    subspace through the rows of M_i at the pivots of its echelon basis,
-    reduces the restriction to Hessenberg form, takes the
-    characteristic polynomial by the Hessenberg recurrence, and finds its
-    roots as gcd(x^r - x, f) split by Cantor-Zassenhaus equal-degree
-    factorisation.  The values are then lifted exactly through
+    determines character values.  The eigenspaces of a central class
+    matrix, a permutation, are written down (`_central_spaces`) and split
+    into common eigenspaces of the class matrices M_i class by class, in
+    ascending (size, index) order, on the subspaces still of dimension > 1,
+    until every subspace is a line.  Each split restricts M_i to a subspace
+    through the rows of M_i at the pivots of its echelon basis, reduces it
+    to Hessenberg form, takes the characteristic polynomial by the
+    Hessenberg recurrence and finds its roots (by formula up to degree 2,
+    else by Cantor-Zassenhaus).  The values are then lifted exactly through
     root-of-unity multiplicity sums, once per rational class (a Galois
     orbit of classes under power maps).  Each distinct value, fixed by its
     order and multiplicities, is reduced, imaged mod r and serialized once;
@@ -601,7 +630,7 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
     inv_class = [classes.inverse_class(ci) for ci in range(k)]
     inv_size = [pow(size, r - 2, r) for size in classes.sizes]
     rng = random.Random(_CHECK_SEED)
-    spaces = [([[int(i == j) for i in range(k)] for j in range(k)], list(range(k)))]
+    spaces = _central_spaces(group, classes, exponent, zgen, r)
     for ci in sorted(range(1, k), key=lambda ci: (classes.sizes[ci], ci)):
         if all(len(basis) == 1 for basis, _ in spaces):
             break

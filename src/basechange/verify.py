@@ -46,7 +46,7 @@ from .heis import (
     torus_action_consequences,
     torus_realization,
 )
-from .report import Check, Report, _bulk_check, report_to_json
+from .report import Check, Report, _bulk_check
 
 
 # -- level-0 base change ----------------------------------------------

@@ -31,9 +31,9 @@ from basechange.cuspchar import (
 from basechange.ffield import MultChar, NormOneChar, make_field
 from basechange.grpcore import conjugacy_classes, inner_product
 from basechange.heis import expected_multiplicity_multiset
+from basechange.report import report_to_json
 from basechange.verify import (
     DEFAULT_HEIS_TUPLES,
-    report_to_json,
     suite_endoscopic_finite,
     suite_heisenberg,
     suite_level0_basechange,

@@ -18,6 +18,7 @@ from basechange.ffield import (
     _poly_roots,
     _prime_power,
     _primitive_root,
+    _sqrt_mod,
     make_field,
     norm,
     norm_one_generator,
@@ -382,3 +383,46 @@ class TestPrimeAndPolynomialHelpers:
         found = _poly_roots(poly, p, random.Random(seed))
         assert found == sorted(set(roots))
         assert found == [x for x in range(p) if poly_value(poly, x, p) == 0]
+
+
+class TestClosedFormRoots:
+    """Degrees 1 and 2 are solved by formula, with no random draw."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
+    def test_linear_and_quadratic_against_brute_force(self, p):
+        kinds = set()
+        for lead in (1, p - 1, 2):
+            for c0 in range(p):
+                linear = [c0 * lead % p, lead]
+                assert _poly_roots(linear, p, None) == [-c0 % p]
+                for c1 in range(p):
+                    poly = [c0 * lead % p, c1 * lead % p, lead]
+                    brute = [x for x in range(p) if poly_value(poly, x, p) == 0]
+                    # rng=None: any draw (the Cantor-Zassenhaus branch) would raise.
+                    assert _poly_roots(poly, p, None) == brute
+                    disc = (c1 * c1 - 4 * c0) % p
+                    kinds.add("double" if disc == 0 else "split" if brute else "irreducible")
+        assert kinds == {"split", "double", "irreducible"}
+
+    @pytest.mark.parametrize("p", [17, 97, 257])
+    def test_square_root_of_every_residue(self, p):
+        squares = {x * x % p for x in range(p)}
+        for a in range(p):
+            root = _sqrt_mod(a, p)
+            if a in squares:
+                assert root is not None and root * root % p == a
+            else:
+                assert root is None
+        assert _sqrt_mod(p + 4, p) in (2, p - 2)
+
+    def test_square_root_of_random_residues(self):
+        p, rng = 6481, random.Random(6481)
+        for _ in range(300):
+            x = rng.randrange(p)
+            assert _sqrt_mod(x * x % p, p) in (x, -x % p)
+            a = rng.randrange(1, p)
+            root = _sqrt_mod(a, p)
+            if pow(a, (p - 1) // 2, p) == 1:
+                assert root * root % p == a
+            else:
+                assert root is None

@@ -13,7 +13,7 @@ from basechange.cyclo import ONE, ZERO, Cyclotomic, euler_phi, root_of_unity
 from basechange.ffield import make_field
 from basechange.heis import extraspecial_group
 from basechange.rankone import build_gl2, build_sl2, build_u2, mat_id, mat_inv, mat_mul
-from basechange import grpcore, rankone
+from basechange import ffield, grpcore, rankone
 from basechange.grpcore import (
     ClassFunction,
     GroupTable,
@@ -870,6 +870,140 @@ class TestClassSplitting:
             assert calls == order[: len(calls)]
             got[family] = len(calls)
         assert got == splits
+
+
+def c2xc2():
+    return GroupTable.from_generators(
+        [(1, 0), (0, 1)],
+        lambda a, b: ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2),
+        lambda a: a,
+        (0, 0),
+        name="C2xC2",
+    )
+
+
+class TestCentralSplit:
+    """The oracle starts from the eigenspaces of M_z, z the central class of
+    largest order: M_z permutes the coordinates, so its eigenspaces are
+    written down from the cycles of that permutation."""
+
+    @staticmethod
+    def central_spaces(group, monkeypatch):
+        seen = []
+        real = grpcore._central_spaces
+
+        def recording(*args):
+            seen.append((args, real(*args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(grpcore, "_central_spaces", recording)
+        table = character_table(group)
+        assert len(seen) == 1
+        return table, seen[0]
+
+    @pytest.mark.parametrize("name", ["gl2_q5", "u2_q5", "sl2_q5", "heis3", "s3", "z12"])
+    def test_spaces_are_the_eigenspaces_of_the_central_class(self, name, u2_q5, monkeypatch):
+        group = {
+            "gl2_q5": lambda: build_gl2(make_field(5)),
+            "u2_q5": lambda: u2_q5,
+            "sl2_q5": lambda: build_sl2(make_field(5)),
+            "heis3": lambda: extraspecial_group(3).group,
+            "s3": s3,
+            "z12": lambda: cyclic(12),
+        }[name]()
+        _, ((_, classes, exponent, zgen, r), spaces) = self.central_spaces(group, monkeypatch)
+        k = len(classes)
+        central = [ci for ci in range(k) if classes.sizes[ci] == 1]
+        o = max(classes.rep_orders[ci] for ci in central)
+        zc = min(ci for ci in central if classes.rep_orders[ci] == o)
+        rows = [_class_row(group, classes, zc, j, r) for j in range(k)]
+        lams = []
+        for basis, pivots in spaces:
+            assert len(basis) == len(pivots) >= 1
+            lam = sum(x * y for x, y in zip(rows[pivots[0]], basis[0])) % r
+            assert pow(lam, o, r) == 1
+            lams.append(lam)
+            for b, vec in enumerate(basis):
+                # Reduced echelon: 1 at its own pivot, 0 at the others.
+                assert [vec[p] for p in pivots] == [int(a == b) for a in range(len(pivots))]
+                image = [sum(x * y for x, y in zip(row, vec)) % r for row in rows]
+                assert image == [lam * x % r for x in vec]
+        assert len(set(lams)) == len(lams)
+        assert sum(len(basis) for basis, _ in spaces) == k
+        if o == 1:
+            assert spaces == [([[int(i == j) for i in range(k)] for j in range(k)], list(range(k)))]
+
+    def test_non_cyclic_centre_still_splits_in_the_loop(self, monkeypatch):
+        group = c2xc2()
+        splits = []
+        real = grpcore._split
+
+        def counted(group, classes, spaces, ci, *args):
+            splits.append(ci)
+            return real(group, classes, spaces, ci, *args)
+
+        monkeypatch.setattr(grpcore, "_split", counted)
+        table, (_, spaces) = self.central_spaces(group, monkeypatch)
+        assert sorted(len(basis) for basis, _ in spaces) == [2, 2]
+        assert splits
+        classes = conjugacy_classes(group)
+        # chi_(s,t)(a, b) = (-1)^(sa + tb), one row for each (s, t).
+        hand = [
+            [root_of_unity(2, s * a + t * b) for a, b in map(group.key, classes.representatives)]
+            for s in (0, 1)
+            for t in (0, 1)
+        ]
+        assert len(table) == 4
+        for expected in hand:
+            assert sum(list(cf.values) == expected for cf in table) == 1
+
+    def test_cyclic_group_needs_no_split(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(grpcore, "_split", lambda *args: calls.append(args))
+        assert len(character_table(cyclic(12))) == 12
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "q,roots,searched",
+        [
+            (5, {"sl2": 2, "gl2": 14, "u2": 12}, {"sl2": 2, "gl2": 4, "u2": 6}),
+            (7, {"sl2": 3, "gl2": 30, "u2": 40}, {"sl2": 2, "gl2": 9, "u2": 12}),
+        ],
+    )
+    def test_root_finding_cost(self, q, roots, searched, monkeypatch):
+        # One characteristic polynomial per non-scalar restriction; only
+        # those of degree >= 3 reach Cantor-Zassenhaus (its gcds).
+        count = {"roots": 0, "hessenberg": 0, "searched": 0}
+        gcds = []
+        real_roots, real_hess, real_gcd = grpcore._poly_roots, grpcore._hessenberg, ffield._poly_gcd
+
+        def counted_roots(poly, p, rng):
+            count["roots"] += 1
+            gcds.clear()
+            found = real_roots(poly, p, rng)
+            count["searched"] += bool(gcds)
+            return found
+
+        def counted_hess(m, r):
+            count["hessenberg"] += 1
+            return real_hess(m, r)
+
+        def counted_gcd(*args):
+            gcds.append(1)
+            return real_gcd(*args)
+
+        monkeypatch.setattr(grpcore, "_poly_roots", counted_roots)
+        monkeypatch.setattr(grpcore, "_hessenberg", counted_hess)
+        monkeypatch.setattr(ffield, "_poly_gcd", counted_gcd)
+        for family in roots:
+            if family == "u2":
+                group = build_u2(rankone.UnitarySpec(q))
+            else:
+                group = {"sl2": build_sl2, "gl2": build_gl2}[family](make_field(q))
+            count.update(roots=0, hessenberg=0, searched=0)
+            character_table(group)
+            assert count["roots"] == count["hessenberg"] == roots[family]
+            assert count["searched"] <= searched[family]
 
 
 class TestExport:

@@ -24,7 +24,15 @@ class TestModel:
 
         assert verify.Check is Check
         assert verify.Report is Report
-        assert verify.report_to_json is report.report_to_json
+
+    def test_json_writer_comes_from_report(self):
+        # cli and the package take the writer from report; verify builds
+        # reports and never writes one, so it has no writer of its own.
+        from basechange import cli, verify
+
+        assert cli.report_to_json is report.report_to_json
+        assert basechange.report_to_json is report.report_to_json
+        assert not hasattr(verify, "report_to_json")
 
     def test_counterexample_check_pass(self):
         c = counterexample_check("x", None, "all good")

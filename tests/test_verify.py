@@ -7,13 +7,13 @@ import pytest
 
 from basechange.cuspchar import FAMILIES
 from basechange.cyclo import ZERO
+from basechange.report import report_to_json
 from basechange.verify import (
     DEFAULT_HEIS_TUPLES,
     Check,
     Report,
     SUITES,
     _cuspidal_rows,
-    report_to_json,
     suite_endoscopic_finite,
     suite_heisenberg,
     suite_level0_basechange,
