@@ -22,7 +22,7 @@ from .cuspchar import (
     standard_table,
     u2_cuspidal,
 )
-from .ffield import MultChar, NormOneChar, _is_prime, make_field
+from .ffield import MAX_FIELD_SIZE, MultChar, NormOneChar, _factorize, quadratic_pair
 from .grpcore import max_group_order, table_to_csv, table_to_json
 from .report import report_to_json
 from .verify import SUITES, suite_heisenberg
@@ -45,10 +45,13 @@ def _int_or_zero(raw: str) -> int:
         return 0
 
 
-def _odd_prime(raw: str) -> int:
+def _odd_prime_power(raw: str) -> int:
+    # The size bound comes first, so no huge q reaches the factorization.
     q = _int_or_zero(raw)
-    if q == 2 or not _is_prime(q):
-        raise argparse.ArgumentTypeError("q must be an odd prime, got %r" % raw)
+    if q < 3 or q * q > MAX_FIELD_SIZE or q % 2 == 0 or len(_factorize(q)) != 1:
+        raise argparse.ArgumentTypeError(
+            "q must be an odd prime power with q^2 <= %d, got %r" % (MAX_FIELD_SIZE, raw)
+        )
     return q
 
 
@@ -66,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chartable", help="print the character table of a standard family"
     )
     p_table.add_argument("family", choices=_FAMILIES)
-    p_table.add_argument("--q", type=_odd_prime, default=3, help="base field size (odd prime)")
+    p_table.add_argument("--q", type=_odd_prime_power, default=3, help="base field size (odd prime power)")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -74,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cuspidal", help="print one cuspidal character built by formula"
     )
     p_cusp.add_argument("family", choices=_FAMILIES)
-    p_cusp.add_argument("--q", type=_odd_prime, default=3, help="base field size (odd prime)")
+    p_cusp.add_argument("--q", type=_odd_prime_power, default=3, help="base field size (odd prime power)")
     p_cusp.add_argument(
         "--theta",
         default=None,
@@ -90,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(_SUITE_ALIASES) + sorted(SUITES),
         help="suite name (short or full)",
     )
-    p_verify.add_argument("--q", type=_odd_prime, help="base field size (odd prime, default 3)")
+    p_verify.add_argument("--q", type=_odd_prime_power, help="base field size (odd prime power, default 3)")
     p_verify.add_argument("--out", default=None, help="report path (default stdout)")
 
     p_heis = sub.add_parser(
@@ -156,8 +159,7 @@ def _parse_theta_pair(raw: str) -> tuple[int, int]:
 
 
 def _build_cuspidal(family: str, q: int, raw_theta: str | None):
-    F = make_field(q)
-    L = make_field(q, 2)
+    F, L = quadratic_pair(q)
     if family == "sl2":
         s = _parse_theta(family, raw_theta)
         cf = sl2_cuspidal(NormOneChar(L, F, s))
@@ -172,8 +174,8 @@ def _build_cuspidal(family: str, q: int, raw_theta: str | None):
 
 
 def _cmd_cuspidal(args) -> int:
+    group = standard_group(args.family, args.q)  # the size bound before any field
     cf, param_info = _build_cuspidal(args.family, args.q, args.theta)
-    group = standard_group(args.family, args.q)
     if args.format == "csv":
         _emit(table_to_csv(group, [cf]), args.out)
     else:

@@ -20,10 +20,12 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .cyclo import ZERO, Cyclotomic, conductor, root_sum
-from .ffield import MultChar, NormOneChar, make_field, norm_one_subgroup
+from .ffield import MultChar, NormOneChar, norm_one_subgroup, quadratic_pair
 from .grpcore import ClassFunction, character_table, conjugacy_classes
 from .rankone import (
+    ORDERS,
     UnitarySpec,
+    _require_size,
     build_gl2,
     build_sl2,
     build_u2,
@@ -120,7 +122,8 @@ class _LinearContext(_Context):
 
 class _GL2Context(_LinearContext):
     def __init__(self, q: int):
-        F, l = make_field(q), make_field(q, 2)
+        _require_size("GL2", ORDERS["GL2"](q))
+        F, l = quadratic_pair(q)
         # Every n(b), b != 0, is conjugate to n(1): one class per z.
         super().__init__(q, F, l, build_gl2(F), tuple(F.nonzero()), (F.one,), l.nonzero())
         if len(self.central) != q - 1 or len(self.unipotent) != q - 1:
@@ -145,7 +148,8 @@ class _GL2Context(_LinearContext):
 
 class _SL2Context(_LinearContext):
     def __init__(self, q: int):
-        F, l = make_field(q), make_field(q, 2)
+        _require_size("SL2", ORDERS["SL2"](q))
+        F, l = quadratic_pair(q)
         centre, offsets = (F.one, F.neg(F.one)), (F.one, F.smallest_nonsquare())
         super().__init__(q, F, l, build_sl2(F), centre, offsets, norm_one_subgroup(l, F))
         self.split_classes = self._split_classes(2 + 4 + (q - 1) // 2)
@@ -153,6 +157,7 @@ class _SL2Context(_LinearContext):
 
 class _U2Context(_Context):
     def __init__(self, q: int):
+        _require_size("U2", ORDERS["U2"](q))
         self.spec = UnitarySpec(q)
         super().__init__(q, self.spec.sub, self.spec.field, build_u2(self.spec))
         self.l1 = norm_one_subgroup(self.l, self.k0)

@@ -5,6 +5,11 @@ stored as integer coefficient vectors over a common denominator.  No
 floating point is used anywhere; equality across different orders is
 decided after promotion to the lcm order.
 
+Reduction.  One long-division loop, ``_divide``, divides a coefficient
+list by Phi_n in place, visiting only the nonzero terms of Phi_n (kept
+once per n).  It reduces every product, promotion and histogram mod Phi_n,
+and builds Phi_n itself from x^n - 1; phi(n) is the degree of Phi_n.
+
 Keys.  For any m that the order n divides, ``x.key(m)`` is the pair
 (den, num) of x promoted to Q(zeta_m).  Since an element of Q(zeta_m) has
 one reduced residue and one normalized denominator, two values whose
@@ -39,86 +44,51 @@ from math import gcd, lcm
 
 
 @lru_cache(maxsize=None)
+def _divisor(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # phi(n) and (i, c) for each nonzero coefficient of Phi_n below x^phi(n).
+    poly = cyclotomic_polynomial(n)
+    phi = len(poly) - 1
+    return phi, tuple((i, c) for i, c in enumerate(poly[:phi]) if c)
+
+
+def _divide(num: list[int], n: int) -> int:
+    """Divide num by Phi_n in place and return phi(n): num[:phi(n)] is then
+    the remainder, and num[phi(n) + k] the x^k coefficient of the quotient."""
+    phi, terms = _divisor(n)
+    for e in range(len(num) - 1, phi - 1, -1):
+        c = num[e]
+        if c:
+            k = e - phi
+            for i, d in terms:
+                num[k + i] -= c * d
+    return phi
+
+
 def euler_phi(n: int) -> int:
+    """phi(n), the degree of Phi_n."""
     if n < 1:
         raise ValueError("order must be a positive integer")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials; den must be monic.
-    num = list(num)
-    dn, dd = len(num) - 1, len(den) - 1
-    quot = [0] * (dn - dd + 1)
-    for k in range(dn - dd, -1, -1):
-        c = num[k + dd]
-        quot[k] = c
-        if c:
-            for i, d in enumerate(den):
-                num[k + i] -= c * d
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return quot
+    return _divisor(n)[0]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (c0..c_phi) of the n-th cyclotomic polynomial, monic."""
-    if n == 1:
-        return (-1, 1)
-    poly = [0] * n + [1]
-    poly[0] = -1
+    """Coefficients (c0..c_phi) of the n-th cyclotomic polynomial, monic:
+    x^n - 1 divided by Phi_d for every proper divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
+            phi = _divide(poly, d)
+            if any(poly[:phi]):
+                raise ArithmeticError("non-exact polynomial division")
+            del poly[:phi]
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
-def _reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
-    # Row e - phi(n) holds the residue of x^e mod Phi_n, for
-    # phi(n) <= e <= max(n - 1, 2*phi(n) - 2).
-    phi = euler_phi(n)
-    poly = cyclotomic_polynomial(n)
-    limit = max(n - 1, 2 * phi - 2)
-    rows: list[tuple[int, ...]] = []
-    if limit >= phi:
-        rows.append(tuple(-c for c in poly[:phi]))
-        for _ in range(phi + 1, limit + 1):
-            prev = rows[-1]
-            shifted = [0] + list(prev[: phi - 1])
-            lead = prev[phi - 1]
-            if lead:
-                base = rows[0]
-                shifted = [s + lead * b for s, b in zip(shifted, base)]
-            rows.append(tuple(shifted))
-    return tuple(rows)
-
-
 def _reduce_dense(n: int, dense: list[int]) -> tuple[int, ...]:
-    phi = euler_phi(n)
-    table = _reduction_table(n)
-    for e in range(len(dense) - 1, phi - 1, -1):
-        c = dense[e]
-        if c:
-            row = table[e - phi]
-            for i in range(phi):
-                dense[i] += c * row[i]
-        dense[e] = 0
-    out = dense[:phi]
-    out += [0] * (phi - len(out))
-    return tuple(out)
+    # The residue of dense mod Phi_n, as phi(n) coefficients; dense is consumed.
+    phi = _divide(dense, n)
+    return tuple(dense[:phi]) + (0,) * (phi - len(dense))
 
 
 def _normalize(den: int, num: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

@@ -18,6 +18,10 @@ from math import gcd as _gcd
 
 from .cyclo import Cyclotomic, root_of_unity
 
+# The largest field with flat tables; the CLI bounds q^2 by it before any
+# primality test.
+MAX_FIELD_SIZE = 4096
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -54,6 +58,12 @@ def _prime_power(q: int) -> tuple[int, int]:
     while p**k < q:
         k += 1
     return p, k
+
+
+def quadratic_pair(q: int) -> tuple[FField, FField]:
+    """(GF(q), GF(q^2)) for a prime power q: the residue fields k0 and l."""
+    k0 = make_field(*_prime_power(q))
+    return k0, make_field(k0.p, 2 * k0.k)
 
 
 def _primitive_root(r: int) -> int:
@@ -230,7 +240,7 @@ class FField:
             raise ValueError("odd characteristic only")
         if k < 1:
             raise ValueError("k must be a positive integer")
-        if p**k > 4096:
+        if p**k > MAX_FIELD_SIZE:
             raise ValueError("field too large for table-based arithmetic")
         self.p = p
         self.k = k

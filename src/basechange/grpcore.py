@@ -539,13 +539,12 @@ def _split(group, classes, spaces, ci: int, r: int, rng) -> list:
     return out
 
 
-def _central_spaces(group, classes, exponent: int, zgen: int, r: int) -> list:
-    # Eigenspaces of M_z, z the central class of largest order o (least index
-    # on ties): row j of M_z is the unit vector at perm[j], the class of z y_j,
-    # so on a cycle of length L, lam^L = 1, the eigenvector is lam^t at member t
-    # with pivot member 0, the least; disjoint supports keep it reduced echelon.
+def _central_spaces(group, classes, zc: int, exponent: int, zgen: int, r: int) -> list:
+    # Eigenspaces of M_z, z in the central class zc, of order o: row j of M_z
+    # is the unit vector at perm[j], the class of z y_j, so on a cycle of
+    # length L, lam^L = 1, the eigenvector is lam^t at member t with pivot
+    # member 0, the least; disjoint supports keep it reduced echelon.
     k, orders = len(classes), classes.rep_orders
-    zc = max((ci for ci in range(k) if classes.sizes[ci] == 1), key=lambda ci: (orders[ci], -ci))
     rows = [_class_row(group, classes, zc, j, r) for j in range(k)]
     perm = [row.index(1) if sum(row) == 1 else -1 for row in rows]
     if sorted(perm) != list(range(k)):
@@ -608,6 +607,8 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
     every class's image is certified against its eigenvector mod r.
     The root finding draws from a fixed seed; the rows are sorted by
     (degree, serialized values).
+    The splits pass over the powers z^e of the central class: their class
+    matrices are powers of M_z, scalar on every space they would split.
     """
     bound = max_group_order()
     n = group.order
@@ -630,8 +631,12 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
     inv_class = [classes.inverse_class(ci) for ci in range(k)]
     inv_size = [pow(size, r - 2, r) for size in classes.sizes]
     rng = random.Random(_CHECK_SEED)
-    spaces = _central_spaces(group, classes, exponent, zgen, r)
-    for ci in sorted(range(1, k), key=lambda ci: (classes.sizes[ci], ci)):
+    # z: the central class of largest order, least index on ties.
+    central = (ci for ci in range(k) if classes.sizes[ci] == 1)
+    zc = max(central, key=lambda ci: (classes.rep_orders[ci], -ci))
+    spaces = _central_spaces(group, classes, zc, exponent, zgen, r)
+    rest = set(range(k)) - set(classes.powers[zc])
+    for ci in sorted(rest, key=lambda ci: (classes.sizes[ci], ci)):
         if all(len(basis) == 1 for basis, _ in spaces):
             break
         spaces = _split(group, classes, spaces, ci, r, rng)
@@ -713,8 +718,9 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
     weighted = [
         [classes.sizes[l] * row[inv_class[l]] for l in range(k)] for row in mod_values
     ]
+    # The form is symmetric (|C| = |C^-1|), so each unordered pair is checked once.
     for a in range(k):
-        for b in range(k):
+        for b in range(a, k):
             acc = sum(map(mul, mod_values[a], weighted[b]))
             if acc % r != (n if a == b else 0) % r:
                 raise AssertionError("modular orthonormality check failed")

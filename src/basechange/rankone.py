@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import product
 
-from .ffield import FField, _prime_power, make_field
+from .ffield import FField, quadratic_pair
 from .grpcore import GroupTable, conjugacy_classes, max_group_order, orbits
 
 Mat2 = tuple[int, int, int, int]
@@ -72,6 +72,13 @@ def mat_transpose(x: Mat2) -> Mat2:
 
 # -- group builders ---------------------------------------------------
 
+# The order of each family over GF(q), known before any field is built.
+ORDERS = {
+    "SL2": lambda q: (q * q - 1) * q,
+    "GL2": lambda q: (q * q - 1) * (q * q - q),
+    "U2": lambda q: q * (q - 1) * (q + 1) ** 2,
+}
+
 
 def _require_size(family: str, order: int):
     bound = max_group_order()
@@ -86,9 +93,10 @@ def matrix_group(F: FField, keys, name: str) -> GroupTable:
     return GroupTable(keys, partial(mat_mul, F), partial(mat_inv, F), mat_id(F), name, kernel)
 
 
-def _enumerate_gl2_subgroup(F: FField, family: str, expected: int, det_ok) -> GroupTable:
+def _enumerate_gl2_subgroup(F: FField, family: str, det_ok) -> GroupTable:
     """The matrices over F whose determinant passes det_ok, as a GroupTable
-    of the given expected order."""
+    of the family's order."""
+    expected = ORDERS[family](F.q)
     _require_size(family, expected)
     # A generator, so no second list of the keys outlives the sort.
     keys = (m for m in product(F.elements(), repeat=4) if det_ok(mat_det(F, m)))
@@ -100,18 +108,12 @@ def _enumerate_gl2_subgroup(F: FField, family: str, expected: int, det_ok) -> Gr
 
 def build_gl2(F: FField) -> GroupTable:
     """All invertible 2x2 matrices over F as a GroupTable."""
-    q = F.q
-    return _enumerate_gl2_subgroup(
-        F, "GL2", (q * q - 1) * (q * q - q), lambda det: det != F.zero
-    )
+    return _enumerate_gl2_subgroup(F, "GL2", lambda det: det != F.zero)
 
 
 def build_sl2(F: FField) -> GroupTable:
     """The determinant-one subgroup of GL2(F)."""
-    q = F.q
-    return _enumerate_gl2_subgroup(
-        F, "SL2", (q * q - 1) * q, lambda det: det == F.one
-    )
+    return _enumerate_gl2_subgroup(F, "SL2", lambda det: det == F.one)
 
 
 class UnitarySpec:
@@ -120,8 +122,7 @@ class UnitarySpec:
 
     def __init__(self, q: int):
         self.q = q
-        self.sub = make_field(*_prime_power(q))
-        self.field = make_field(self.sub.p, 2 * self.sub.k)
+        self.sub, self.field = quadratic_pair(q)
         F = self.field
         self.gram: Mat2 = (F.zero, F.one, F.one, F.zero)
         self.gram_inv: Mat2 = mat_inv(F, self.gram)
@@ -150,7 +151,7 @@ def build_u2(spec: UnitarySpec) -> GroupTable:
     (a, c), the second column solves the linear condition
     bar(a)·d + bar(c)·b = 1: q^2 candidates per first column.
     """
-    expected = spec.q * (spec.q - 1) * (spec.q + 1) ** 2
+    expected = ORDERS["U2"](spec.q)
     _require_size("U2", expected)
     F = spec.field
     A, M = F._add, F._mul

@@ -10,7 +10,7 @@ used when a configuration is out of the size bound, do not count).
 from __future__ import annotations
 
 from .cyclo import ZERO
-from .ffield import MultChar, NormOneChar, make_field
+from .ffield import MultChar, NormOneChar
 from .grpcore import (
     conjugacy_classes,
     inner_product,
@@ -19,6 +19,7 @@ from .grpcore import (
     trivial_character,
 )
 from .rankone import (
+    ORDERS,
     UnitarySpec,
     _require_size,
     build_gl2,
@@ -136,8 +137,7 @@ def suite_norm_bijection(q: int = 3) -> Report:
     """The norm g -> g tau(g) induces a bijection from twisted-conjugacy
     classes of GL2 over the quadratic extension onto the ordinary classes
     meeting the unitary group."""
-    L = make_field(q, 2)
-    order = (L.q * L.q - 1) * (L.q * L.q - L.q)
+    order = ORDERS["GL2"](q * q)  # known before any field is built
     bound = max_group_order()
     if order > bound:
         return Report(
@@ -153,7 +153,7 @@ def suite_norm_bijection(q: int = 3) -> Report:
             ],
         )
     spec = UnitarySpec(q)
-    G = build_gl2(L)
+    G = build_gl2(spec.field)
     classes = conjugacy_classes(G)
     partition = tau_classes(G, spec)
     images = norm_class_map(G, spec, partition)

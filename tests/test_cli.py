@@ -9,6 +9,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -51,20 +52,51 @@ class TestChartable:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["chartable", "gl2", "--q", "9"],
-            ["cuspidal", "gl2", "--q", "9"],
             ["verify", "restriction", "--q", "4"],
             ["chartable", "sl2", "--q", "2"],
             ["chartable", "sl2", "--q", "-3"],
             ["verify", "level0", "--q", "abc"],
+            # Past the field-size bound q^2 <= 4096, rejected before any
+            # primality test: 1000000007 * 998244353, and the prime 67.
+            ["verify", "level0", "--q", "998244359987710471"],
+            ["chartable", "gl2", "--q", "67"],
         ],
     )
     def test_q_must_be_an_odd_prime(self, argv, capsys):
+        start = time.perf_counter()
         code, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
         assert "q must be an odd prime" in err
         assert "p must be prime" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chartable", "sl2", "--q", "61"],
+            ["cuspidal", "u2", "--q", "61"],
+            ["verify", "level0", "--q", "49"],
+        ],
+    )
+    def test_group_size_bound_comes_before_any_field(self, argv, capsys):
+        # GF(q^2) with q^2 near 4096 takes seconds and hundreds of MB of
+        # tables; the group order is known from q alone.
+        start = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "exceeds size bound" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["chartable", "gl2", "--q", "9"], ["cuspidal", "gl2", "--q", "9"]]
+    )
+    def test_q_may_be_an_odd_prime_power(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 0
+        assert out.startswith("class,")
+        assert err == ""
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"
@@ -93,7 +125,8 @@ SEED_Q5_JSON_SHA256 = {
 # heis runs the monomial phases and the extension traces; the d = 12 runs
 # are pinned to their earlier output, and the d = 1 runs pin the chain's
 # edge, where op(1) wraps to op(0) = I.  The q = 5 cuspidal exports pin the
-# formulas' values and the orders they are stored at.
+# formulas' values and the orders they are stored at.  The q = 9 runs pin
+# GF(9) and GF(81) end to end, where x^q and x^p differ.
 REPORT_SHA256 = {
     "cuspidal sl2 --q 5 --format json": "3ae333ecf1f9c8da4adca18c9d8fd2ec67a41b31c29ea0c34dc65af4720f1d6f",
     "cuspidal gl2 --q 5 --format json": "3978388ee985416d6a4e845ab138678c8be072ffd988e36322181a17f69c797c",
@@ -116,6 +149,11 @@ REPORT_SHA256 = {
     "chartable sl2 --q 5 --format csv": "6134cb11179f83af245a6564b14f86c408c4c96fb897cd300a93e8fb579e32cc",
     "chartable gl2 --q 5 --format csv": "118947cbb183aca10cc4315618a92ea48c8c0de528276a27e748ce011d31af5a",
     "chartable u2 --q 5 --format csv": "ef5173c62457b9575ac079f741130e1d0afe6553ec339ec7431493deeb48882f",
+    "chartable gl2 --q 9": "5459d45c0ae8171fc0bed68609e0d7dcbe233f9b5083d33e3fdb5e660a46a807",
+    "chartable u2 --q 9": "8d32f49b485269e983aae81282b909e0da75c52ac27d69aadbcff9dad164bc42",
+    "verify level0 --q 9": "9f01bd5b965055a01c8a51510b553e2ddb0db976b615799b3dafb7b03a7eb9a6",
+    "verify restriction --q 9": "71ddb2ea5f499f1aa77566b5f6093d2e98d0954b25a6b67ae39028797ee66c1a",
+    "verify endoscopic --q 9": "b3133e01c44347cb36f01ac2777ffa6f0576b93d8b601f92b377607eb14d5a9c",
 }
 
 
@@ -411,7 +449,7 @@ class TestUnwritableOut:
 # most of the time and an invalid one otherwise.  The only valid sizes are
 # q = 3 and p <= 5, so an example costs milliseconds once its group is built.
 _TOKENS = {  # flag: (valid, invalid)
-    "--q": (["3"], ["4", "9", "2", "-3", "abc", ""]),
+    "--q": (["3"], ["4", "25", "2", "-3", "abc", ""]),
     "--theta": (["1", "3", "0,1", "1,3"], ["2", "0", "-1", "1,1", "x", "1,x", ""]),
     "--format": (["csv", "json"], ["xml"]),
     "--threads": (["1", "2"], ["0", "-1", "x"]),

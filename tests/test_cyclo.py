@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from basechange.cyclo import (
     ONE,
     ZERO,
     Cyclotomic,
+    _reduce_dense,
     cyclotomic_polynomial,
     dot,
     euler_phi,
@@ -231,6 +232,60 @@ class TestPromotion:
         r = x.as_rational()
         if r is not None:
             assert x == Cyclotomic.rational(r)
+
+
+# -- the long division by Phi_n -----------------------------------------
+
+
+def naive_remainder(num, poly):
+    # Schoolbook: cancel the top term against the dense monic poly until
+    # fewer than deg(poly) coefficients are left.
+    num, phi = list(num), len(poly) - 1
+    while len(num) > phi:
+        c = num.pop()
+        for i in range(phi):
+            num[len(num) - phi + i] -= c * poly[i]
+    return tuple(num) + (0,) * (phi - len(num))
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def dense_inputs(draw):
+    n = draw(st.integers(1, 120))
+    dense = draw(st.lists(st.integers(-50, 50), max_size=3 * n))
+    return n, dense
+
+
+class TestDivision:
+    @given(dense_inputs())
+    @settings(max_examples=300)
+    def test_reduce_dense_is_the_remainder_by_phi_n(self, case):
+        n, dense = case
+        expected = naive_remainder(dense, cyclotomic_polynomial(n))
+        assert _reduce_dense(n, list(dense)) == expected
+
+    def test_euler_phi_counts_the_units(self):
+        for n in range(1, 501):
+            assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+    def test_product_over_divisors_is_x_n_minus_1(self):
+        for n in range(1, 61):
+            product = [1]
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    product = poly_mul(product, cyclotomic_polynomial(d))
+            assert product == [-1] + [0] * (n - 1) + [1]
+
+    def test_euler_phi_needs_a_positive_order(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            euler_phi(0)
 
 
 # -- keys and the reduce-once kernel ------------------------------------
