@@ -7,8 +7,10 @@ decided after promotion to the lcm order.
 
 Reduction.  One long-division loop, ``_divide``, divides a coefficient
 list by Phi_n in place, visiting only the nonzero terms of Phi_n (kept
-once per n).  It reduces every product, promotion and histogram mod Phi_n,
-and builds Phi_n itself from x^n - 1; phi(n) is the degree of Phi_n.
+once per n).  It reduces every product, promotion and histogram mod Phi_n;
+phi(n) is the degree of Phi_n.  Phi_n itself is the product of the
+factors (1 - x^d)^mu(n/d), d | n, as a power series cut at degree phi(n):
+one linear pass per squarefree divisor of n.
 
 Keys.  For any m that the order n divides, ``x.key(m)`` is the pair
 (den, num) of x promoted to Q(zeta_m).  Since an element of Q(zeta_m) has
@@ -27,6 +29,11 @@ has order m, as the same sum taken term by term from ``ZERO`` would.
 Each value lists its nonzero terms once, on first use, so a value shared
 by many sums is scanned once.
 
+Rationals.  A value is rational when its non-constant coefficients
+vanish, and its normalized (den, num[0]) are then the denominator and
+numerator in lowest terms: no ``Fraction`` is built on the arithmetic
+path, only by ``as_rational``, ``from_coeffs`` and ``parse``.
+
 Exponent form.  Character formulas know most values as c * (zeta_n^a +
 zeta_n^b + ...) with integer exponents.  ``root_sum`` builds such a value
 from (n, c, exponents) with one histogram and one reduction, and keeps one
@@ -37,8 +44,8 @@ c * (root_of_unity(n, a) + ...) has.
 
 from __future__ import annotations
 
+import numbers
 import re
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -64,6 +71,21 @@ def _divide(num: list[int], n: int) -> int:
     return phi
 
 
+def _factorize(n: int) -> list[int]:
+    """The distinct prime divisors of n, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def euler_phi(n: int) -> int:
     """phi(n), the degree of Phi_n."""
     if n < 1:
@@ -73,16 +95,34 @@ def euler_phi(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (c0..c_phi) of the n-th cyclotomic polynomial, monic:
-    x^n - 1 divided by Phi_d for every proper divisor d of n."""
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            phi = _divide(poly, d)
-            if any(poly[:phi]):
-                raise ArithmeticError("non-exact polynomial division")
-            del poly[:phi]
-    return tuple(poly)
+    """Coefficients (c0..c_phi) of the n-th cyclotomic polynomial, monic.
+
+    Phi_n = prod_{d | n} (x^d - 1)^mu(n/d).  For n > 1 the signs cancel,
+    so Phi_n = prod (1 - x^d)^mu(n/d) as power series, whose terms above
+    phi(n) vanish: each factor is one pass over the series cut there,
+    multiplying by 1 - x^d or dividing by it (times 1 + x^d + x^2d + ...)."""
+    if n == 1:
+        return (-1, 1)
+    primes = _factorize(n)
+    phi = n
+    for p in primes:
+        phi = phi // p * (p - 1)
+    # (m, mu(m)) for the squarefree divisors m of n; the factor is d = n/m.
+    moebius = [(1, 1)]
+    for p in primes:
+        moebius += [(m * p, -mu) for m, mu in moebius]
+    series = [1] + [0] * phi
+    for m, mu in moebius:
+        d = n // m
+        if mu > 0:
+            for i in range(phi, d - 1, -1):
+                series[i] -= series[i - d]
+        else:
+            for i in range(d, phi + 1):
+                series[i] += series[i - d]
+    if series[phi] != 1:
+        raise ArithmeticError("cyclotomic polynomial is not monic")
+    return tuple(series)
 
 
 def _reduce_dense(n: int, dense: list[int]) -> tuple[int, ...]:
@@ -123,12 +163,15 @@ class Cyclotomic:
 
     @classmethod
     def rational(cls, value) -> "Cyclotomic":
-        f = Fraction(value)
-        return cls(1, f.denominator, (f.numerator,))
+        """An int or another rational number (one with numerator and
+        denominator) as an element of Q."""
+        return cls(1, value.denominator, (value.numerator,))
 
     @classmethod
     def from_coeffs(cls, n: int, coeffs) -> "Cyclotomic":
         """Build from phi(n) rational coefficients in the power basis."""
+        from fractions import Fraction
+
         fracs = [Fraction(c) for c in coeffs]
         if len(fracs) != euler_phi(n):
             raise ValueError("expected %d coefficients for order %d" % (euler_phi(n), n))
@@ -156,17 +199,23 @@ class Cyclotomic:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self._num)
 
+    def is_rational(self) -> bool:
+        # The stored residue is canonical in the power basis, so a value is
+        # rational exactly when its non-constant coefficients vanish.
+        return not any(self._num[1:])
+
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction, or None when it is irrational."""
-        if any(self._num[1:]):
+        from fractions import Fraction
+
+        if not self.is_rational():
             return None
         return Fraction(self._num[0], self._den)
 
     def as_integer(self) -> int:
-        r = self.as_rational()
-        if r is None or r.denominator != 1:
+        if self._den != 1 or not self.is_rational():
             raise ValueError("value is not a rational integer: %s" % self)
-        return r.numerator
+        return self._num[0]
 
     # -- order promotion ----------------------------------------------
 
@@ -204,7 +253,7 @@ class Cyclotomic:
     def _coerce(value):
         if isinstance(value, Cyclotomic):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, int) or isinstance(value, numbers.Rational):
             return Cyclotomic.rational(value)
         return None
 
@@ -267,13 +316,13 @@ class Cyclotomic:
         for k in range(2, n - 1):
             if gcd(k, n) == 1:
                 conjugates = conjugates * self.galois(k)
-        norm = (self * conjugates).as_rational()
-        if norm is None:
+        norm = self * conjugates
+        if not norm.is_rational():
             raise AssertionError("Galois norm is not rational")
         return Cyclotomic(
             n,
-            conjugates._den * norm.numerator,
-            tuple(c * norm.denominator for c in conjugates._num),
+            conjugates._den * norm._num[0],
+            tuple(c * norm._den for c in conjugates._num),
         )
 
     def __truediv__(self, other):
@@ -307,10 +356,13 @@ class Cyclotomic:
         if isinstance(other, Cyclotomic):
             a, b = self._match(other)
             return a._den == b._den and a._num == b._num
-        # The stored residue is canonical in the power basis, so a value is
-        # rational exactly when its non-constant coefficients vanish.
-        if isinstance(other, (int, Fraction)):
-            return self.as_rational() == other
+        # Both sides are in lowest terms with a positive denominator.
+        if isinstance(other, int) or isinstance(other, numbers.Rational):
+            return (
+                self.is_rational()
+                and self._num[0] == other.numerator
+                and self._den == other.denominator
+            )
         return NotImplemented
 
     # -- Galois action ------------------------------------------------
@@ -426,6 +478,8 @@ def parse(text: str) -> Cyclotomic:
     m = _SERIAL_RE.match(text.strip())
     if not m:
         raise ValueError("not a serialized cyclotomic: %r" % text)
+    from fractions import Fraction
+
     n = int(m.group(1))
     body = m.group(2)
     coeffs = [Fraction(part) for part in body.split(",")] if body else []

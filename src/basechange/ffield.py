@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd as _gcd
 
-from .cyclo import Cyclotomic, root_of_unity
+from .cyclo import Cyclotomic, _factorize, root_of_unity
 
 # The largest field with flat tables; the CLI bounds q^2 by it before any
 # primality test.
@@ -32,21 +32,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-def _factorize(n: int) -> list[int]:
-    """The distinct prime divisors of n, ascending."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _prime_power(q: int) -> tuple[int, int]:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import os
 import random
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -390,7 +389,7 @@ def induce(psi: ClassFunction, group: GroupTable) -> ClassFunction:
         sums[ci] = sums[ci] + value * size
     return ClassFunction(
         classes,
-        [s * Fraction(c, sub.order) for s, c in zip(sums, classes.centralizer_orders)],
+        [s * Cyclotomic(1, sub.order, (c,)) for s, c in zip(sums, classes.centralizer_orders)],
     )
 
 

@@ -382,7 +382,13 @@ def suite_endoscopic_finite(q: int = 3) -> Report:
     transfer class function is an irreducible cuspidal whose parameter is
     Theta1 * (Theta2 o gamma); across extension choices the identified
     parameter's restriction to the norm-one subgroup is constant up to
-    inversion."""
+    inversion.
+
+    sigma0 depends on (theta1, theta2, Omega = Theta1 * Theta2) only, and
+    Omega's exponent s1 + s2 + (q+1)(j1 + j2) takes q - 1 values over the
+    (q-1)^2 extension choices of a pair: each distinct transfer is built,
+    identified and normed once, and every combination is still checked
+    against its own expected parameter."""
     ctx = gl2_context(q)
     F, L = ctx.k0, ctx.l
     n1 = q + 1
@@ -409,17 +415,26 @@ def suite_endoscopic_finite(q: int = 3) -> Report:
             u2_failures.append((s1, s2, str(e)))
 
         seen_invariants = set()
+        transfers = {}  # Omega's exponent -> (irreducible, ident, degree q-1)
         for j1 in range(q - 1):
             for j2 in range(q - 1):
                 combos += 1
                 Theta1 = MultChar(L, s1 + n1 * j1)
                 Theta2 = MultChar(L, s2 + n1 * j2)
-                built, ident = sigma0(theta1, theta2, Theta1, Theta2)
-                if inner_product(built, built) != 1:
+                omega = (Theta1 * Theta2).t
+                if omega not in transfers:
+                    built, ident = sigma0(theta1, theta2, Theta1, Theta2)
+                    transfers[omega] = (
+                        inner_product(built, built) == 1,
+                        ident,
+                        built.degree == q - 1,
+                    )
+                irreducible, ident, central_degree = transfers[omega]
+                if not irreducible:
                     irr_failures.append((s1, s2, j1, j2))
                 if ident != sigma0_expected_parameter(Theta1, Theta2):
                     ident_failures.append((s1, s2, j1, j2, ident.t))
-                if built.degree != q - 1:
+                if not central_degree:
                     degree_failures.append((s1, s2, j1, j2))
                 seen_invariants.add(min(ident.t % n1, (-ident.t) % n1))
         expected_inv = min((s1 - s2) % n1, (s2 - s1) % n1)

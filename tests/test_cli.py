@@ -156,6 +156,19 @@ REPORT_SHA256 = {
     "verify endoscopic --q 9": "b3133e01c44347cb36f01ac2777ffa6f0576b93d8b601f92b377607eb14d5a9c",
 }
 
+# Past the default group bound: U2(13) has 30,576 elements.  Recorded
+# before sigma0 was built once per (pair, Omega).
+LARGE_Q_MAX_GROUP = "32768"
+LARGE_Q_REPORT_SHA256 = {
+    "chartable gl2 --q 11": "cb8cba09d5b88038eb9ed1fa854b502d8381fd81c6f05ec267e19912ba55143b",
+    "chartable u2 --q 11": "f07e0540bbd084dec2767984aab9cdaca2874c9c9d073b1ad0954bf53e152d26",
+    "verify level0 --q 11": "a990287eb1bbc3c5e0e9fe442e187d5cf7cd2a37809d8353ea21aae46861d461",
+    "verify level0 --q 13": "01369137457ce3a4dd86b69bb1f18ae9dceddab34787671247071d60f5a950f3",
+    "verify restriction --q 11": "3f9019bcecb70e17d0f81ad8ea31b2d120b7dcb587c97dedf0d8e946906458b9",
+    "verify endoscopic --q 11": "8c73d8d76e57b72bbb8fdd086ec0f94e7c940093285e23745061a0b1759e6fb6",
+    "verify endoscopic --q 13": "43c9258a6e62a768c50fce897d9998c452b3518e364bb64914b25b82560657d6",
+}
+
 
 class TestOracleOutput:
     @pytest.mark.parametrize("family", sorted(SEED_Q5_JSON_SHA256))
@@ -169,6 +182,13 @@ class TestOracleOutput:
         code, out, _ = run(command.split(), capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[command]
+
+    @pytest.mark.parametrize("command", sorted(LARGE_Q_REPORT_SHA256))
+    def test_large_q_report_matches_its_digest(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("BASECHANGE_MAX_GROUP", LARGE_Q_MAX_GROUP)
+        code, out, _ = run(command.split(), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == LARGE_Q_REPORT_SHA256[command]
 
 
 class TestCuspidal:
@@ -662,6 +682,25 @@ class TestModuleEntry:
     def test_cold_import_skips_dataclasses_and_inspect(self):
         # About 6 ms of every cold command; the report model needs neither.
         code = "import sys, basechange.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_commands_never_load_fractions_or_decimal(self):
+        # About 2 ms of every cold command; exact rationals need neither.
+        code = (
+            "import contextlib, io, sys\n"
+            "from basechange.cli import main\n"
+            "for argv in (%r, %r, %r, %r):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv.split()) == 0, argv\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+        ) % (
+            "chartable u2 --q 3 --format json",
+            "verify restriction --q 3",
+            "verify endoscopic --q 3",
+            "heis --p 3 --d 4 --realization nonsplit",
+        )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"

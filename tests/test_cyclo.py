@@ -256,6 +256,18 @@ def poly_mul(a, b):
     return out
 
 
+def exact_quotient(num, poly):
+    # Schoolbook division by a monic poly that must leave no remainder.
+    num, phi = list(num), len(poly) - 1
+    quotient = [0] * (len(num) - phi)
+    for k in range(len(quotient) - 1, -1, -1):
+        c = quotient[k] = num[k + phi]
+        for i in range(phi + 1):
+            num[k + i] -= c * poly[i]
+    assert not any(num)
+    return quotient
+
+
 @st.composite
 def dense_inputs(draw):
     n = draw(st.integers(1, 120))
@@ -282,6 +294,27 @@ class TestDivision:
                 if n % d == 0:
                     product = poly_mul(product, cyclotomic_polynomial(d))
             assert product == [-1] + [0] * (n - 1) + [1]
+
+    def test_phi_n_equals_the_quotient_of_x_n_minus_1(self):
+        # The construction Phi_n replaced: x^n - 1 divided exactly by
+        # Phi_d for each proper divisor d, every Phi_d built the same way.
+        quotients = {}
+        for n in range(1, 301):
+            poly = [-1] + [0] * (n - 1) + [1]
+            for d in range(1, n):
+                if n % d == 0:
+                    poly = exact_quotient(poly, quotients[d])
+            quotients[n] = tuple(poly)
+            assert cyclotomic_polynomial(n) == quotients[n]
+
+    def test_phi_105_has_a_coefficient_minus_2(self):
+        poly = cyclotomic_polynomial(105)
+        assert len(poly) == 49 and min(poly) == -2
+        assert [i for i, c in enumerate(poly) if c == -2] == [7, 41]
+
+    def test_phi_of_a_six_prime_order_is_fast(self):
+        assert euler_phi(30030) == 5760
+        assert cyclotomic_polynomial(30030)[-1] == 1
 
     def test_euler_phi_needs_a_positive_order(self):
         with pytest.raises(ValueError, match="positive integer"):

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from basechange.cuspchar import FAMILIES
+from basechange.cuspchar import FAMILIES, canonical_gamma_rep
+from basechange.ffield import MultChar
 from basechange.cyclo import ZERO
 from basechange.report import report_to_json
 from basechange.verify import (
@@ -173,6 +174,59 @@ class TestEndoscopic:
     def test_combination_counts(self):
         assert "24 pair x extension" in suite_endoscopic_finite(3).checks[2].details
         assert "240 pair x extension" in suite_endoscopic_finite(5).checks[2].details
+
+    @pytest.mark.parametrize("q, pairs", [(3, 6), (5, 15)])
+    def test_sigma0_is_built_once_per_pair_and_omega(self, q, pairs, monkeypatch):
+        # Omega = Theta1 * Theta2 takes q - 1 values over the (q-1)^2
+        # extension choices of a pair: 12 builds at q = 3 and 60 at q = 5.
+        from basechange import verify
+
+        calls, norms = [], []
+        real_sigma0, real_inner = verify.sigma0, verify.inner_product
+        monkeypatch.setattr(verify, "sigma0", lambda *a: calls.append(a) or real_sigma0(*a))
+        monkeypatch.setattr(
+            verify, "inner_product", lambda *a: norms.append(a) or real_inner(*a)
+        )
+        assert suite_endoscopic_finite(q).passed
+        assert len(calls) == len(norms) == pairs * (q - 1)
+        keys = {(a[0].s, a[1].s, (a[2] * a[3]).t) for a in calls}
+        assert len(keys) == len(calls)
+
+    def test_a_dropped_gamma_twist_fails_identification(self, monkeypatch):
+        # The expected parameter Theta1 * Theta2, without the twist, depends
+        # on Omega alone and is wrong for some Omega of some pair.
+        from basechange import verify
+
+        monkeypatch.setattr(
+            verify,
+            "sigma0_expected_parameter",
+            lambda T1, T2: canonical_gamma_rep(T1 * T2),
+        )
+        checks = {c.name: c for c in suite_endoscopic_finite(5).checks}
+        assert checks["sigma0_identification"].status == "fail"
+        assert [c.name for c in checks.values() if c.status != "pass"] == [
+            "sigma0_identification"
+        ]
+
+    def test_each_combination_is_checked_on_its_own(self, monkeypatch):
+        # One wrong expectation at one (j1, j2) of one pair is one failure,
+        # though its Omega is shared by q - 2 other choices of that pair.
+        from basechange import verify
+
+        real = verify.sigma0_expected_parameter
+        n1 = 6
+
+        def off_at_one(T1, T2):
+            expected = real(T1, T2)
+            if (T1.t, T2.t) == (1 + n1 * 2, 2 + n1 * 1):
+                return MultChar(expected.field, expected.t + 1)
+            return expected
+
+        monkeypatch.setattr(verify, "sigma0_expected_parameter", off_at_one)
+        check = suite_endoscopic_finite(5).checks[3]
+        assert check.status == "fail"
+        assert check.details.endswith("; 1 failures")
+        assert check.counterexample.startswith("(1, 2, 2, 1, ")
 
 
 class TestHeisenbergSuite:
