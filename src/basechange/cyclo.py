@@ -49,6 +49,10 @@ import re
 from functools import lru_cache
 from math import gcd, lcm
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # the annotation's name, without importing fractions
+    from fractions import Fraction
+
 
 @lru_cache(maxsize=None)
 def _divisor(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:

@@ -312,7 +312,7 @@ class TestDivision:
         assert len(poly) == 49 and min(poly) == -2
         assert [i for i, c in enumerate(poly) if c == -2] == [7, 41]
 
-    def test_phi_of_a_six_prime_order_is_fast(self):
+    def test_phi_30030_has_degree_5760(self):
         assert euler_phi(30030) == 5760
         assert cyclotomic_polynomial(30030)[-1] == 1
 

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
+from basechange import verify
 from basechange.cuspchar import FAMILIES, canonical_gamma_rep
-from basechange.ffield import MultChar
 from basechange.cyclo import ZERO
+from basechange.ffield import MultChar
 from basechange.report import report_to_json
 from basechange.verify import (
     DEFAULT_HEIS_TUPLES,
@@ -179,8 +180,6 @@ class TestEndoscopic:
     def test_sigma0_is_built_once_per_pair_and_omega(self, q, pairs, monkeypatch):
         # Omega = Theta1 * Theta2 takes q - 1 values over the (q-1)^2
         # extension choices of a pair: 12 builds at q = 3 and 60 at q = 5.
-        from basechange import verify
-
         calls, norms = [], []
         real_sigma0, real_inner = verify.sigma0, verify.inner_product
         monkeypatch.setattr(verify, "sigma0", lambda *a: calls.append(a) or real_sigma0(*a))
@@ -195,8 +194,6 @@ class TestEndoscopic:
     def test_a_dropped_gamma_twist_fails_identification(self, monkeypatch):
         # The expected parameter Theta1 * Theta2, without the twist, depends
         # on Omega alone and is wrong for some Omega of some pair.
-        from basechange import verify
-
         monkeypatch.setattr(
             verify,
             "sigma0_expected_parameter",
@@ -211,8 +208,6 @@ class TestEndoscopic:
     def test_each_combination_is_checked_on_its_own(self, monkeypatch):
         # One wrong expectation at one (j1, j2) of one pair is one failure,
         # though its Omega is shared by q - 2 other choices of that pair.
-        from basechange import verify
-
         real = verify.sigma0_expected_parameter
         n1 = 6
 
