@@ -7,11 +7,19 @@ stderr, no traceback).  Every command runs in one process, its parameter
 points one after another, and its output is deterministic; the only
 recognized environment variable is BASECHANGE_MAX_GROUP (size bound
 override, a positive integer).
+
+Each command is one short process, so ``main`` first moves the import-time
+heap (``site``, ``argparse``, this package) to the collector's permanent
+generation with ``gc.freeze()``: no collection, the interpreter's exit
+collections included, walks those objects again.  Objects a command builds
+are still collected as usual.  An in-process caller that runs ``main`` many
+times can call ``gc.unfreeze()`` afterwards.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .cuspchar import (
@@ -219,6 +227,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.  Freezes every object alive
+    at the call (the import-time heap) before the arguments are parsed; an
+    in-process caller that runs ``main`` many times can ``gc.unfreeze()``."""
+    gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

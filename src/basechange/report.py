@@ -5,8 +5,6 @@ byte-identical across runs.  Plain classes: a cold start skips ``dataclasses``.
 
 from __future__ import annotations
 
-import json
-
 _STATUSES = ("pass", "fail", "skipped")
 
 
@@ -59,7 +57,10 @@ class Report:
 
 
 def report_to_json(obj) -> str:
-    """A Report or a JSON-ready value as sorted JSON: the one JSON writer."""
+    """A Report or a JSON-ready value as sorted JSON: the one JSON writer.
+    ``json`` is imported here, so a CSV export never loads it."""
+    import json
+
     obj = obj.to_dict() if isinstance(obj, Report) else obj
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 

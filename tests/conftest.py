@@ -1,5 +1,7 @@
 """Shared session fixtures plus the acceptance-verdict summary hook."""
 
+import gc
+
 import pytest
 
 from basechange.ffield import make_field
@@ -20,6 +22,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             "criterion %d: %s — %s" % (num, status, detail)
         )
+
+
+@pytest.fixture(autouse=True)
+def unfreeze_after_each_test():
+    # cli.main freezes every live object, as a one-command process wants;
+    # this process calls main hundreds of times and gets its collector back.
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ and determinism."""
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -704,6 +705,32 @@ class TestModuleEntry:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_csv_exports_never_load_json(self):
+        # About 1 ms of every cold CSV export; only the JSON writer needs it.
+        code = (
+            "import contextlib, hashlib, io, sys\n"
+            "from basechange.cli import main\n"
+            "for argv in (%r, %r):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv.split()) == 0, argv\n"
+            "print(sorted({'json'} & set(sys.modules)))\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    assert main(%r.split()) == 0\n"
+            "print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+        ) % ("chartable u2 --q 3", "cuspidal gl2 --q 3", "chartable u2 --q 3 --format json")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # The JSON export's digest, recorded before json left the CSV path.
+        assert proc.stdout == (
+            "[]\n756938d36e46b7cf606dc53cb6bc525a3956c89a8f3012d2f142050bb87f2273\n"
+        )
+
+    def test_main_freezes_the_import_time_heap(self, capsys):
+        # The exit collections of a one-command process skip frozen objects.
+        assert main(["chartable", "sl2", "--q", "3"]) == 0
+        assert gc.get_freeze_count() > 0
 
     def test_module_invocation_verify_twice_identical(self):
         cmd = [sys.executable, "-m", "basechange.cli", "verify", "level0", "--q", "3"]
