@@ -122,7 +122,6 @@ class _LinearContext(_Context):
 
 class _GL2Context(_LinearContext):
     def __init__(self, q: int):
-        _require_size("GL2", ORDERS["GL2"](q))
         F, l = quadratic_pair(q)
         # Every n(b), b != 0, is conjugate to n(1): one class per z.
         super().__init__(q, F, l, build_gl2(F), tuple(F.nonzero()), (F.one,), l.nonzero())
@@ -148,7 +147,6 @@ class _GL2Context(_LinearContext):
 
 class _SL2Context(_LinearContext):
     def __init__(self, q: int):
-        _require_size("SL2", ORDERS["SL2"](q))
         F, l = quadratic_pair(q)
         centre, offsets = (F.one, F.neg(F.one)), (F.one, F.smallest_nonsquare())
         super().__init__(q, F, l, build_sl2(F), centre, offsets, norm_one_subgroup(l, F))
@@ -157,7 +155,6 @@ class _SL2Context(_LinearContext):
 
 class _U2Context(_Context):
     def __init__(self, q: int):
-        _require_size("U2", ORDERS["U2"](q))
         self.spec = UnitarySpec(q)
         super().__init__(q, self.spec.sub, self.spec.field, build_u2(self.spec))
         self.l1 = norm_one_subgroup(self.l, self.k0)
@@ -177,6 +174,15 @@ class _U2Context(_Context):
             ([chi.on_class(ci) for ci in self.torus_classes], idx)
             for idx, chi in enumerate(self.table)
         )
+
+
+def _bounded(family: str, q: int) -> int:
+    """q, once the family's order at q is within the size bound.  The
+    cached factories below build only on a miss, so every lookup passes
+    its q through here: a context built under a raised bound is not served
+    after the bound drops."""
+    _require_size(family, ORDERS[family](q))
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +209,7 @@ def _family_context(family: str, q: int) -> _Context:
         factory = FAMILIES[family]
     except KeyError:
         raise ValueError("unknown family: %r" % family) from None
-    return factory(q)
+    return factory(_bounded(family.upper(), q))
 
 
 def standard_group(family: str, q: int):
@@ -256,7 +262,7 @@ def _orbit_sum(chi, L):
 
 
 def _sl2_values(theta: NormOneChar) -> ClassFunction:
-    ctx = sl2_context(theta.sub.q)
+    ctx = sl2_context(_bounded("SL2", theta.sub.q))
     if theta.field is not ctx.l or theta.sub is not ctx.k0:
         raise ValueError("parameter lives on the wrong quadratic pair")
     return ClassFunction(ctx.classes, _cuspidal_values(ctx, theta, _orbit_sum(theta, ctx.l)))
@@ -294,7 +300,7 @@ def gl2_cuspidal(theta_tilde: MultChar) -> ClassFunction:
         raise ValueError("parameter must live on a quadratic extension")
     if not theta_tilde.is_regular():
         raise ValueError("non-regular parameter: the formula is not cuspidal")
-    ctx = gl2_context(L.p ** (L.k // 2))
+    ctx = gl2_context(_bounded("GL2", L.p ** (L.k // 2)))
     if L is not ctx.l:
         raise ValueError("parameter lives on the wrong quadratic pair")
     return ClassFunction(
@@ -331,7 +337,7 @@ def u2_cuspidal(theta1: NormOneChar, theta2: NormOneChar) -> ClassFunction:
         raise ValueError("parameters live on different norm-one groups")
     if theta1 == theta2:
         raise ValueError("parameter pair is not regular (theta1 = theta2)")
-    ctx = u2_context(theta1.sub.q)
+    ctx = u2_context(_bounded("U2", theta1.sub.q))
     if theta1.field is not ctx.l:
         raise ValueError("parameter lives on the wrong quadratic pair")
     wanted = _u2_torus_values(ctx, theta1, theta2)
@@ -382,7 +388,7 @@ def sigma0(
     -Omega(x^q)(theta1(x^(1-q)) + theta2(x^(1-q))) elliptic, 0 split,
     with Omega = Theta1*Theta2.  Returns it with the unique (up to gamma
     twist) regular parameter whose cuspidal character equals it."""
-    ctx = gl2_context(theta1.sub.q)
+    ctx = gl2_context(_bounded("GL2", theta1.sub.q))
     L = ctx.l
     for Th, th in ((Theta1, theta1), (Theta2, theta2)):
         if Th.field is not L or th.field is not L:

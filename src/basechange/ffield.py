@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import gcd as _gcd
+from operator import mul
 
 from .cyclo import Cyclotomic, _factorize, root_of_unity
 
@@ -87,15 +88,52 @@ def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int
     return _poly_mod(out, mod, p)
 
 
+def _pack(poly: list[int], width: int) -> int:
+    # The Kronecker substitution x -> 2^(8 width): one slot of width bytes
+    # per coefficient, lowest first.
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in poly]), "little")
+
+
 def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = _poly_mod([1], mod, p)
-    base = _poly_mod(list(a), mod, p)
+    """a^e modulo the monic mod over GF(p), in [0, p), by square and multiply
+    on Kronecker-packed integers: one integer product is the whole
+    convolution.  The product's high coefficients c_j, j >= d = deg mod,
+    fold back as c_j (x^j mod mod), read from packed rows made once per
+    call.  Reduced operands give product coefficients < d p^2 and the fold
+    adds < (d - 1) p^2, so a slot of width bytes holding 2 d p^2 never
+    carries into the next."""
+    d = len(mod) - 1
+    width = ((2 * d * (p - 1) ** 2).bit_length() + 7) // 8 or 1
+    span = width * d
+    low = (1 << (8 * span)) - 1
+    unpack = int.from_bytes
+    high_at, low_at = range(span, 2 * span - width, width), range(0, span, width)
+    folds, row = [], [-c % p for c in mod[:d]]
+    for _ in range(d - 1):
+        folds.append(_pack(row, width))
+        c = row[-1]
+        row = [(s - c * m) % p for s, m in zip([0] + row[:-1], mod)]
+
+    def mulmod(x: int, y: int) -> int:
+        z = x * y
+        buf = z.to_bytes(2 * span, "little")
+        high = [unpack(buf[i : i + width], "little") % p for i in high_at]
+        buf = sum(map(mul, high, folds), z & low).to_bytes(span, "little")
+        slots = [(unpack(buf[i : i + width], "little") % p).to_bytes(width, "little") for i in low_at]
+        return unpack(b"".join(slots), "little")
+
+    # result is None until the first set bit, which takes base itself.
+    base, result = _pack(_poly_mod(a, mod, p), width), None
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
+            result = base if result is None else mulmod(result, base)
         e >>= 1
-    return result
+        if e:
+            base = mulmod(base, base)
+    if result is None:
+        return _poly_mod([1], mod, p)
+    buf = result.to_bytes(span, "little")
+    return [unpack(buf[i : i + width], "little") for i in low_at]
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -112,11 +150,9 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
         while len(r) >= len(b):
             c = (r[-1] * inv_lead) % p
             shift = len(r) - len(b)
-            for i, bc in enumerate(b):
-                r[shift + i] = (r[shift + i] - c * bc) % p
-            r = trim(r)
-            if not r:
-                break
+            r[shift:] = [(x - c * y) % p for x, y in zip(r[shift:], b)]
+            while r and not r[-1]:
+                r.pop()
         a, b = b, r
     return a
 
@@ -148,50 +184,62 @@ def _sqrt_mod(a: int, p: int) -> int | None:
     return x
 
 
-def _poly_roots(poly: list[int], p: int, rng) -> list[int]:
-    """The distinct roots in GF(p) of poly (nonzero leading coefficient), ascending.
-
-    Degrees 1 and 2 by formula.  Else g = gcd(x^p - x, poly), the product of
-    the distinct linear factors, is split by equal-degree factorisation
-    (Cantor-Zassenhaus): for a random a, gcd((x + a)^((p-1)/2) -+ 1, g) hold
-    the roots lam with lam + a a nonzero square and a non-square.
-    """
-    f = _poly_monic(poly, p)
+def _small_roots(f: list[int], p: int) -> list[int]:
+    # The distinct roots of a monic f of degree <= 2, ascending, by formula.
     if len(f) < 2:
         return []
     if len(f) == 2:
         return [-f[0] % p]
-    if len(f) == 3:
-        # The quadratic formula: x = (-b +- sqrt(b^2 - 4c)) / 2.
-        s = _sqrt_mod(f[1] * f[1] - 4 * f[0], p)
-        if s is None:
-            return []
-        half = (p + 1) // 2
-        return sorted({(-f[1] + s) * half % p, (-f[1] - s) * half % p})
-    xp = _poly_powmod([0, 1], p, f, p) + [0]
-    xp[1] = (xp[1] - 1) % p
-    stack = [_poly_monic(_poly_gcd(xp, f, p), p)]
-    roots = []
+    # The quadratic formula: x = (-b +- sqrt(b^2 - 4c)) / 2.
+    s = _sqrt_mod(f[1] * f[1] - 4 * f[0], p)
+    if s is None:
+        return []
+    half = (p + 1) // 2
+    return sorted({(-f[1] + s) * half % p, (-f[1] - s) * half % p})
+
+
+def _poly_roots(poly: list[int], p: int, rng) -> list[int]:
+    """The distinct roots in GF(p) of poly (nonzero leading coefficient), ascending.
+
+    Degree <= 2 by formula.  Else the split part g = gcd(x^p - x, poly), the
+    product of the distinct linear factors, is taken, by formula again if
+    its degree is <= 2 (no draw), else split by equal-degree factorisation
+    (Cantor-Zassenhaus): for a random a, gcd((x + a)^((p-1)/2) -+ 1, h)
+    hold the roots lam of a factor h with lam + a a nonzero square and a
+    non-square.  Each round draws one a and forms its power once modulo g,
+    then reduces it modulo every factor still of degree >= 3; factors of
+    degree <= 2 are solved by formula.
+    """
+    f = _poly_monic(poly, p)
+    if len(f) > 3:
+        xp = _poly_powmod([0, 1], p, f, p) + [0]
+        xp[1] = (xp[1] - 1) % p
+        f = _poly_monic(_poly_gcd(xp, f, p), p)
+    if len(f) <= 3:
+        return _small_roots(f, p)
+    roots, stack = [], [f]
     while stack:
-        g = stack.pop()
-        deg = len(g) - 1
-        if deg == 1:
-            roots.append(-g[0] % p)
-        if deg <= 1:
-            continue
         a = rng.randrange(p)
-        h = _poly_powmod([a, 1], (p - 1) // 2, g, p)
-        parts = []
-        for sign in (1, -1):
-            hs = list(h)
-            hs[0] = (hs[0] - sign) % p
-            parts.append(_poly_monic(_poly_gcd(hs, g, p), p))
-        if max(map(len, parts)) == len(g):
-            stack.append(g)  # no split for this a; draw again
-            continue
-        if sum(len(u) - 1 for u in parts) < deg:
-            roots.append(-a % p)  # x + a divides g
-        stack.extend(parts)
+        power = _poly_powmod([a, 1], (p - 1) // 2, f, p)
+        kept = []
+        for g in stack:
+            h = _poly_mod(power, g, p)
+            parts = []
+            for sign in (1, -1):
+                hs = list(h)
+                hs[0] = (hs[0] - sign) % p
+                parts.append(_poly_monic(_poly_gcd(hs, g, p), p))
+            if max(map(len, parts)) == len(g):
+                kept.append(g)  # no split for this a; draw again
+                continue
+            if sum(len(u) for u in parts) < len(g) + 1:
+                roots.append(-a % p)  # x + a divides g
+            for u in parts:
+                if len(u) <= 3:
+                    roots += _small_roots(u, p)
+                else:
+                    kept.append(u)
+        stack = kept
     return sorted(roots)
 
 

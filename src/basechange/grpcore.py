@@ -11,7 +11,7 @@ import random
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .cyclo import ZERO, Cyclotomic, _reduce_dense, dot
+from .cyclo import ZERO, Cyclotomic, _reduce_dense, dot, euler_phi
 from .ffield import _is_prime, _poly_roots, _primitive_root
 
 DEFAULT_MAX_GROUP = 10000
@@ -559,7 +559,12 @@ def _central_spaces(group, classes, zc: int, exponent: int, zgen: int, r: int) -
     for t in range(o):
         lam = pow(zgen, exponent // o * t, r)
         live = [cycle for cycle in cycles if pow(lam, len(cycle), r) == 1]
-        basis = [[pow(lam, c.index(j), r) if j in c else 0 for j in range(k)] for c in live]
+        basis = []
+        for cycle in live:
+            vec = [0] * k
+            for i, j in enumerate(cycle):
+                vec[j] = pow(lam, i, r)
+            basis.append(vec)
         spaces.append((basis, [c[0] for c in live]))
     if sum(len(basis) for basis, _ in spaces) != k:
         raise AssertionError("central eigenspace dimensions do not sum to the class count")
@@ -586,28 +591,63 @@ def _lift_table(classes, l: int, exponent: int, zgen: int, r: int):
     return o, targets, coeffs
 
 
+def _galois_permutations(classes, exponent: int) -> list[tuple[int, ...]]:
+    # pi_e(l) = power_class(l, e) for e in a generating set of the units mod
+    # the exponent, each the least unit outside the subgroup generated so
+    # far; since sigma_e(chi)(g) = chi(g^e), these generate the Galois
+    # action on rows and central characters.  Distinct, identity left out.
+    units, reached, gens = euler_phi(exponent), {1}, []
+    for e in range(2, exponent):
+        if len(reached) == units:
+            break
+        if e in reached or gcd(e, exponent) != 1:
+            continue
+        gens.append(e)
+        frontier = list(reached)
+        for x in frontier:
+            for g in gens:
+                y = x * g % exponent
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+    perms = dict.fromkeys(tuple(row[e % len(row)] for row in classes.powers) for e in gens)
+    perms.pop(tuple(range(len(classes))), None)
+    return list(perms)
+
+
 def character_table(group: GroupTable) -> list[ClassFunction]:
     """All irreducible characters with exact cyclotomic values.
 
     Dixon-Schneider class-sum method over F_r, with r the smallest prime
     r = 1 (mod exp G) exceeding 2*sqrt(|G|)*exp(G), so that eigenvalue data
-    determines character values.  The eigenspaces of a central class
-    matrix, a permutation, are written down (`_central_spaces`) and split
-    into common eigenspaces of the class matrices M_i class by class, in
-    ascending (size, index) order, on the subspaces still of dimension > 1,
-    until every subspace is a line.  Each split restricts M_i to a subspace
-    through the rows of M_i at the pivots of its echelon basis, reduces it
-    to Hessenberg form, takes the characteristic polynomial by the
-    Hessenberg recurrence and finds its roots (by formula up to degree 2,
-    else by Cantor-Zassenhaus).  The values are then lifted exactly through
+    determines character values.  The eigenspaces V_t (eigenvalue zeta_o^t)
+    of a central class matrix M_z, a permutation, are written down
+    (`_central_spaces`).  For e prime to the exponent, sigma_e(chi)(g) =
+    chi(g^e) carries the characters of V_t onto those of V_(te mod o), so
+    only one space per orbit of t (its least member, 0 or a divisor of o)
+    is split into common eigenspaces of the class matrices M_i, class by
+    class in ascending (size, index) order, on the subspaces still of
+    dimension > 1, until every subspace is a line.  Each split restricts M_i
+    to a subspace through the rows of M_i at the pivots of its echelon
+    basis, reduces it to Hessenberg form, takes the characteristic
+    polynomial by the Hessenberg recurrence and finds its roots
+    (`_poly_roots`).  The splits pass over the powers z^e of the central
+    class: their class matrices are powers of M_z, scalar on every space.
+
+    Each line found is the central character w_l = |C_l| chi(g_l)/chi(1)
+    mod r of one row.  A row not met before is lifted exactly, through
     root-of-unity multiplicity sums, once per rational class (a Galois
-    orbit of classes under power maps).  Each distinct value, fixed by its
-    order and multiplicities, is reduced, imaged mod r and serialized once;
-    every class's image is certified against its eigenvector mod r.
-    The root finding draws from a fixed seed; the rows are sorted by
-    (degree, serialized values).
-    The splits pass over the powers z^e of the central class: their class
-    matrices are powers of M_z, scalar on every space they would split.
+    orbit of classes under power maps); each distinct value, fixed by its
+    order and multiplicities, is reduced, imaged mod r and serialized once.
+    The rest of its Galois orbit is closed under the permutations pi_e(l) =
+    power_class(l, e) of `_galois_permutations`, built once: the conjugate
+    line is w o pi_e and the conjugate row takes its values from the
+    lifted ones at pi_e(l).  Every row, lifted or permuted, recovers its
+    degree from its line and has its values certified against the line
+    mod r; the rows must number k, fill every V_t to its dimension, have
+    degree squares summing to |G| and be orthonormal mod r, which is what
+    certifies the permutations.  The root finding draws from a fixed seed;
+    the rows are sorted by (degree, serialized values).
     """
     bound = max_group_order()
     n = group.order
@@ -633,7 +673,12 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
     # z: the central class of largest order, least index on ties.
     central = (ci for ci in range(k) if classes.sizes[ci] == 1)
     zc = max(central, key=lambda ci: (classes.rep_orders[ci], -ci))
+    oz = classes.rep_orders[zc]
     spaces = _central_spaces(group, classes, zc, exponent, zgen, r)
+    dims = [len(basis) for basis, _ in spaces]
+    # One space per Galois orbit: t's orbit under the units mod o is the t'
+    # with gcd(t', o) = gcd(t, o), least member 0 or a divisor of o.
+    spaces = [space for t, space in enumerate(spaces) if t == 0 or oz % t == 0]
     rest = set(range(k)) - set(classes.powers[zc])
     for ci in sorted(rest, key=lambda ci: (classes.sizes[ci], ci)):
         if all(len(basis) == 1 for basis, _ in spaces):
@@ -652,27 +697,16 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
             for e, c in enumerate(classes.powers[l0]):
                 if gcd(e, o) == 1:
                     spread.setdefault(c, (l0, o, pow(e, -1, o)))
+    perms = _galois_permutations(classes, exponent)
+    ident = classes.class_of[group.id]
+
     # A lifted value is fixed by its order o and multiplicities, which are
     # reduced once per distinct pair; each distinct value is then built,
     # imaged mod r and serialized once, and shared by every class and row.
     by_mults: dict[tuple, tuple[Cyclotomic, int, str]] = {}
     by_value: dict[tuple, tuple[Cyclotomic, int, str]] = {}
-    chars, mod_values = [], []
-    ident = classes.class_of[group.id]
-    for (w,), _ in spaces:
-        if w[ident] % r == 0:
-            raise AssertionError("eigenvector vanishes at the identity class")
-        scale = pow(w[ident], r - 2, r)
-        w = [(x * scale) % r for x in w]
-        d2_sum = 0
-        for l in range(k):
-            d2_sum += w[l] * w[inv_class[l]] * inv_size[l]
-        d2_sum %= r
-        deg_sq = (n * pow(d2_sum, r - 2, r)) % r
-        deg = isqrt(deg_sq)
-        if deg * deg != deg_sq or deg == 0 or n % deg != 0:
-            raise AssertionError("character degree recovery failed")
-        modular = [(deg * w[l] * inv_size[l]) % r for l in range(k)]
+
+    def lift(deg, modular):
         mults = {}
         for l0, (o, targets, coeffs) in lifts.items():
             at_targets = [modular[c] for c in targets]
@@ -697,17 +731,57 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
                     entry = by_value[vkey] = (v, _cyclotomic_mod(v, exponent, zgen, r), v.serialize())
                 by_mults[mkey] = entry
             row.append(entry)
+        return row
+
+    def line_images(w):
+        # The degree recovered from the line w, and the images mod r of the
+        # values that the line gives its row.
+        d2_sum = 0
+        for l in range(k):
+            d2_sum += w[l] * w[inv_class[l]] * inv_size[l]
+        deg_sq = (n * pow(d2_sum % r, r - 2, r)) % r
+        deg = isqrt(deg_sq)
+        if deg * deg != deg_sq or deg == 0 or n % deg != 0:
+            raise AssertionError("character degree recovery failed")
+        return deg, tuple((deg * w[l] * inv_size[l]) % r for l in range(k))
+
+    # A row's images mod r (the shared ones of its values) are its key in
+    # seen, so that a line met again, split or permuted, is skipped.
+    chars, mod_values, seen, lams = [], [], set(), []
+
+    def certified(w, deg, modular, row):
         values, images, texts = zip(*row)
+        if images != modular:
+            raise AssertionError("lifted value disagrees with its eigenvector mod r")
         cf = ClassFunction(classes, values)
         cf._text = texts
         chars.append((deg, cf))
-        # Every lifted value's image mod r is the eigenvector's.
-        mod_values.append(list(images))
-        if mod_values[-1] != modular:
-            raise AssertionError("lifted value disagrees with its eigenvector mod r")
+        mod_values.append(images)
+        seen.add(images)
+        lams.append(w[zc])
+        return row
+
+    for (w,), _ in spaces:
+        if w[ident] % r == 0:
+            raise AssertionError("eigenvector vanishes at the identity class")
+        scale = pow(w[ident], r - 2, r)
+        w = tuple((x * scale) % r for x in w)
+        deg, modular = line_images(w)
+        if modular in seen:
+            continue  # a Galois conjugate of an earlier line
+        # The Galois orbit of the line, each conjugate with its row.
+        orbit = [(w, certified(w, deg, modular, lift(deg, modular)))]
+        for w, row in orbit:
+            for perm in perms:
+                moved = list(map(row.__getitem__, perm))
+                if tuple(entry[1] for entry in moved) not in seen:
+                    image = tuple(map(w.__getitem__, perm))
+                    orbit.append((image, certified(image, *line_images(image), moved)))
 
     if len(chars) != k:
         raise AssertionError("character count differs from class count")
+    if [lams.count(pow(zgen, exponent // oz * t, r)) for t in range(oz)] != dims:
+        raise AssertionError("rows per central eigenspace differ from its dimension")
     if sum(d * d for d, _ in chars) != n:
         raise AssertionError("degree squares do not sum to group order")
     for deg, _ in chars:

@@ -31,6 +31,7 @@ from .rankone import (
 )
 from .cuspchar import (
     IdentificationError,
+    _bounded,
     gl2_context,
     gl2_cuspidal,
     sigma0,
@@ -59,8 +60,8 @@ def suite_level0_basechange(q: int = 3) -> Report:
     general linear group with parameter theta o (x -> x^(1-q)), and its
     character at an embedded elliptic point x equals the source character
     at x^(1-q) whenever that point is regular."""
-    ctx_gl = gl2_context(q)
-    ctx_sl = sl2_context(q)
+    ctx_gl = gl2_context(_bounded("GL2", q))
+    ctx_sl = sl2_context(_bounded("SL2", q))
     F, L = ctx_gl.k0, ctx_gl.l
     emb = L.embedding(F)
     minus_one = emb[F.neg(F.one)]
@@ -236,8 +237,8 @@ def suite_restriction_sl2(q: int = 3) -> Report:
     subgroup: irreducible when the norm-one parameter stays regular, and a
     two-member packet (mult-one components, swapped by conjugation with
     diag(1, nu)) when the parameter has order two."""
-    ctx_gl = gl2_context(q)
-    ctx_sl = sl2_context(q)
+    ctx_gl = gl2_context(_bounded("GL2", q))
+    ctx_sl = sl2_context(_bounded("SL2", q))
     F, L = ctx_gl.k0, ctx_gl.l
     sl_group = ctx_sl.group
     gl_rows = _cuspidal_rows(ctx_gl)
@@ -389,7 +390,7 @@ def suite_endoscopic_finite(q: int = 3) -> Report:
     (q-1)^2 extension choices of a pair: each distinct transfer is built,
     identified and normed once, and every combination is still checked
     against its own expected parameter."""
-    ctx = gl2_context(q)
+    ctx = gl2_context(_bounded("GL2", q))
     F, L = ctx.k0, ctx.l
     n1 = q + 1
 

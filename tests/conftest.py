@@ -4,6 +4,7 @@ import gc
 
 import pytest
 
+from basechange import grpcore
 from basechange.ffield import make_field
 from basechange.rankone import UnitarySpec, build_gl2, build_sl2, build_u2
 
@@ -65,3 +66,22 @@ def spec_q5():
 @pytest.fixture(scope="session")
 def u2_q5(spec_q5):
     return build_u2(spec_q5)
+
+
+@pytest.fixture
+def swapped_galois_permutation(monkeypatch):
+    """Patch the oracle's Galois permutations: the first one gets the
+    targets of the first two classes it moves swapped, so it is no power
+    map.  Yields the list of patched permutations, one per table built."""
+    real, patched = grpcore._galois_permutations, []
+
+    def swapped(classes, exponent):
+        perms = real(classes, exponent)
+        perm = list(perms[0])
+        a, b = [l for l, target in enumerate(perm) if target != l][:2]
+        perm[a], perm[b] = perm[b], perm[a]
+        patched.append(tuple(perm))
+        return [tuple(perm)] + perms[1:]
+
+    monkeypatch.setattr(grpcore, "_galois_permutations", swapped)
+    yield patched

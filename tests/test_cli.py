@@ -3,6 +3,7 @@ and determinism."""
 
 import argparse
 import contextlib
+import functools
 import gc
 import hashlib
 import io
@@ -152,6 +153,7 @@ REPORT_SHA256 = {
     "chartable u2 --q 5 --format csv": "ef5173c62457b9575ac079f741130e1d0afe6553ec339ec7431493deeb48882f",
     "chartable gl2 --q 9": "5459d45c0ae8171fc0bed68609e0d7dcbe233f9b5083d33e3fdb5e660a46a807",
     "chartable u2 --q 9": "8d32f49b485269e983aae81282b909e0da75c52ac27d69aadbcff9dad164bc42",
+    "chartable sl2 --q 9": "f96044e0c8d03c6aa217ac36545d29507cb834e7bec145a744aabf9512fd38b8",
     "verify level0 --q 9": "9f01bd5b965055a01c8a51510b553e2ddb0db976b615799b3dafb7b03a7eb9a6",
     "verify restriction --q 9": "71ddb2ea5f499f1aa77566b5f6093d2e98d0954b25a6b67ae39028797ee66c1a",
     "verify endoscopic --q 9": "b3133e01c44347cb36f01ac2777ffa6f0576b93d8b601f92b377607eb14d5a9c",
@@ -190,6 +192,27 @@ class TestOracleOutput:
         code, out, _ = run(command.split(), capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == LARGE_Q_REPORT_SHA256[command]
+
+
+class TestContextBound:
+    """The size bound holds on every context lookup, not only when a cached
+    context is built."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("chartable u2 --q 11", "U2 order 15840 exceeds size bound 10000"),
+            ("cuspidal u2 --q 11", "U2 order 15840 exceeds size bound 10000"),
+            ("verify level0 --q 11", "GL2 order 13200 exceeds size bound 10000"),
+        ],
+    )
+    def test_a_context_built_under_a_raised_bound_is_refused_after_it_drops(
+        self, argv, message, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("BASECHANGE_MAX_GROUP", "20000")
+        assert run(argv.split(), capsys)[0] == 0
+        monkeypatch.delenv("BASECHANGE_MAX_GROUP")
+        assert run(argv.split(), capsys) == (2, "", "error: %s\n" % message)
 
 
 class TestCuspidal:
@@ -627,6 +650,19 @@ class TestInternalError:
         assert (code, err) == (1, "")
         failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
         assert failed == ["u2_unique_oracle_match"]
+
+    def test_a_wrong_galois_permutation_exits_3(
+        self, swapped_galois_permutation, monkeypatch, capsys
+    ):
+        # The rows it spreads are no characters: the oracle's certificate
+        # raises.  A fresh context cache, so the table is built under the patch.
+        monkeypatch.setitem(
+            cuspchar.FAMILIES, "u2", functools.lru_cache(maxsize=None)(cuspchar._U2Context)
+        )
+        code, out, err = run(["chartable", "u2", "--q", "5"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: AssertionError: ")
+        assert len(swapped_galois_permutation) == 1
 
     def test_exit_codes_are_documented(self, capsys):
         _, out, _ = run(["--help"], capsys)

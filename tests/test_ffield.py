@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from basechange.cyclo import ZERO
 from basechange.ffield import (
+    MAX_FIELD_SIZE,
     MultChar,
     NormOneChar,
     _factorize,
     _is_prime,
     _poly_mod,
     _poly_mulmod,
+    _poly_powmod,
     _poly_roots,
     _prime_power,
     _primitive_root,
@@ -313,21 +315,38 @@ def poly_product(a, b, p):
     return out
 
 
+SMALL_PRIMES = [3, 5, 7, 11, 13, 31]
+# The oracle's primes r for SL2(5), GL2(5), U2(5) (and SL2(9)), GL2(7),
+# U2(7) and U2(9).
+ORACLE_PRIMES = [1321, 5281, 6481, 30241, 35281, 40801]
+
+
+def irreducible(f, p):
+    """Whether the monic f of degree 2 or 3 is irreducible over GF(p), by
+    schoolbook arithmetic only: a quadratic has a non-square discriminant;
+    a cubic divides x^(p^3) - x (squarefree, factors of degree 1 or 3) but
+    not x^p - x (not three linear factors)."""
+    if len(f) == 3:
+        return pow((f[1] * f[1] - 4 * f[0]) % p, (p - 1) // 2, p) == p - 1
+    x = naive_mod([0, 1], f, p)
+    return naive_powmod([0, 1], p**3, f, p) == x != naive_powmod([0, 1], p, f, p)
+
+
 @st.composite
 def split_products(draw):
-    """(p, poly, roots): random linear factors (with repeats) times random
-    irreducible quadratics and cubics over a small prime, scaled."""
-    p = draw(st.sampled_from([3, 5, 7, 11, 13, 31]))
-    roots = draw(st.lists(st.integers(0, p - 1), max_size=7))
+    """(p, poly, roots): up to 11 random linear factors (with repeats) times
+    up to two random irreducible quadratics and cubics, scaled, over a small
+    prime or one of the oracle's primes."""
+    p = draw(st.sampled_from(SMALL_PRIMES + ORACLE_PRIMES))
+    roots = draw(st.lists(st.integers(0, p - 1), max_size=11))
     poly = [draw(st.integers(1, p - 1))]
     for x in roots:
         poly = poly_product(poly, [-x % p, 1], p)
     for degree in draw(st.lists(st.sampled_from([2, 3]), max_size=2)):
-        # Degree <= 3 without a root in GF(p) is irreducible.
         factor = draw(
             st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree)
             .map(lambda cs: cs + [1])
-            .filter(lambda f: all(poly_value(f, x, p) for x in range(p)))
+            .filter(lambda f: irreducible(f, p))
         )
         poly = poly_product(poly, factor, p)
     return p, poly, roots
@@ -344,6 +363,16 @@ def naive_mod(poly, mod, p):
     return (poly[:dm] + [0] * dm)[:dm]
 
 
+def naive_powmod(a, e, mod, p):
+    # Schoolbook square and multiply, every product reduced by naive_mod.
+    result, base = naive_mod([1], mod, p), naive_mod(a, mod, p)
+    for bit in bin(e)[2:]:
+        result = naive_mod(poly_product(result, result, p), mod, p)
+        if bit == "1":
+            result = naive_mod(poly_product(result, base, p), mod, p)
+    return result
+
+
 class TestPolynomialKernels:
     @pytest.mark.parametrize("p", [3, 30241])
     def test_mulmod_and_mod_match_schoolbook(self, p):
@@ -354,6 +383,29 @@ class TestPolynomialKernels:
             b = [rng.randrange(p) for _ in range(rng.randint(1, 9))]
             assert _poly_mod(a, mod, p) == naive_mod(a, mod, p)
             assert _poly_mulmod(a, b, mod, p) == naive_mod(poly_product(a, b, p), mod, p)
+
+    @pytest.mark.parametrize(
+        "p,k", [(p, k) for p in (3, 5, 7) for k in range(1, 9) if p**k <= MAX_FIELD_SIZE]
+    )
+    def test_packed_powmod_matches_schoolbook_at_every_field_degree(self, p, k):
+        # Every GF(p^k) that FField builds for p in {3, 5, 7}: the moduli it
+        # searches and the exponents it raises to.
+        rng = random.Random(100 * p + k)
+        for _ in range(30):
+            mod = [rng.randrange(p) for _ in range(k)] + [1]
+            a = [rng.randrange(p) for _ in range(rng.randint(1, 2 * k + 1))]
+            for e in (0, 1, 2, p, (p**k - 1) // 2, p**k, rng.randrange(p ** (k + 1))):
+                assert _poly_powmod(a, e, mod, p) == naive_powmod(a, e, mod, p)
+
+    @pytest.mark.parametrize("p", ORACLE_PRIMES)
+    def test_packed_powmod_matches_schoolbook_at_the_oracle_primes(self, p):
+        # The root finder's powers: x^p and (x + a)^((p-1)/2), degrees to 40.
+        rng = random.Random(p)
+        for d in (1, 2, 3, 5, 11, 23, 40):
+            mod = [rng.randrange(p) for _ in range(d)] + [1]
+            for a in ([0, 1], [rng.randrange(p), 1], [rng.randrange(p) for _ in range(2 * d + 3)]):
+                for e in (p, (p - 1) // 2):
+                    assert _poly_powmod(a, e, mod, p) == naive_powmod(a, e, mod, p)
 
 
 class TestPrimeAndPolynomialHelpers:
@@ -377,12 +429,40 @@ class TestPrimeAndPolynomialHelpers:
         assert [n for n in range(20) if _is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
     @given(split_products(), st.integers(0, 2**32))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_roots_are_the_distinct_roots(self, case, seed):
         p, poly, roots = case
         found = _poly_roots(poly, p, random.Random(seed))
         assert found == sorted(set(roots))
-        assert found == [x for x in range(p) if poly_value(poly, x, p) == 0]
+        assert len(found) == len(set(roots))
+        assert all(poly_value(poly, x, p) == 0 for x in found)
+        if p in SMALL_PRIMES:
+            assert found == [x for x in range(p) if poly_value(poly, x, p) == 0]
+
+    @pytest.mark.parametrize("p", SMALL_PRIMES + ORACLE_PRIMES)
+    def test_a_split_part_of_degree_at_most_two_draws_nothing(self, p):
+        # At most two distinct roots, raised to powers up to 3, times
+        # irreducible factors: degree >= 3, but gcd(x^p - x, poly) has
+        # degree <= 2 and is solved by formula.  rng=None: a draw would raise.
+        rng = random.Random(p)
+
+        def irreducible_factor(degree):
+            while True:
+                f = [rng.randrange(p) for _ in range(degree)] + [1]
+                if irreducible(f, p):
+                    return f
+
+        for _ in range(25):
+            roots = [rng.randrange(p) for _ in range(rng.randint(0, 2))]
+            poly = [rng.randrange(1, p)]
+            for x in roots:
+                for _ in range(rng.randint(1, 3)):
+                    poly = poly_product(poly, [-x % p, 1], p)
+            for degree in rng.sample([2, 3, 3], rng.randint(0, 2)):
+                poly = poly_product(poly, irreducible_factor(degree), p)
+            if len(poly) < 4:
+                poly = poly_product(poly, irreducible_factor(3), p)
+            assert _poly_roots(poly, p, None) == sorted(set(roots))
 
 
 class TestClosedFormRoots:

@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -849,11 +849,16 @@ class TestClassSplitting:
         "q,splits", [(5, {"sl2": 1, "gl2": 16, "u2": 23}), (7, {"sl2": 6, "gl2": 32, "u2": 49})]
     )
     def test_split_rounds(self, q, splits, monkeypatch):
-        calls = []
+        # restricted: the subspaces of dimension > 1 that a class matrix is
+        # restricted to, over all rounds; one central space per Galois orbit
+        # enters the loop.
+        restricted = {5: {"sl2": 2, "gl2": 36, "u2": 56}, 7: {"sl2": 7, "gl2": 166, "u2": 289}}[q]
+        calls, spaces_in = [], []
         split = grpcore._split
 
         def counted(group, classes, spaces, ci, *args):
             calls.append(ci)
+            spaces_in.append(sum(len(basis) > 1 for basis, _ in spaces))
             return split(group, classes, spaces, ci, *args)
 
         monkeypatch.setattr(grpcore, "_split", counted)
@@ -864,7 +869,9 @@ class TestClassSplitting:
             else:
                 group = {"sl2": build_sl2, "gl2": build_gl2}[family](make_field(q))
             calls.clear()
+            spaces_in.clear()
             character_table(group)
+            assert sum(spaces_in) == restricted[family]
             classes = conjugacy_classes(group)
             # The powers of the central class z of largest order are never split.
             central = [ci for ci in range(len(classes)) if classes.sizes[ci] == 1]
@@ -970,13 +977,14 @@ class TestCentralSplit:
     @pytest.mark.parametrize(
         "q,roots,searched",
         [
-            (5, {"sl2": 2, "gl2": 14, "u2": 12}, {"sl2": 2, "gl2": 4, "u2": 6}),
-            (7, {"sl2": 3, "gl2": 30, "u2": 40}, {"sl2": 2, "gl2": 9, "u2": 12}),
+            (5, {"sl2": 2, "gl2": 11, "u2": 8}, {"sl2": 2, "gl2": 3, "u2": 4}),
+            (7, {"sl2": 3, "gl2": 20, "u2": 20}, {"sl2": 2, "gl2": 6, "u2": 5}),
         ],
     )
     def test_root_finding_cost(self, q, roots, searched, monkeypatch):
         # One characteristic polynomial per non-scalar restriction; only
-        # those of degree >= 3 reach Cantor-Zassenhaus (its gcds).
+        # those of degree >= 3 reach a gcd (the split part, then
+        # Cantor-Zassenhaus).
         count = {"roots": 0, "hessenberg": 0, "searched": 0}
         gcds = []
         real_roots, real_hess, real_gcd = grpcore._poly_roots, grpcore._hessenberg, ffield._poly_gcd
@@ -1008,6 +1016,83 @@ class TestCentralSplit:
             character_table(group)
             assert count["roots"] == count["hessenberg"] == roots[family]
             assert count["searched"] <= searched[family]
+
+
+class TestGaloisOrbits:
+    """The oracle splits one central eigenspace per Galois orbit, lifts one
+    row per Galois orbit of rows and forms the others through the
+    permutations pi_e(l) = power_class(l, e), e prime to the exponent."""
+
+    @staticmethod
+    def power_maps(classes):
+        exponent = lcm(*classes.rep_orders)
+        k = len(classes)
+        units = [e for e in range(1, exponent) if gcd(e, exponent) == 1]
+        return exponent, {tuple(classes.power_class(l, e) for l in range(k)) for e in units}
+
+    @pytest.mark.parametrize("family", ["sl2", "gl2", "u2"])
+    def test_permutations_generate_the_power_maps_of_the_units(self, family, spec_q5):
+        classes = conjugacy_classes(oracle_group(family, spec_q5))
+        exponent, every = self.power_maps(classes)
+        perms = grpcore._galois_permutations(classes, exponent)
+        assert len(set(perms)) == len(perms)
+        assert set(perms) <= every - {tuple(range(len(classes)))}
+        # pi_e o pi_f = pi_(ef): the closure under composition is all of them.
+        reached = [tuple(range(len(classes)))]
+        for perm in reached:
+            for g in perms:
+                composed = tuple(perm[x] for x in g)
+                if composed not in reached:
+                    reached.append(composed)
+        assert set(reached) == every
+
+    @pytest.mark.parametrize("family", ["sl2", "gl2", "u2"])
+    def test_rows_are_closed_under_the_power_maps(self, family, spec_q5):
+        group = oracle_group(family, spec_q5)
+        table = character_table(group)
+        texts = {row.serialize() for row in table}
+        _, every = self.power_maps(conjugacy_classes(group))
+        for perm in every:
+            for row in table:
+                assert tuple(row.serialize()[l] for l in perm) in texts
+
+    @pytest.mark.parametrize("family", ["sl2", "gl2", "u2"])
+    def test_a_wrong_permutation_trips_the_certificate(
+        self, family, spec_q5, swapped_galois_permutation
+    ):
+        with pytest.raises(AssertionError):
+            character_table(oracle_group(family, spec_q5))
+        assert len(swapped_galois_permutation) == 1
+
+    @pytest.mark.parametrize("family,spaces,entered,rows", [("gl2", 8, 4, 342), ("u2", 10, 4, 424)])
+    def test_q9_cost_guard(self, family, spaces, entered, rows, gl2_q9, monkeypatch):
+        # Of the o central spaces (o = 8 and 10), one per orbit of t under
+        # the units mod o enters the split loop: t = 0 and the divisors of
+        # o.  The class rows read are those at the pivots of the spaces
+        # still split, shared across spaces; the t = 0 space holds every
+        # cycle's pivot, so the other spaces add no row.
+        group = gl2_q9 if family == "gl2" else build_u2(rankone.UnitarySpec(9))
+        conjugacy_classes(group)
+        central, entering, count = [], [], [0]
+        real_central, real_split, real_row = grpcore._central_spaces, grpcore._split, grpcore._class_row
+
+        def recording_central(*args):
+            central.append(real_central(*args))
+            return central[-1]
+
+        def recording_split(group, classes, spaces, *args):
+            entering.append(len(spaces))
+            return real_split(group, classes, spaces, *args)
+
+        def counted_row(*args):
+            count[0] += 1
+            return real_row(*args)
+
+        monkeypatch.setattr(grpcore, "_central_spaces", recording_central)
+        monkeypatch.setattr(grpcore, "_split", recording_split)
+        monkeypatch.setattr(grpcore, "_class_row", counted_row)
+        character_table(group)
+        assert (len(central[0]), entering[0], count[0]) == (spaces, entered, rows)
 
 
 class TestExport:
