@@ -22,15 +22,8 @@ import argparse
 import gc
 import sys
 
-from .cuspchar import (
-    FAMILIES,
-    gl2_cuspidal,
-    sl2_cuspidal,
-    standard_group,
-    standard_table,
-    u2_cuspidal,
-)
-from .ffield import MAX_FIELD_SIZE, MultChar, NormOneChar, _factorize, quadratic_pair
+from .cuspchar import FAMILIES, family_context, gl2_cuspidal, sl2_cuspidal, u2_cuspidal
+from .ffield import MAX_FIELD_SIZE, MultChar, NormOneChar, _factorize
 from .grpcore import max_group_order, table_to_csv, table_to_json
 from .report import report_to_json
 from .verify import SUITES, suite_heisenberg
@@ -132,12 +125,11 @@ def _emit(text: str, out_path: str | None):
 
 
 def _cmd_chartable(args) -> int:
-    group = standard_group(args.family, args.q)
-    table = standard_table(args.family, args.q)
+    ctx = family_context(args.family, args.q)
     if args.format == "csv":
-        _emit(table_to_csv(group, table), args.out)
+        _emit(table_to_csv(ctx.group, ctx.table), args.out)
     else:
-        _emit(report_to_json(table_to_json(group, table)), args.out)
+        _emit(report_to_json(table_to_json(ctx.group, ctx.table)), args.out)
     return 0
 
 
@@ -166,8 +158,8 @@ def _parse_theta_pair(raw: str) -> tuple[int, int]:
         ) from None
 
 
-def _build_cuspidal(family: str, q: int, raw_theta: str | None):
-    F, L = quadratic_pair(q)
+def _build_cuspidal(family: str, ctx, raw_theta: str | None):
+    F, L = ctx.k0, ctx.l
     if family == "sl2":
         s = _parse_theta(family, raw_theta)
         cf = sl2_cuspidal(NormOneChar(L, F, s))
@@ -182,12 +174,12 @@ def _build_cuspidal(family: str, q: int, raw_theta: str | None):
 
 
 def _cmd_cuspidal(args) -> int:
-    group = standard_group(args.family, args.q)  # the size bound before any field
-    cf, param_info = _build_cuspidal(args.family, args.q, args.theta)
+    ctx = family_context(args.family, args.q)  # the size bound before any field
+    cf, param_info = _build_cuspidal(args.family, ctx, args.theta)
     if args.format == "csv":
-        _emit(table_to_csv(group, [cf]), args.out)
+        _emit(table_to_csv(ctx.group, [cf]), args.out)
     else:
-        obj = table_to_json(group, [cf])
+        obj = table_to_json(ctx.group, [cf])
         obj["family"] = args.family
         obj["q"] = args.q
         obj["params"] = param_info

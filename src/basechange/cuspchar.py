@@ -21,11 +21,10 @@ from functools import cached_property, lru_cache
 
 from .cyclo import ZERO, Cyclotomic, conductor, root_sum
 from .ffield import MultChar, NormOneChar, norm_one_subgroup, quadratic_pair
-from .grpcore import ClassFunction, character_table, conjugacy_classes
+from .grpcore import ClassFunction, character_table, conjugacy_classes, require_order
 from .rankone import (
     ORDERS,
     UnitarySpec,
-    _require_size,
     build_gl2,
     build_sl2,
     build_u2,
@@ -176,15 +175,6 @@ class _U2Context(_Context):
         )
 
 
-def _bounded(family: str, q: int) -> int:
-    """q, once the family's order at q is within the size bound.  The
-    cached factories below build only on a miss, so every lookup passes
-    its q through here: a context built under a raised bound is not served
-    after the bound drops."""
-    _require_size(family, ORDERS[family](q))
-    return q
-
-
 @lru_cache(maxsize=None)
 def gl2_context(q: int) -> _GL2Context:
     return _GL2Context(q)
@@ -204,22 +194,26 @@ def u2_context(q: int) -> _U2Context:
 FAMILIES = {"sl2": sl2_context, "gl2": gl2_context, "u2": u2_context}
 
 
-def _family_context(family: str, q: int) -> _Context:
+def family_context(family: str, q: int) -> _Context:
+    """The context of a standard family sl2/gl2/u2 at q, by its factory in
+    FAMILIES.  The size bound is checked on every call, hit or miss: a
+    context cached under a raised bound is not served after it drops."""
     try:
         factory = FAMILIES[family]
     except KeyError:
         raise ValueError("unknown family: %r" % family) from None
-    return factory(_bounded(family.upper(), q))
+    require_order(family.upper(), ORDERS[family.upper()](q))
+    return factory(q)
 
 
 def standard_group(family: str, q: int):
     """The group table for one of the standard families sl2/gl2/u2."""
-    return _family_context(family, q).group
+    return family_context(family, q).group
 
 
 def standard_table(family: str, q: int):
     """The oracle character table for one of the standard families."""
-    return _family_context(family, q).table
+    return family_context(family, q).table
 
 
 def match_oracle(cf: ClassFunction, table: list[ClassFunction]) -> list[int]:
@@ -262,7 +256,7 @@ def _orbit_sum(chi, L):
 
 
 def _sl2_values(theta: NormOneChar) -> ClassFunction:
-    ctx = sl2_context(_bounded("SL2", theta.sub.q))
+    ctx = family_context("sl2", theta.sub.q)
     if theta.field is not ctx.l or theta.sub is not ctx.k0:
         raise ValueError("parameter lives on the wrong quadratic pair")
     return ClassFunction(ctx.classes, _cuspidal_values(ctx, theta, _orbit_sum(theta, ctx.l)))
@@ -300,7 +294,7 @@ def gl2_cuspidal(theta_tilde: MultChar) -> ClassFunction:
         raise ValueError("parameter must live on a quadratic extension")
     if not theta_tilde.is_regular():
         raise ValueError("non-regular parameter: the formula is not cuspidal")
-    ctx = gl2_context(_bounded("GL2", L.p ** (L.k // 2)))
+    ctx = family_context("gl2", L.p ** (L.k // 2))
     if L is not ctx.l:
         raise ValueError("parameter lives on the wrong quadratic pair")
     return ClassFunction(
@@ -337,7 +331,7 @@ def u2_cuspidal(theta1: NormOneChar, theta2: NormOneChar) -> ClassFunction:
         raise ValueError("parameters live on different norm-one groups")
     if theta1 == theta2:
         raise ValueError("parameter pair is not regular (theta1 = theta2)")
-    ctx = u2_context(_bounded("U2", theta1.sub.q))
+    ctx = family_context("u2", theta1.sub.q)
     if theta1.field is not ctx.l:
         raise ValueError("parameter lives on the wrong quadratic pair")
     wanted = _u2_torus_values(ctx, theta1, theta2)
@@ -388,7 +382,7 @@ def sigma0(
     -Omega(x^q)(theta1(x^(1-q)) + theta2(x^(1-q))) elliptic, 0 split,
     with Omega = Theta1*Theta2.  Returns it with the unique (up to gamma
     twist) regular parameter whose cuspidal character equals it."""
-    ctx = gl2_context(_bounded("GL2", theta1.sub.q))
+    ctx = family_context("gl2", theta1.sub.q)
     L = ctx.l
     for Th, th in ((Theta1, theta1), (Theta2, theta2)):
         if Th.field is not L or th.field is not L:

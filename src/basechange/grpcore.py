@@ -19,7 +19,7 @@ _CHECK_SEED = 3735928559
 
 
 def max_group_order() -> int:
-    """Size bound for the character-table oracle; BASECHANGE_MAX_GROUP overrides."""
+    """Size bound for every group enumerated; BASECHANGE_MAX_GROUP overrides."""
     raw = os.environ.get("BASECHANGE_MAX_GROUP")
     if raw is None:
         return DEFAULT_MAX_GROUP
@@ -30,6 +30,13 @@ def max_group_order() -> int:
     if bound < 1:
         raise ValueError("BASECHANGE_MAX_GROUP must be a positive integer, got %r" % raw)
     return bound
+
+
+def require_order(name: str, order: int):
+    """Raise unless a group of this order is within the size bound."""
+    bound = max_group_order()
+    if order > bound:
+        raise ValueError("%s order %d exceeds size bound %d" % (name, order, bound))
 
 
 def product_column(group: "GroupTable", kb) -> list[int]:

@@ -341,25 +341,14 @@ def _mtrace(x) -> Cyclotomic:
     return sum((x[i][i] for i in range(len(x))), ZERO)
 
 
-def _mdet(x) -> Cyclotomic:
-    n = len(x)
-    a = [list(row) for row in x]
-    det = ONE
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not a[i][col].is_zero()), None)
-        if piv is None:
-            return ZERO
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = a[col][col].inv()
-        a[col] = [e * inv for e in a[col]]
-        for i in range(col + 1, n):
-            if not a[i][col].is_zero():
-                c = a[i][col]
-                a[i] = [e - c * f for e, f in zip(a[i], a[col])]
-    return det
+def _newton_det(traces, c0: Cyclotomic, n: int) -> Cyclotomic:
+    """det A of n x n A with A^d = c0 I, traces[j] = tr A^j (j < d): Newton's
+    k e_k = sum_i (-1)^(i-1) e_(k-i) p_i, p_i = c0^(i // d) tr A^(i mod d)."""
+    d, e = len(traces), [ONE]
+    sums = [c0 ** (i // d) * traces[i % d] for i in range(1, n + 1)]
+    for k in range(1, n + 1):
+        e.append(dot(e[::-1], sums[:k], [(-1) ** i for i in range(k)], den=k))
+    return e[n]
 
 
 # -- Heisenberg representation ----------------------------------------
@@ -541,18 +530,19 @@ def extend(rep: HeisRep, action: TorusAction) -> list[Extension]:
     powers = [_meye(n), A]
     while len(powers) <= d:
         powers.append(_mmul(powers[-1], A))
-    c0, det = powers[d][0][0], _mdet(A)
-    if c0.is_zero() or det.is_zero() or powers[d] != _mscale(c0, _meye(n)):
+    c0 = powers[d][0][0]
+    if c0.is_zero() or powers[d] != _mscale(c0, _meye(n)):
         raise AssertionError("A^d is not a nonzero scalar")
+    powers = tuple(powers[:d])
+    bare = [_mtrace(op) for op in powers]
     # alpha*dim + beta*d = 1; s0 is the same for every such pair, as
     # det(A)^d = c0^dim.
     alpha = pow(n, -1, d)
     beta = (1 - alpha * n) // d
-    s0 = det ** (-alpha) * c0 ** (-beta)
+    s0 = _newton_det(bare, c0, n) ** (-alpha) * c0 ** (-beta)
     if s0**d * c0 != ONE:
         raise AssertionError("normalized operator is not of order d")
-    powers = tuple(powers[:d])
-    traces = tuple(s0**j * _mtrace(op) for j, op in enumerate(powers))
+    traces = tuple(s0**j * t for j, t in enumerate(bare))
     return [Extension(rep, action, c, s0, powers, traces) for c in range(d)]
 
 

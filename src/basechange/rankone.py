@@ -12,7 +12,7 @@ from functools import partial
 from itertools import product
 
 from .ffield import FField, quadratic_pair
-from .grpcore import GroupTable, conjugacy_classes, max_group_order, orbits
+from .grpcore import GroupTable, conjugacy_classes, orbits, require_order
 
 Mat2 = tuple[int, int, int, int]
 
@@ -80,12 +80,6 @@ ORDERS = {
 }
 
 
-def _require_size(family: str, order: int):
-    bound = max_group_order()
-    if order > bound:
-        raise ValueError("%s order %d exceeds size bound %d" % (family, order, bound))
-
-
 def matrix_group(F: FField, keys, name: str) -> GroupTable:
     """A GroupTable of invertible 2x2 matrices over F, with mat_column as
     its column kernel."""
@@ -97,7 +91,7 @@ def _enumerate_gl2_subgroup(F: FField, family: str, det_ok) -> GroupTable:
     """The matrices over F whose determinant passes det_ok, as a GroupTable
     of the family's order."""
     expected = ORDERS[family](F.q)
-    _require_size(family, expected)
+    require_order(family, expected)
     # A generator, so no second list of the keys outlives the sort.
     keys = (m for m in product(F.elements(), repeat=4) if det_ok(mat_det(F, m)))
     G = matrix_group(F, keys, "%s(%d)" % (family, F.q))
@@ -152,7 +146,7 @@ def build_u2(spec: UnitarySpec) -> GroupTable:
     bar(a)·d + bar(c)·b = 1: q^2 candidates per first column.
     """
     expected = ORDERS["U2"](spec.q)
-    _require_size("U2", expected)
+    require_order("U2", expected)
     F = spec.field
     A, M = F._add, F._mul
     bar = [F.frobenius(x, spec.sub.k) for x in F.elements()]

@@ -15,13 +15,13 @@ from .grpcore import (
     conjugacy_classes,
     inner_product,
     max_group_order,
+    require_order,
     restrict,
     trivial_character,
 )
 from .rankone import (
     ORDERS,
     UnitarySpec,
-    _require_size,
     build_gl2,
     build_u2,
     mat_mul,
@@ -31,12 +31,10 @@ from .rankone import (
 )
 from .cuspchar import (
     IdentificationError,
-    _bounded,
-    gl2_context,
+    family_context,
     gl2_cuspidal,
     sigma0,
     sigma0_expected_parameter,
-    sl2_context,
     sl2_cuspidal,
     sl2_reducible_formula,
     u2_cuspidal,
@@ -60,8 +58,8 @@ def suite_level0_basechange(q: int = 3) -> Report:
     general linear group with parameter theta o (x -> x^(1-q)), and its
     character at an embedded elliptic point x equals the source character
     at x^(1-q) whenever that point is regular."""
-    ctx_gl = gl2_context(_bounded("GL2", q))
-    ctx_sl = sl2_context(_bounded("SL2", q))
+    ctx_gl = family_context("gl2", q)
+    ctx_sl = family_context("sl2", q)
     F, L = ctx_gl.k0, ctx_gl.l
     emb = L.embedding(F)
     minus_one = emb[F.neg(F.one)]
@@ -237,8 +235,8 @@ def suite_restriction_sl2(q: int = 3) -> Report:
     subgroup: irreducible when the norm-one parameter stays regular, and a
     two-member packet (mult-one components, swapped by conjugation with
     diag(1, nu)) when the parameter has order two."""
-    ctx_gl = gl2_context(_bounded("GL2", q))
-    ctx_sl = sl2_context(_bounded("SL2", q))
+    ctx_gl = family_context("gl2", q)
+    ctx_sl = family_context("sl2", q)
     F, L = ctx_gl.k0, ctx_gl.l
     sl_group = ctx_sl.group
     gl_rows = _cuspidal_rows(ctx_gl)
@@ -390,7 +388,7 @@ def suite_endoscopic_finite(q: int = 3) -> Report:
     (q-1)^2 extension choices of a pair: each distinct transfer is built,
     identified and normed once, and every combination is still checked
     against its own expected parameter."""
-    ctx = gl2_context(_bounded("GL2", q))
+    ctx = family_context("gl2", q)
     F, L = ctx.k0, ctx.l
     n1 = q + 1
 
@@ -503,7 +501,7 @@ def _run_heis_tuple(tup) -> list[Check]:
     prefix = "p%d_a%d_d%d_%s" % (p, a, d, realization)
     require_rank_one(a)
     try:
-        _require_size("Heis", p ** (2 * a + 1))
+        require_order("Heis", p ** (2 * a + 1))
     except ValueError as e:
         return [Check(name="%s:size" % prefix, status="skipped", details=str(e))]
     try:

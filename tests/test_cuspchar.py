@@ -15,6 +15,7 @@ from basechange.cuspchar import (
     _sl2_values,
     _u2_torus_values,
     canonical_gamma_rep,
+    family_context,
     gl2_context,
     gl2_cuspidal,
     match_oracle,
@@ -30,6 +31,11 @@ from basechange.cuspchar import (
 )
 from basechange.ffield import MultChar, NormOneChar, make_field
 from basechange.grpcore import inner_product
+from basechange.verify import (
+    suite_endoscopic_finite,
+    suite_level0_basechange,
+    suite_restriction_sl2,
+)
 
 ONE = Cyclotomic.rational(1)
 TWO = Cyclotomic.rational(2)
@@ -582,3 +588,48 @@ class TestFamilyRegistry:
             standard_group("sl2", 3)
         with pytest.raises(KeyError, match="inside the build"):
             standard_table("sl2", 3)
+
+
+GL2_11 = "GL2 order 13200 exceeds size bound 10000"
+SL2_23 = "SL2 order 12144 exceeds size bound 10000"
+U2_11 = "U2 order 15840 exceeds size bound 10000"
+
+
+class TestLibraryBound:
+    """Every library entry point that reaches a family context refuses it
+    once the bound drops below its order, although the context is cached."""
+
+    @pytest.mark.parametrize(
+        "family,q,call,message",
+        [
+            ("gl2", 11, lambda: standard_table("gl2", 11), GL2_11),
+            ("gl2", 11, lambda: gl2_cuspidal(MultChar(make_field(11, 2), 1)), GL2_11),
+            ("sl2", 23, lambda: sl2_cuspidal(norm_one(23, 1)), SL2_23),
+            ("sl2", 23, lambda: sl2_reducible_formula(norm_one(23, 12)), SL2_23),
+            ("u2", 11, lambda: u2_cuspidal(norm_one(11, 0), norm_one(11, 1)), U2_11),
+            ("gl2", 11, lambda: sigma0(*first_sigma0_args(11)), GL2_11),
+            ("gl2", 11, lambda: suite_level0_basechange(11), GL2_11),
+            ("gl2", 11, lambda: suite_restriction_sl2(11), GL2_11),
+            ("gl2", 11, lambda: suite_endoscopic_finite(11), GL2_11),
+        ],
+        ids=[
+            "standard_table",
+            "gl2_cuspidal",
+            "sl2_cuspidal",
+            "sl2_reducible_formula",
+            "u2_cuspidal",
+            "sigma0",
+            "level0",
+            "restriction",
+            "endoscopic",
+        ],
+    )
+    def test_a_cached_context_is_refused_after_the_bound_drops(
+        self, family, q, call, message, monkeypatch
+    ):
+        monkeypatch.setenv("BASECHANGE_MAX_GROUP", "20000")
+        family_context(family, q)
+        monkeypatch.delenv("BASECHANGE_MAX_GROUP")
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -29,6 +29,7 @@ from basechange.heis import (
     torus_action_consequences,
     torus_realization,
 )
+from basechange.verify import DEFAULT_HEIS_TUPLES
 
 TUPLES = [
     (3, 1, 2, "split"),
@@ -384,6 +385,29 @@ def dense_mul(x, y):
     )
 
 
+def _mdet(x):
+    """Reference determinant by Gaussian elimination over the cyclotomics,
+    one Galois-norm inverse per pivot."""
+    n = len(x)
+    a = [list(row) for row in x]
+    det = ONE
+    for col in range(n):
+        piv = next((i for i in range(col, n) if not a[i][col].is_zero()), None)
+        if piv is None:
+            return ZERO
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det = det * a[col][col]
+        inv = a[col][col].inv()
+        a[col] = [e * inv for e in a[col]]
+        for i in range(col + 1, n):
+            if not a[i][col].is_zero():
+                c = a[i][col]
+                a[i] = [e - c * f for e, f in zip(a[i], a[col])]
+    return det
+
+
 class PerturbedRep(HeisRep):
     """eta with one phase of one element's monomial multiplied by zeta_p,
     i.e. one phase exponent moved by 1 mod p."""
@@ -536,8 +560,8 @@ class TestExtensionStorage:
     def test_order_d_failure_is_named(self, monkeypatch):
         # A doubled determinant changes s0 but not A: A^d stays the scalar
         # c0, and s0^d c0 is no longer 1.
-        mdet = heis._mdet
-        monkeypatch.setattr(heis, "_mdet", lambda x: 2 * mdet(x))
+        newton_det = heis._newton_det
+        monkeypatch.setattr(heis, "_newton_det", lambda *args: 2 * newton_det(*args))
         with pytest.raises(AssertionError, match="normalized operator is not of order d"):
             extend(heisenberg_rep(3, 1), torus_realization(3, 4, "nonsplit"))
 
@@ -553,6 +577,27 @@ class TestExtensionStorage:
             for j in range(1, 5):
                 assert e.trace(j) == _mtrace(e.op(j))
                 assert e.op(j) == dense_mul(e.op(j - 1), e.op(1))
+
+    @pytest.mark.parametrize("p,a,d,realization", DEFAULT_HEIS_TUPLES)
+    def test_s0_matches_the_eliminated_determinant(self, p, a, d, realization):
+        # Newton's identities on the chain's traces give the determinant
+        # that elimination gives, and s0 = det(A)^-alpha c0^-beta from it.
+        ext = extend(heisenberg_rep(p, a), torus_realization(p, d, realization))[0]
+        A, n = ext.powers[1], ext.rep.dim
+        c0 = dense_mul(ext.powers[d - 1], A)[0][0]
+        det = _mdet(A)
+        assert heis._newton_det([_mtrace(op) for op in ext.powers], c0, n) == det
+        alpha = pow(n, -1, d)
+        assert ext.s0 == det ** (-alpha) * c0 ** (-((1 - alpha * n) // d))
+
+    @pytest.mark.parametrize("exps,d", [((0, 1, 2), 3), ((0, 1, 1, 0, 1), 2), ((1, 3), 5)])
+    def test_newton_det_of_a_diagonal(self, exps, d):
+        # A = 2 diag(zeta_d^e): A^d = 2^d I and det A = 2^n zeta_d^(sum e),
+        # with n below, equal to and above d.
+        diag = [2 * root_of_unity(d, e) for e in exps]
+        traces = [sum((x**j for x in diag), ZERO) for j in range(d)]
+        det = heis._newton_det(traces, Cyclotomic.rational(2**d), len(exps))
+        assert det == 2 ** len(exps) * root_of_unity(d, sum(exps))
 
     @pytest.mark.parametrize("realization", ["split", "nonsplit"])
     def test_order_one_torus_wraps_to_the_identity(self, realization):

@@ -1,6 +1,6 @@
 """The report model module and the import structure around it: heis and
 verify both build reports from basechange.report, and neither imports the
-other inside a function."""
+other inside a function.  Also the one size gate every module goes through."""
 
 import ast
 from pathlib import Path
@@ -54,6 +54,44 @@ class TestModel:
 
 def _imports(tree):
     return [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+def _called_names(tree):
+    """The names called in tree, as f(...) or x.f(...)."""
+    funcs = (n.func for n in ast.walk(tree) if isinstance(n, ast.Call))
+    return {getattr(f, "id", None) or getattr(f, "attr", None) for f in funcs}
+
+
+class TestSizeGate:
+    """One gate decides whether a group is too large: grpcore.require_order
+    formats the refusal, and every family context is reached through
+    cuspchar.family_context, which checks the bound on every lookup."""
+
+    MODULES = sorted(p.name for p in SRC.glob("*.py"))
+
+    def test_the_refusal_is_formatted_only_in_grpcore(self):
+        holders = [m for m in self.MODULES if "exceeds size bound" in (SRC / m).read_text()]
+        assert holders == ["grpcore.py"]
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_context_factories_are_called_only_through_the_registry(self, module):
+        called = _called_names(ast.parse((SRC / module).read_text()))
+        assert not called & {"gl2_context", "sl2_context", "u2_context"}
+
+    def test_the_bound_is_read_only_by_the_gate_and_its_two_readers(self):
+        # cli rejects a malformed bound up front; the normbij skip quotes it.
+        readers = [
+            m
+            for m in self.MODULES
+            if "max_group_order" in _called_names(ast.parse((SRC / m).read_text()))
+        ]
+        assert readers == ["cli.py", "grpcore.py", "verify.py"]
+
+    def test_the_old_gates_are_gone(self):
+        from basechange import cuspchar, rankone, verify
+
+        for mod in (cuspchar, rankone, verify):
+            assert not hasattr(mod, "_bounded") and not hasattr(mod, "_require_size")
 
 
 class TestImportStructure:
