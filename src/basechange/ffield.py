@@ -35,6 +35,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def require_odd_prime(p: int):
+    """Raise unless p is an odd prime, with the messages of ``make_field``."""
+    if not _is_prime(p):
+        raise ValueError("p must be prime")
+    if p == 2:
+        raise ValueError("odd characteristic only")
+
+
 def _prime_power(q: int) -> tuple[int, int]:
     """(p, k) with q = p^k for a prime p and k >= 1."""
     primes = _factorize(q)
@@ -267,10 +275,7 @@ class FField:
     """GF(p^k) with flat arithmetic tables and a fixed generator."""
 
     def __init__(self, p: int, k: int):
-        if not _is_prime(p):
-            raise ValueError("p must be prime")
-        if p == 2:
-            raise ValueError("odd characteristic only")
+        require_odd_prime(p)
         if k < 1:
             raise ValueError("k must be a positive integer")
         if p**k > MAX_FIELD_SIZE:

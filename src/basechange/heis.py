@@ -8,8 +8,8 @@ digits as code, below P = p^a; v = (x, y) in GF(p)^a x GF(p)^a has
 code(x)·P + code(y), and (v, z) has code(v)·p + z, its index in sorted
 tuple order.  Three tables of P^2 entries carry the arithmetic
 (SymplecticSpace): sum codes in GF(p)^a, which are also the Schrodinger
-shifts u -> u + x, negation codes, and half x·y mod p.  Each torus power
-permutes vector codes by a list built once from its matrix.
+shifts u -> u + x, negation codes, and half x·y mod p.  The torus permutes
+vector codes: t by a list built from its matrix, t^j by composing lists.
 Counterexamples decode codes back to (v, z) tuples.
 
 Each eta(g) is stored as a monomial operator, a shift of GF(p)^a with one
@@ -18,9 +18,9 @@ operators adds exponents, so the homomorphism certificate is integer
 arithmetic.  Cyclotomic values appear only in the trace identity and where
 an operator meets a dense one (the intertwiner A, whose entries are root
 sums, and its powers, tuples of Cyclotomic entries).  The d extensions
-share one chain of bare powers A^j and the scalar s0 with (s0 A)^d = I; an
-extension operator is a power scaled on demand.  Every assertion is exact.
-The torus is modeled as acting faithfully (order d, gcd(d,p)=1);
+share s0 with (s0 A)^d = I and the powers A^j, the upper half formed on
+first read; an extension operator is a scaled power.  Every assertion is
+exact.  The torus is modeled as acting faithfully (order d, gcd(d,p)=1);
 central-kernel twists are recoverable by tensoring with a character.
 """
 
@@ -32,7 +32,7 @@ from math import gcd
 from operator import mul
 
 from .cyclo import ONE, ZERO, Cyclotomic, dot, root_of_unity, root_sum
-from .ffield import _is_prime, make_field, norm_one_generator
+from .ffield import _is_prime, make_field, norm_one_generator, require_odd_prime
 from .grpcore import GroupTable, _nullspace, orbits
 from .rankone import embed_quadratic_torus
 from .report import Check, Report, counterexample_check
@@ -143,10 +143,6 @@ class ExtraspecialGroup:
         v, z = divmod(g, self.p)
         return self.space.negs[v] * self.p + (-z) % self.p
 
-    def commutator_key(self, g, h):
-        gh = self.mul_key(g, h)
-        return self.mul_key(gh, self.mul_key(self.inv_key(g), self.inv_key(h)))
-
     def encode(self, key) -> int:
         v, z = key
         return self.space.code(v) * self.p + z
@@ -160,44 +156,50 @@ def build_extraspecial(p: int, a: int = 1) -> ExtraspecialGroup:
     """The extraspecial group of order p^(2a+1) and exponent p, with its
     invariants verified exactly: the center and the exponent on every
     element, the commutator pairing on every x against every generator."""
-    if p == 2:
-        raise ValueError("p must be odd")
-    space = SymplecticSpace(p, a)
+    space = SymplecticSpace(p, a)  # p must be an odd prime
     G = ExtraspecialGroup(space)
     table = G.group
     if table.order != p ** (2 * a + 1):
         raise AssertionError("wrong group order")
+    elements, inv, column = table.elements, table.inv_table, table.column
+
+    def left(b):  # b·x = inv[column(b^-1)[inv[x]]] for every code x
+        col = column(inv[b])
+        return [inv[col[y]] for y in inv]
     # Center: commuting with the 2a standard basis lifts is enough since
     # they generate the group together with the center.  The i-th basis
     # vector's code is p^(2a-1-i), so its lift's is p^(2a-i).
-    basis_lifts = [p ** (2 * a - i) for i in range(2 * a)]
-    for key in table.elements:
-        central = all(
-            G.mul_key(key, b) == G.mul_key(b, key) for b in basis_lifts
-        )
-        if central != (key < p):
-            raise AssertionError("center is not the central coordinate")
-    # Commutator identity on every x against every generator s: [x, y s] =
-    # [x, y] . y [x, s] y^-1 = [x, y] [x, s], as [x, s] = (0, <x, s>) is
-    # central (the check above), and the pairing is additive, so induction
-    # on the word length of y gives [x, y] = (0, <x, y>) on every pair.  The
-    # pairing is the tuple formula, independent of the tables.
-    vectors = space.vectors()
+    central = set(elements)
+    for b in (p ** (2 * a - i) for i in range(2 * a)):
+        central -= {x for x, xb, bx in zip(elements, column(b), left(b)) if xb != bx}
+    if central != set(range(p)):
+        raise AssertionError("center is not the central coordinate")
+    # Commutator identity on every x against every generator s: [x, s] =
+    # (0, c) iff x·s = (s·x)·(0, c), c's column, as (0, c) is central (the
+    # check above).  [x, y s] = [x, y] . y [x, s] y^-1 = [x, y] [x, s] and
+    # the pairing is additive, so induction on the word length of y gives
+    # [x, y] = (0, <x, y>) on every pair.  The pairing is the tuple
+    # formula, independent of the tables.
+    vectors, central_columns = space.vectors(), [column(c) for c in range(p)]
     for s in table.generators():
         w = vectors[s // p]
-        for g in table.elements:
-            if G.commutator_key(g, s) != space.pairing(vectors[g // p], w):
+        pairs = [space.pairing(v, w) for v in vectors]
+        for x, xs, sx in zip(elements, column(s), left(s)):
+            if xs != central_columns[pairs[x // p]][sx]:
                 raise AssertionError("commutator does not realize the pairing")
-    # Exponent p.
-    for i in range(table.order):
-        if table.power(i, p) != table.id:
+    # Exponent p on codes: a walk to x^p covers each x^k too, (x^k)^p = (x^p)^k.
+    mul_key, walked = G.mul_key, bytearray(table.order)
+    for x in (x for x in elements if not walked[x]):
+        y = x
+        for _ in range(p - 1):
+            walked[y], y = 1, mul_key(y, x)
+        if y != G.id_key:
             raise AssertionError("exponent is not p")
-    # Pairing nondegeneracy, exhaustively.
-    for v in vectors:
-        if v == space.zero:
-            continue
-        if all(space.pairing(v, w) == 0 for w in vectors):
-            raise AssertionError("pairing has a radical vector")
+    # Pairing nondegeneracy: the tuple formula is bilinear, so a radical
+    # vector is a null vector of its Gram matrix.
+    basis = [vectors[p ** (2 * a - 1 - i)] for i in range(2 * a)]
+    if _nullspace([[space.pairing(u, w) for w in basis] for u in basis], p)[0]:
+        raise AssertionError("pairing has a radical vector")
     return G
 
 
@@ -231,7 +233,6 @@ class TorusAction:
             if len(self.powers) > 100000:
                 raise AssertionError("order computation runaway")
         self.order = len(self.powers)
-        self._perms = [None] * self.order
         # Preserving the form on every basis pair makes t a symplectic map,
         # so (v, z) -> (t v, z) is a group automorphism; that is what makes
         # the twisted moves h x (t.h)^-1 of the orbit checks a group action.
@@ -242,6 +243,8 @@ class TorusAction:
                 tj = self.apply(basis[j])
                 if space.pairing(ti, tj) != space.gram[i][j]:
                     raise ValueError("matrix does not preserve the symplectic form")
+        codes = [space.code(self.apply(v)) for v in space.vectors()]
+        self._perms = [list(range(len(codes))), codes]  # t^0 and t on vector codes
 
     def _mat_mul(self, x, y):
         p, n = self.space.p, self.space.dim
@@ -256,11 +259,12 @@ class TorusAction:
         return tuple(sum(m[i][k] * v[k] for k in range(n)) % p for i in range(n))
 
     def perm(self, j: int = 1) -> list[int]:
-        """t^j on vector codes, built from its matrix on first use."""
+        """t^j on vector codes, built on first use as t∘t^(j-1)."""
         j %= self.order
-        if self._perms[j] is None:
-            self._perms[j] = [self.space.code(self.apply(v, j)) for v in self.space.vectors()]
-        return self._perms[j]
+        perms = self._perms
+        while len(perms) <= j:
+            perms.append([perms[1][c] for c in perms[-1]])
+        return perms[j]
 
     def act_key(self, key, j: int = 1):
         v, z = divmod(key, self.space.p)
@@ -314,6 +318,7 @@ def nonsplit_torus_action(p: int, d: int) -> TorusAction:
 
 
 def torus_realization(p: int, d: int, realization: str) -> TorusAction:
+    require_odd_prime(p)  # a composite p fails here, not on divisibility
     if realization == "split":
         return split_torus_action(p, d)
     if realization == "nonsplit":
@@ -485,6 +490,23 @@ def _verify_intertwines(rep: HeisRep, action: TorusAction, A):
     return True
 
 
+class _Powers:
+    """A^0 ... A^(d-1) from the chain A^0 ... A^h that extend formed: each
+    A^j above it is A^h A^(j-h), formed on first read."""
+
+    def __init__(self, chain, d: int):
+        self._ops, self._h = (chain + [None] * d)[:d], len(chain) - 1
+
+    def __len__(self):
+        return len(self._ops)
+
+    def __getitem__(self, j: int):
+        ops, j = self._ops, range(len(self._ops))[j]
+        if ops[j] is None:
+            ops[j] = _mmul(ops[self._h], ops[j - self._h])
+        return ops[j]
+
+
 class Extension:
     """One of the d extensions of a Heisenberg representation to the
     semidirect product with the torus, labeled by the torus character
@@ -524,17 +546,21 @@ def extend(rep: HeisRep, action: TorusAction) -> list[Extension]:
     A = intertwiner(rep, action)
     if not _verify_intertwines(rep, action, A):
         raise AssertionError("averaged operator fails to intertwine")
-    # A^0 ... A^d by d - 1 products.  A^d = c0 I entrywise and s0^d c0 = 1
-    # together certify (s0 A)^d = I.
-    n = rep.dim
-    powers = [_meye(n), A]
-    while len(powers) <= d:
-        powers.append(_mmul(powers[-1], A))
-    c0 = powers[d][0][0]
-    if c0.is_zero() or powers[d] != _mscale(c0, _meye(n)):
+    # A^0 ... A^h, h = ceil(d/2), by h - 1 products; above it tr A^j =
+    # tr(A^h A^(j-h)), one dot of n^2 terms.  A^d = A^h A^(d-h) = c0 I
+    # entrywise and s0^d c0 = 1 together certify (s0 A)^d = I.
+    n, h = rep.dim, (d + 1) // 2
+    chain = [_meye(n), A]
+    while len(chain) <= h:
+        chain.append(_mmul(chain[-1], A))
+    top = _mmul(chain[h], chain[d - h])
+    c0 = top[0][0]
+    if c0.is_zero() or top != _mscale(c0, _meye(n)):
         raise AssertionError("A^d is not a nonzero scalar")
-    powers = tuple(powers[:d])
-    bare = [_mtrace(op) for op in powers]
+    entries = [e for row in chain[h] for e in row]
+    bare = [_mtrace(op) for op in chain[:d]] + [
+        dot(entries, [e for col in zip(*chain[j - h]) for e in col]) for j in range(h + 1, d)
+    ]
     # alpha*dim + beta*d = 1; s0 is the same for every such pair, as
     # det(A)^d = c0^dim.
     alpha = pow(n, -1, d)
@@ -543,6 +569,7 @@ def extend(rep: HeisRep, action: TorusAction) -> list[Extension]:
     if s0**d * c0 != ONE:
         raise AssertionError("normalized operator is not of order d")
     traces = tuple(s0**j * t for j, t in enumerate(bare))
+    powers = _Powers(chain, d)
     return [Extension(rep, action, c, s0, powers, traces) for c in range(d)]
 
 
@@ -558,7 +585,6 @@ def multiplicities(ext: Extension) -> dict[int, int]:
     # zeta_d^(c'j) traces[j], the multiplicity of xi_c is
     # (1/d) sum_j zeta_d^((c'-c)j) traces[j].
     out = {}
-    total = 0
     for c in range(d):
         chars = [root_of_unity(d, (ext.label - c) * j) for j in range(d)]
         try:
@@ -568,8 +594,7 @@ def multiplicities(ext: Extension) -> dict[int, int]:
         if m < 0:
             raise AssertionError("negative multiplicity for label %d" % c)
         out[c] = m
-        total += m
-    if total != rep.dim:
+    if sum(out.values()) != rep.dim:
         raise AssertionError("multiplicities do not sum to p^a (bug)")
     return out
 

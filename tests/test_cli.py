@@ -399,6 +399,13 @@ class TestHeis:
         assert code == 2
         assert "realization impossible" in err
 
+    @pytest.mark.parametrize("realization", ["split", "nonsplit"])
+    @pytest.mark.parametrize("p", [9, 15])
+    def test_composite_p_is_named(self, p, realization, capsys):
+        # Named before any divisibility test: d = 4 divides 9 + 1 and 15 + 1.
+        code, out, err = run(["heis", "--p", str(p), "--d", "4", "--realization", realization], capsys)
+        assert (code, out, err) == (2, "", "error: p must be prime\n")
+
     def test_missing_required_flag_exits_2(self, capsys):
         code, _, _ = run(["heis", "--p", "3", "--d", "4"], capsys)
         assert code == 2

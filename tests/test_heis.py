@@ -7,7 +7,7 @@ import pytest
 
 from basechange import heis
 from basechange.cyclo import ONE, ZERO, Cyclotomic, root_of_unity
-from basechange.grpcore import orbits
+from basechange.grpcore import orbits, product_column
 from basechange.heis import (
     ExtraspecialGroup,
     HeisRep,
@@ -54,6 +54,11 @@ EXPECTED_EPSILON = {
     (5, 1, 6): -1,
     (7, 1, 8): -1,
 }
+
+
+def commutator_key(G, g, h):
+    """g h g^-1 h^-1 by the group law on codes."""
+    return G.mul_key(G.mul_key(g, h), G.mul_key(G.inv_key(g), G.inv_key(h)))
 
 
 class TestSymplecticSpace:
@@ -105,7 +110,7 @@ class TestExtraspecialGroup:
         sp = G.space
         for g in G.group.elements:
             for h in G.group.elements:
-                comm = G.decode(G.commutator_key(g, h))
+                comm = G.decode(commutator_key(G, g, h))
                 assert comm == (sp.zero, sp.pairing(G.decode(g)[0], G.decode(h)[0]))
 
     def test_exponent_p(self):
@@ -120,6 +125,85 @@ class TestExtraspecialGroup:
 
     def test_cached(self):
         assert extraspecial_group(3, 1) is extraspecial_group(3, 1)
+
+
+def is_basis_vector(v) -> bool:
+    return sorted(v) == [0] * (len(v) - 1) + [1]
+
+
+class TestGroupCertificateFaults:
+    """One fault per build_extraspecial certificate, caught by it and by no
+    other.  Given the commutator certificate, the center and radical ones
+    state the same thing, so a fault that one sees alone lies in what the
+    commutator check does not read: it reads the pairing formula only
+    against the generators' vectors, none of them a standard basis vector
+    at p = 3, and the radical check reads it only on basis pairs."""
+
+    @staticmethod
+    def basis_pairs_only(monkeypatch, keep: bool):
+        # The pairing formula on basis pairs only (keep), or off them only.
+        pairing = SymplecticSpace.pairing
+
+        def restricted(self, v, w):
+            on_basis = is_basis_vector(v) and is_basis_vector(w)
+            return pairing(self, v, w) if on_basis == keep else 0
+
+        monkeypatch.setattr(SymplecticSpace, "pairing", restricted)
+
+    def test_center(self, monkeypatch):
+        # An abelian group: commutators are trivial, as the formula is off the
+        # generators; the exponent is p and the Gram matrix nondegenerate.
+        init = SymplecticSpace.__init__
+
+        def no_phase(self, p, a):
+            init(self, p, a)
+            self.half_dots = [0] * len(self.half_dots)
+
+        monkeypatch.setattr(SymplecticSpace, "__init__", no_phase)
+        self.basis_pairs_only(monkeypatch, keep=True)
+        G = ExtraspecialGroup(SymplecticSpace(3, 1))
+        assert not any(is_basis_vector(G.decode(s)[0]) for s in G.group.generators())
+        with pytest.raises(AssertionError, match="^center is not the central coordinate$"):
+            build_extraspecial(3, 1)
+
+    def test_commutator(self, monkeypatch):
+        # The pairing formula with its sign flipped: still nondegenerate.
+        pairing = SymplecticSpace.pairing
+        monkeypatch.setattr(SymplecticSpace, "pairing", lambda self, v, w: -pairing(self, v, w) % self.p)
+        with pytest.raises(AssertionError, match="^commutator does not realize the pairing$"):
+            build_extraspecial(3, 1)
+
+    def test_exponent(self, monkeypatch):
+        # The extraspecial group of exponent p^2: the first coordinate carries
+        # into the center.  The carry is a symmetric cocycle, so commutators
+        # and the center stay as they were.
+        p = 3
+        mul_key, inv_key = ExtraspecialGroup.mul_key, ExtraspecialGroup.inv_key
+
+        def carried(self, g, h):
+            k = mul_key(self, g, h)
+            return k - k % p + (k + (g // p**2 + h // p**2 >= p)) % p
+
+        def carried_inv(self, g):
+            k = inv_key(self, g)
+            return k - k % p + (k - (g >= p**2)) % p
+
+        monkeypatch.setattr(ExtraspecialGroup, "mul_key", carried)
+        monkeypatch.setattr(ExtraspecialGroup, "inv_key", carried_inv)
+        monkeypatch.setattr(ExtraspecialGroup, "column", lambda self, group, h: product_column(group, h))
+        G = ExtraspecialGroup(SymplecticSpace(p, 1))
+        assert G.group.power(p**2, p) == 1  # ((1, 0), 0)^p = ((0, 0), 1)
+        with pytest.raises(AssertionError, match="^exponent is not p$"):
+            build_extraspecial(p, 1)
+
+    def test_radical(self, monkeypatch):
+        # The true group against a formula that is zero on basis pairs: its
+        # Gram matrix is zero, and it agrees with the group off the basis.
+        self.basis_pairs_only(monkeypatch, keep=False)
+        G = ExtraspecialGroup(SymplecticSpace(3, 1))
+        assert not any(is_basis_vector(G.decode(s)[0]) for s in G.group.generators())
+        with pytest.raises(AssertionError, match="^pairing has a radical vector$"):
+            build_extraspecial(3, 1)
 
 
 class TestTorusRealizations:
@@ -446,7 +530,7 @@ class TestGeneratingSetCertificates:
         sp = G.space
         for g in G.group.elements:
             for h in G.group.elements:
-                comm = G.decode(G.commutator_key(g, h))
+                comm = G.decode(commutator_key(G, g, h))
                 assert comm == (sp.zero, sp.pairing(G.decode(g)[0], G.decode(h)[0]))
 
     @pytest.mark.parametrize("p", [3, 5])
@@ -590,6 +674,28 @@ class TestExtensionStorage:
         alpha = pow(n, -1, d)
         assert ext.s0 == det ** (-alpha) * c0 ** (-((1 - alpha * n) // d))
 
+    @pytest.mark.parametrize(
+        "p,a,d,realization",
+        list(DEFAULT_HEIS_TUPLES) + [(11, 1, 12, "nonsplit"), (13, 1, 14, "nonsplit"), (7, 1, 3, "split")],
+    )
+    def test_half_chain_matches_the_full_chain(self, p, a, d, realization):
+        # extend forms A^0 ... A^h; its traces, its A^d and every op(j) equal
+        # those of the chain of all d products.
+        rep = heisenberg_rep(p, a)
+        exts = extend(rep, torus_realization(p, d, realization))
+        s0, powers, h = exts[0].s0, exts[0].powers, (d + 1) // 2
+        full = [heis._meye(rep.dim)]
+        while len(full) <= d:
+            full.append(heis._mmul(full[-1], powers[1]))
+        assert full[d] == heis._mscale(s0 ** (-d), full[0])
+        assert heis._mmul(powers[h], powers[d - h]) == full[d]
+        assert list(exts[0].traces) == [s0**j * _mtrace(full[j]) for j in range(d)]
+        for ext in (exts[0], exts[-1]):
+            for j in range(d):
+                scalar = root_of_unity(d, ext.label * j) * s0**j
+                assert ext.op(j) == heis._mscale(scalar, full[j])
+        assert [powers[j] for j in range(d)] == full[:d]
+
     @pytest.mark.parametrize("exps,d", [((0, 1, 2), 3), ((0, 1, 1, 0, 1), 2), ((1, 3), 5)])
     def test_newton_det_of_a_diagonal(self, exps, d):
         # A = 2 diag(zeta_d^e): A^d = 2^d I and det A = 2^n zeta_d^(sum e),
@@ -704,7 +810,9 @@ class TestCodes:
             for u, ut in enumerate(points):
                 assert points[rep._shifts[x][u]] == rep.group.space.add(ut, xt)
 
-    @pytest.mark.parametrize("p,d,realization", [(t[0], t[2], t[3]) for t in TUPLES])
+    @pytest.mark.parametrize(
+        "p,d,realization", [(t[0], t[2], t[3]) for t in TUPLES] + [(13, 14, "nonsplit"), (7, 3, "split")]
+    )
     def test_torus_permutations_match_apply(self, p, d, realization):
         action = torus_realization(p, d, realization)
         sp, E = action.space, extraspecial_group(p, 1)

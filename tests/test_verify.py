@@ -239,6 +239,14 @@ class TestHeisenbergSuite:
         assert rpt.checks[0].status == "skipped"
         assert "realization impossible" in rpt.checks[0].details
 
+    @pytest.mark.parametrize("realization", ["split", "nonsplit"])
+    @pytest.mark.parametrize("p", [9, 15])
+    def test_composite_p_is_skipped(self, p, realization):
+        rpt = suite_heisenberg(tuples=[(p, 1, 4, realization)])
+        assert [(c.name, c.status, c.details) for c in rpt.checks] == [
+            ("p%d_a1_d4_%s:realization" % (p, realization), "skipped", "p must be prime")
+        ]
+
     def test_each_tuple_builds_its_torus_once(self, monkeypatch):
         from basechange import heis, verify
 
