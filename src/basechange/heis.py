@@ -166,6 +166,7 @@ def build_extraspecial(p: int, a: int = 1) -> ExtraspecialGroup:
     def left(b):  # b·x = inv[column(b^-1)[inv[x]]] for every code x
         col = column(inv[b])
         return [inv[col[y]] for y in inv]
+
     # Center: commuting with the 2a standard basis lifts is enough since
     # they generate the group together with the center.  The i-th basis
     # vector's code is p^(2a-1-i), so its lift's is p^(2a-i).
@@ -288,17 +289,18 @@ class TorusAction:
         return all(not self.fixed_space_basis(j) for j in range(1, self.order))
 
 
-def _realization_error(p: int, d: int) -> ValueError:
-    return ValueError(
-        "realization impossible for (p=%d, d=%d): split needs d | p-1 = %d, "
-        "nonsplit needs d | p+1 = %d" % (p, d, p - 1, p + 1)
-    )
+def _require_realizable(p: int, d: int, m: int):
+    require_odd_prime(p)  # a composite p is named before d | m is tested
+    if d < 1 or m % d != 0:
+        raise ValueError(
+            "realization impossible for (p=%d, d=%d): split needs d | p-1 = %d, "
+            "nonsplit needs d | p+1 = %d" % (p, d, p - 1, p + 1)
+        )
 
 
 def split_torus_action(p: int, d: int) -> TorusAction:
     """diag(c, c^-1) with c of order d in GF(p)^x; needs d | p-1."""
-    if d < 1 or (p - 1) % d != 0:
-        raise _realization_error(p, d)
+    _require_realizable(p, d, p - 1)
     F = make_field(p)
     c = F.pow(F.generator, (p - 1) // d)
     cinv = F.inv(c)
@@ -308,8 +310,7 @@ def split_torus_action(p: int, d: int) -> TorusAction:
 def nonsplit_torus_action(p: int, d: int) -> TorusAction:
     """Multiplication by an order-d norm-one element of GF(p^2), as a
     2x2 matrix over GF(p); needs d | p+1."""
-    if d < 1 or (p + 1) % d != 0:
-        raise _realization_error(p, d)
+    _require_realizable(p, d, p + 1)
     F = make_field(p)
     L = make_field(p, 2)
     u = L.pow(norm_one_generator(L, F), (p + 1) // d)
@@ -318,7 +319,6 @@ def nonsplit_torus_action(p: int, d: int) -> TorusAction:
 
 
 def torus_realization(p: int, d: int, realization: str) -> TorusAction:
-    require_odd_prime(p)  # a composite p fails here, not on divisibility
     if realization == "split":
         return split_torus_action(p, d)
     if realization == "nonsplit":

@@ -402,7 +402,8 @@ class TestHeis:
     @pytest.mark.parametrize("realization", ["split", "nonsplit"])
     @pytest.mark.parametrize("p", [9, 15])
     def test_composite_p_is_named(self, p, realization, capsys):
-        # Named before any divisibility test: d = 4 divides 9 + 1 and 15 + 1.
+        # Named before any divisibility test: d = 4 divides p - 1 = 8 but not
+        # p + 1 = 10 at p = 9, and p + 1 = 16 but not p - 1 = 14 at p = 15.
         code, out, err = run(["heis", "--p", str(p), "--d", "4", "--realization", realization], capsys)
         assert (code, out, err) == (2, "", "error: p must be prime\n")
 

@@ -151,8 +151,9 @@ class TestGroupCertificateFaults:
         monkeypatch.setattr(SymplecticSpace, "pairing", restricted)
 
     def test_center(self, monkeypatch):
-        # An abelian group: commutators are trivial, as the formula is off the
-        # generators; the exponent is p and the Gram matrix nondegenerate.
+        # An abelian group: its commutators are trivial, as is the formula
+        # against every generator; its exponent is p, and the formula keeps a
+        # nondegenerate Gram matrix.
         init = SymplecticSpace.__init__
 
         def no_phase(self, p, a):
@@ -224,6 +225,12 @@ class TestTorusRealizations:
     def test_impossible_both_ways(self):
         with pytest.raises(ValueError, match=r"realization impossible for \(p=3, d=5\)"):
             torus_realization(3, 5, "split")
+
+    @pytest.mark.parametrize("build,p", [(split_torus_action, 15), (nonsplit_torus_action, 9)])
+    def test_composite_p_is_named_by_each_builder(self, build, p):
+        # d = 4 fails divisibility here too; the prime test comes first.
+        with pytest.raises(ValueError, match="^p must be prime$"):
+            build(p, 4)
 
     def test_unknown_realization(self):
         with pytest.raises(ValueError, match="unknown realization"):
