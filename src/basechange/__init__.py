@@ -26,7 +26,6 @@ from .rankone import (
     build_u2,
     embed_quadratic_torus,
     norm_class_map,
-    norm_tau,
     tau,
     tau_classes,
 )
@@ -37,8 +36,6 @@ from .cuspchar import (
     sigma0_expected_parameter,
     sl2_cuspidal,
     sl2_reducible_formula,
-    standard_group,
-    standard_table,
     u2_cuspidal,
 )
 from .heis import (
@@ -83,7 +80,6 @@ __all__ = [
     "match_oracle",
     "multiplicities",
     "norm_class_map",
-    "norm_tau",
     "report_to_json",
     "restrict",
     "root_of_unity",
@@ -91,8 +87,6 @@ __all__ = [
     "sigma0_expected_parameter",
     "sl2_cuspidal",
     "sl2_reducible_formula",
-    "standard_group",
-    "standard_table",
     "table_to_csv",
     "table_to_json",
     "tau",

@@ -206,16 +206,6 @@ def family_context(family: str, q: int) -> _Context:
     return factory(q)
 
 
-def standard_group(family: str, q: int):
-    """The group table for one of the standard families sl2/gl2/u2."""
-    return family_context(family, q).group
-
-
-def standard_table(family: str, q: int):
-    """The oracle character table for one of the standard families."""
-    return family_context(family, q).table
-
-
 def match_oracle(cf: ClassFunction, table: list[ClassFunction]) -> list[int]:
     """Indices of oracle irreducibles equal to cf as class functions."""
     return [i for i, chi in enumerate(table) if chi == cf]

@@ -1,13 +1,15 @@
-"""Finite fields GF(p^k) of odd characteristic, with subfield structure,
-the norm, and the character groups of the multiplicative and norm-one
-subgroups.  Everything is table-based: these are desk-scale fields (at most
-a few thousand elements), and determinism matters more than asymptotics.
+"""Finite fields GF(p^k) of odd characteristic, with subfield structure
+and the character groups of the multiplicative and norm-one subgroups.
+Everything is table-based: these are desk-scale fields (at most a few
+thousand elements), and determinism matters more than asymptotics.
 
 Elements are represented as int indices into the lexicographic enumeration
 of coefficient tuples (c0,...,c_{k-1}), c0 compared first.  The tables come
 from discrete logs: the generator (the least index of order q - 1) and its
 q - 2 powers are the only polynomial products, the product table is
 g^i g^j = g^(i+j), and the sum table adds base-p digits by place value.
+Every table entry is the int object of its code in one list, so a table
+of q^2 entries holds q ints.
 """
 
 from __future__ import annotations
@@ -305,7 +307,9 @@ class FField:
     def _build_tables(self):
         # From discrete logs (module docstring).  Index i has base-p digits
         # c0, ..., c_{k-1}, c0 the most significant, and zero is index 0.
+        # codes[i] is the one int object stored for i in every table.
         q, p = self.q, self.p
+        codes = list(self._index.values())
         mod = list(self.modulus)
         one = _poly_mod([1], mod, p)
         primes = _factorize(q - 1)
@@ -328,13 +332,13 @@ class FField:
         rows, place = [[0]], 1
         for _ in range(self.k):
             rows = [
-                [(c + t) % p * place + r for t in range(p) for r in row]
+                [codes[(c + t) % p * place + r] for t in range(p) for r in row]
                 for c in range(p)
                 for row in rows
             ]
             place *= p
         self._add = rows
-        self._neg = [row.index(self.zero) for row in rows]
+        self._neg = [codes[row.index(self.zero)] for row in rows]
 
     # -- arithmetic ---------------------------------------------------
 
@@ -434,14 +438,6 @@ class FField:
             self._embeddings[key] = table
         return self._embeddings[key]
 
-    def retract(self, a: int, sub: "FField") -> int:
-        """Inverse of the embedding on its image; errors off the image."""
-        table = self.embedding(sub)
-        try:
-            return table.index(a)
-        except ValueError:
-            raise ValueError("element does not lie in the subfield") from None
-
     def __repr__(self) -> str:
         return "GF(%d^%d)" % (self.p, self.k) if self.k > 1 else "GF(%d)" % self.p
 
@@ -454,19 +450,6 @@ def make_field(p: int, k: int = 1) -> FField:
 @lru_cache(maxsize=None)
 def _field(p: int, k: int) -> FField:
     return FField(p, k)
-
-
-def norm(field: FField, x: int, sub: FField) -> int:
-    """Product of the Frobenius orbit of x over sub; lands in sub."""
-    if not field.is_subfield(sub):
-        raise ValueError("not a subfield pair")
-    steps = field.k // sub.k
-    acc = field.one
-    y = x
-    for _ in range(steps):
-        acc = field.mul(acc, y)
-        y = field.frobenius(y, sub.k)
-    return field.retract(acc, sub)
 
 
 def _require_quadratic(field: FField, sub: FField):

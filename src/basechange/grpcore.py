@@ -75,30 +75,13 @@ class GroupTable:
         self._columns: dict[int, list[int]] = {}
         self._check_axioms()
 
-    # -- construction helpers -----------------------------------------
-
-    @classmethod
-    def from_generators(cls, generators, mul_key, inv_key, id_key, name="G"):
-        seen = {id_key}
-        frontier = [id_key]
-        gens = list(generators)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = mul_key(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return cls(seen, mul_key, inv_key, id_key, name=name)
-
     def _check_axioms(self):
         """Identity and inverse axioms on every element, closure through
         ``generators()`` (its docstring has the proof), associativity on
         300 sampled triples: 2n + 1200 products and 1 + |gens| kernel
         columns.  The identity's column is built directly, not through
-        ``column()``: under a false identity axiom the closure need not end."""
+        ``column()``, and e·x = x is checked by product before the closure:
+        under a false identity axiom the closure need not end."""
         for i, right in enumerate(self._column(self.id)):
             if self.mul(self.id, i) != i or right != i:
                 raise ValueError("identity axiom fails")
@@ -122,18 +105,6 @@ class GroupTable:
 
     def inv(self, i: int) -> int:
         return self.inv_table[i]
-
-    def power(self, g: int, e: int) -> int:
-        if e < 0:
-            g, e = self.inv_table[g], -e
-        result = self.id
-        base = g
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
 
     def key(self, i: int):
         return self.elements[i]
@@ -232,12 +203,16 @@ class ConjClasses:
         n, ident = group.order, group.id
         raw = orbits(group, [(group.inv_table[g], g) for g in group.generators()])
         # Each representative walked once through x⁰ … x^(o−1): o − 1
-        # products, the last of which returns to the identity.
+        # products, the last of which returns to the identity.  In a group
+        # o ≤ n; a law the sampled associativity check missed may never
+        # return, so a walk past n elements is refused.
         walks = []
         for c in raw:
             walk, x = [ident], c[0]
             while x != ident:
                 walk.append(x)
+                if len(walk) > n:
+                    raise AssertionError("power walk does not return to the identity")
                 x = group.mul(x, c[0])
             walks.append(walk)
         # Deterministic order: element order, then size, then least index.
@@ -297,9 +272,6 @@ class ClassFunction:
 
     def on_class(self, ci: int) -> Cyclotomic:
         return self.values[ci]
-
-    def on_element(self, i: int) -> Cyclotomic:
-        return self.values[self.classes.class_of[i]]
 
     @property
     def degree(self) -> Cyclotomic:

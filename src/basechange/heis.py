@@ -206,6 +206,7 @@ def build_extraspecial(p: int, a: int = 1) -> ExtraspecialGroup:
 
 @lru_cache(maxsize=None)
 def extraspecial_group(p: int, a: int = 1) -> ExtraspecialGroup:
+    """Cached on the arguments as passed; the tori act on the space of (p, 1)."""
     return build_extraspecial(p, a)
 
 
@@ -304,7 +305,7 @@ def split_torus_action(p: int, d: int) -> TorusAction:
     F = make_field(p)
     c = F.pow(F.generator, (p - 1) // d)
     cinv = F.inv(c)
-    return TorusAction(SymplecticSpace(p, 1), ((c, 0), (0, cinv)))
+    return TorusAction(extraspecial_group(p, 1).space, ((c, 0), (0, cinv)))
 
 
 def nonsplit_torus_action(p: int, d: int) -> TorusAction:
@@ -315,7 +316,7 @@ def nonsplit_torus_action(p: int, d: int) -> TorusAction:
     L = make_field(p, 2)
     u = L.pow(norm_one_generator(L, F), (p + 1) // d)
     m = embed_quadratic_torus(L, F)(u)
-    return TorusAction(SymplecticSpace(p, 1), ((m[0], m[1]), (m[2], m[3])))
+    return TorusAction(extraspecial_group(p, 1).space, ((m[0], m[1]), (m[2], m[3])))
 
 
 def torus_realization(p: int, d: int, realization: str) -> TorusAction:

@@ -181,11 +181,6 @@ def tau(spec: UnitarySpec, g: Mat2) -> Mat2:
     return mat_mul(F, mat_mul(F, spec.gram_inv, gi), spec.gram)
 
 
-def norm_tau(spec: UnitarySpec, g: Mat2) -> Mat2:
-    """N_tau(g) = g * tau(g)."""
-    return mat_mul(spec.field, g, tau(spec, g))
-
-
 def tau_permutation(G: GroupTable, spec: UnitarySpec) -> list[int]:
     """T[x] is the index of tau(x) in G = GL2(GF(q^2)), built once per group:
     with w = (x-bar-transpose)^-1 from the entrywise Frobenius and inv_table,

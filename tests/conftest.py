@@ -1,4 +1,5 @@
-"""Shared session fixtures plus the acceptance-verdict summary hook."""
+"""Shared session fixtures, reference helpers that several test modules
+compare against, and the acceptance-verdict summary hook."""
 
 import gc
 
@@ -23,6 +24,39 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             "criterion %d: %s — %s" % (num, status, detail)
         )
+
+
+def power(group, g: int, e: int) -> int:
+    """g^e in a GroupTable by square and multiply through ``group.mul``:
+    the reference for the class power table."""
+    if e < 0:
+        g, e = group.inv_table[g], -e
+    result, base = group.id, g
+    while e:
+        if e & 1:
+            result = group.mul(result, base)
+        base = group.mul(base, base)
+        e >>= 1
+    return result
+
+
+def retract(field, a: int, sub) -> int:
+    """The element of sub that the fixed embedding sends to a."""
+    try:
+        return field.embedding(sub).index(a)
+    except ValueError:
+        raise ValueError("element does not lie in the subfield") from None
+
+
+def norm(field, x: int, sub) -> int:
+    """The norm to sub as the product of the Frobenius orbit of x over sub,
+    read back in sub."""
+    if not field.is_subfield(sub):
+        raise ValueError("not a subfield pair")
+    acc, y = field.one, x
+    for _ in range(field.k // sub.k):
+        acc, y = field.mul(acc, y), field.frobenius(y, sub.k)
+    return retract(field, acc, sub)
 
 
 @pytest.fixture(autouse=True)

@@ -19,13 +19,12 @@ import conftest
 
 from basechange.cyclo import ZERO
 from basechange.cuspchar import (
+    family_context,
     gl2_context,
     gl2_cuspidal,
     match_oracle,
     sl2_context,
     sl2_cuspidal,
-    standard_group,
-    standard_table,
     u2_cuspidal,
 )
 from basechange.ffield import MultChar, NormOneChar, make_field
@@ -106,8 +105,8 @@ def _cuspidal_rows_by_sylow(family, q):
     """Independent cuspidality test: oracle rows whose fixed space under an
     order-q cyclic subgroup (a Sylow subgroup, conjugate to the unipotent
     radical for prime q) is zero."""
-    group = standard_group(family, q)
-    table = standard_table(family, q)
+    group = family_context(family, q).group
+    table = family_context(family, q).table
     classes = conjugacy_classes(group)
     target = next(ci for ci, o in enumerate(classes.rep_orders) if o == q)
     powers = [classes.power_class(target, e) for e in range(q)]
@@ -139,7 +138,7 @@ def test_criterion_1_formula_oracle_agreement():
                 if (2 * s) % (q + 1) != 0
             )
             assert len(sl_chars) == (q - 1) // 2
-            sl_table = standard_table("sl2", q)
+            sl_table = family_context("sl2", q).table
             sl_rows = _matched_rows(sl_chars, sl_table)
             sl_cusp = _cuspidal_rows_by_sylow("sl2", q)
             big = [i for i in sl_cusp if sl_table[i].degree == q - 1]
@@ -157,7 +156,7 @@ def test_criterion_1_formula_oracle_agreement():
                 if MultChar(L, t).is_regular()
             )
             assert len(gl_chars) == q * (q - 1) // 2
-            gl_rows = _matched_rows(gl_chars, standard_table("gl2", q))
+            gl_rows = _matched_rows(gl_chars, family_context("gl2", q).table)
             assert gl_rows == _cuspidal_rows_by_sylow("gl2", q)
 
             # Unitary family: regular unordered pairs.
@@ -167,7 +166,7 @@ def test_criterion_1_formula_oracle_agreement():
                 for s2 in range(s1 + 1, q + 1)
             )
             assert len(u2_chars) == (q + 1) * q // 2
-            u2_table = standard_table("u2", q)
+            u2_table = family_context("u2", q).table
             u2_rows = _matched_rows(u2_chars, u2_table)
             assert u2_rows == _cuspidal_rows_by_sylow("u2", q)
             assert all(u2_table[i].degree == q - 1 for i in u2_rows)
@@ -315,8 +314,8 @@ def test_criterion_7_engine_self_consistency():
         7, "oracle orthogonality at q = 3 and byte-identical repeat runs"
     ) as info:
         for family in ("sl2", "gl2", "u2"):
-            group = standard_group(family, 3)
-            table = standard_table(family, 3)
+            group = family_context(family, 3).group
+            table = family_context(family, 3).table
             classes = conjugacy_classes(group)
             k = len(classes)
             assert len(table) == k

@@ -24,8 +24,6 @@ from basechange.cuspchar import (
     sl2_context,
     sl2_cuspidal,
     sl2_reducible_formula,
-    standard_group,
-    standard_table,
     u2_context,
     u2_cuspidal,
 )
@@ -64,9 +62,9 @@ class TestSL2:
     def test_q3_self_inner_product_one_and_oracle_match(self):
         chi = sl2_cuspidal(norm_one(3, 1))
         assert inner_product(chi, chi) == ONE
-        hits = match_oracle(chi, standard_table("sl2", 3))
+        hits = match_oracle(chi, family_context("sl2", 3).table)
         assert len(hits) == 1
-        assert standard_table("sl2", 3)[hits[0]].degree == TWO
+        assert family_context("sl2", 3).table[hits[0]].degree == TWO
 
     def test_rejects_non_regular_theta(self):
         for s in (0, 2):
@@ -75,7 +73,7 @@ class TestSL2:
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_every_regular_theta_matches_one_oracle_irreducible(self, q):
-        table = standard_table("sl2", q)
+        table = family_context("sl2", q).table
         for theta in regular_norm_one(q):
             chi = sl2_cuspidal(theta)
             assert chi.degree == Cyclotomic.rational(q - 1)
@@ -107,7 +105,7 @@ class TestSL2:
         theta = norm_one(q, (q + 1) // 2)
         red = sl2_reducible_formula(theta)
         assert inner_product(red, red) == TWO
-        table = standard_table("sl2", q)
+        table = family_context("sl2", q).table
         mults = [inner_product(red, chi) for chi in table]
         hits = [i for i, m in enumerate(mults) if not m.is_zero()]
         assert len(hits) == 2
@@ -121,7 +119,7 @@ class TestSL2:
     def test_trivial_theta_is_steinberg_minus_trivial(self, q):
         # At the trivial theta the formula is the virtual character St - 1.
         virtual = _sl2_values(norm_one(q, 0))
-        table = standard_table("sl2", q)
+        table = family_context("sl2", q).table
         (trivial,) = [chi for chi in table if all(v == ONE for v in chi.values)]
         (steinberg,) = [chi for chi in table if chi.degree == Cyclotomic.rational(q)]
         assert inner_product(virtual, trivial) == -ONE
@@ -147,7 +145,7 @@ class TestGL2:
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_oracle_match_and_degree(self, q):
-        table = standard_table("gl2", q)
+        table = family_context("gl2", q).table
         hit_set = set()
         for tt in regular_mult(q):
             chi = gl2_cuspidal(tt)
@@ -543,15 +541,15 @@ class TestExponentForm:
 
 class TestStandardAccess:
     def test_standard_group_orders(self):
-        assert standard_group("sl2", 3).order == 24
-        assert standard_group("gl2", 3).order == 48
-        assert standard_group("u2", 3).order == 96
+        assert family_context("sl2", 3).group.order == 24
+        assert family_context("gl2", 3).group.order == 48
+        assert family_context("u2", 3).group.order == 96
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
-            standard_group("so5", 3)
+            family_context("so5", 3).group
         with pytest.raises(ValueError, match="unknown family"):
-            standard_table("so5", 3)
+            family_context("so5", 3).table
 
 
 class TestFamilyRegistry:
@@ -569,8 +567,8 @@ class TestFamilyRegistry:
     @pytest.mark.parametrize("family", ["sl2", "gl2", "u2"])
     def test_standard_access_reads_the_context(self, family):
         ctx = FAMILIES[family](3)
-        assert standard_group(family, 3) is ctx.group
-        assert standard_table(family, 3) is ctx.table
+        assert family_context(family, 3).group is ctx.group
+        assert family_context(family, 3).table is ctx.table
         # the oracle table is built once per context
         assert ctx.table is ctx.table
 
@@ -585,9 +583,9 @@ class TestFamilyRegistry:
 
         monkeypatch.setitem(FAMILIES, "sl2", broken)
         with pytest.raises(KeyError, match="inside the build"):
-            standard_group("sl2", 3)
+            family_context("sl2", 3).group
         with pytest.raises(KeyError, match="inside the build"):
-            standard_table("sl2", 3)
+            family_context("sl2", 3).table
 
 
 GL2_11 = "GL2 order 13200 exceeds size bound 10000"
@@ -602,7 +600,7 @@ class TestLibraryBound:
     @pytest.mark.parametrize(
         "family,q,call,message",
         [
-            ("gl2", 11, lambda: standard_table("gl2", 11), GL2_11),
+            ("gl2", 11, lambda: family_context("gl2", 11).table, GL2_11),
             ("gl2", 11, lambda: gl2_cuspidal(MultChar(make_field(11, 2), 1)), GL2_11),
             ("sl2", 23, lambda: sl2_cuspidal(norm_one(23, 1)), SL2_23),
             ("sl2", 23, lambda: sl2_reducible_formula(norm_one(23, 12)), SL2_23),
@@ -613,7 +611,7 @@ class TestLibraryBound:
             ("gl2", 11, lambda: suite_endoscopic_finite(11), GL2_11),
         ],
         ids=[
-            "standard_table",
+            "family_context",
             "gl2_cuspidal",
             "sl2_cuspidal",
             "sl2_reducible_formula",

@@ -2,13 +2,17 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import norm, retract
+
 from basechange.cyclo import ZERO
 from basechange.ffield import (
+    FField,
     MAX_FIELD_SIZE,
     MultChar,
     NormOneChar,
@@ -22,7 +26,6 @@ from basechange.ffield import (
     _primitive_root,
     _sqrt_mod,
     make_field,
-    norm,
     norm_one_generator,
     norm_one_subgroup,
 )
@@ -123,6 +126,24 @@ class TestTables:
         F = make_field(p, k)
         assert (F._add, F._mul, F._neg, F.generator, F._dlog, F._gpow) == pairwise_tables(F)
 
+    def test_tables_hold_one_int_object_per_code(self):
+        F = make_field(23, 2)
+        codes = list(F._index.values())
+        assert codes == list(F.elements())
+        for row in F._add + F._mul + [F._neg, F._gpow]:
+            assert all(x is codes[x] for x in row)
+
+    def test_gf529_tables_stay_under_5_5_mb(self):
+        # 9.5 MB when every sum was its own int object.
+        tracemalloc.start()
+        try:
+            F = FField(23, 2)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert F.q == 529
+        assert held <= 5.5e6
+
 
 class TestFrobeniusNormTrace:
     def test_frobenius_generates_automorphisms(self):
@@ -194,10 +215,10 @@ class TestEmbedding:
         F, sub = make_field(3, 2), make_field(3)
         e = F.embedding(sub)
         for x in sub.elements():
-            assert F.retract(e[x], sub) == x
+            assert retract(F, e[x], sub) == x
         outside = next(a for a in F.elements() if a not in e)
         with pytest.raises(ValueError, match="subfield"):
-            F.retract(outside, sub)
+            retract(F, outside, sub)
 
 
 class TestNormOneSubgroup:

@@ -5,6 +5,8 @@ from itertools import product
 
 import pytest
 
+from conftest import power
+
 from basechange import heis
 from basechange.cyclo import ONE, ZERO, Cyclotomic, root_of_unity
 from basechange.grpcore import orbits, product_column
@@ -117,7 +119,7 @@ class TestExtraspecialGroup:
         G = extraspecial_group(5, 1)
         table = G.group
         for i in range(table.order):
-            assert table.power(i, 5) == table.id
+            assert power(table, i, 5) == table.id
 
     def test_rejects_even_characteristic(self):
         with pytest.raises(ValueError, match="odd"):
@@ -193,7 +195,7 @@ class TestGroupCertificateFaults:
         monkeypatch.setattr(ExtraspecialGroup, "inv_key", carried_inv)
         monkeypatch.setattr(ExtraspecialGroup, "column", lambda self, group, h: product_column(group, h))
         G = ExtraspecialGroup(SymplecticSpace(p, 1))
-        assert G.group.power(p**2, p) == 1  # ((1, 0), 0)^p = ((0, 0), 1)
+        assert power(G.group, p**2, p) == 1  # ((1, 0), 0)^p = ((0, 0), 1)
         with pytest.raises(AssertionError, match="^exponent is not p$"):
             build_extraspecial(p, 1)
 
@@ -231,6 +233,28 @@ class TestTorusRealizations:
         # d = 4 fails divisibility here too; the prime test comes first.
         with pytest.raises(ValueError, match="^p must be prime$"):
             build(p, 4)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_both_tori_act_on_the_groups_space(self, p):
+        # (p, 1) as lemma_H_verify's representation and the heis suite ask.
+        space = extraspecial_group(p, 1).space
+        assert heisenberg_rep(p).group.space is space
+        assert split_torus_action(p, p - 1).space is space
+        assert nonsplit_torus_action(p, p + 1).space is space
+
+    @pytest.mark.parametrize("build,p,d,message", [
+        (split_torus_action, 15, 4, "^p must be prime$"),
+        (nonsplit_torus_action, 9, 4, "^p must be prime$"),
+        (split_torus_action, 11, 3, r"^realization impossible for \(p=11, d=3\)"),
+        (nonsplit_torus_action, 11, 5, r"^realization impossible for \(p=11, d=5\)"),
+    ])
+    def test_parameters_are_refused_before_the_group_is_built(self, build, p, d, message, monkeypatch):
+        def unbuilt(p, a=1):
+            raise AssertionError("the group was built")
+
+        monkeypatch.setattr(heis, "extraspecial_group", unbuilt)
+        with pytest.raises(ValueError, match=message):
+            build(p, d)
 
     def test_unknown_realization(self):
         with pytest.raises(ValueError, match="unknown realization"):

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from conftest import norm
+
 from basechange import rankone
-from basechange.ffield import make_field, norm, norm_one_subgroup
+from basechange.ffield import make_field, norm_one_subgroup
 from basechange.grpcore import conjugacy_classes
 from basechange.rankone import (
     UnitarySpec,
@@ -22,13 +24,17 @@ from basechange.rankone import (
     mat_mul,
     mat_scalar,
     norm_class_map,
-    norm_tau,
     tau,
     tau_classes,
     tau_permutation,
     u2_basis_change,
     u2_torus_element,
 )
+
+
+def norm_tau(spec, g):
+    """N_tau(g) = g * tau(g), the twisted norm read on one matrix."""
+    return mat_mul(spec.field, g, tau(spec, g))
 
 
 def _method_mul(F, x, y):
