@@ -27,14 +27,7 @@ MAX_FIELD_SIZE = 4096
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _factorize(n) == [n]
 
 
 def require_odd_prime(p: int):

@@ -628,12 +628,8 @@ def character_table(group: GroupTable) -> list[ClassFunction]:
     certifies the permutations.  The root finding draws from a fixed seed;
     the rows are sorted by (degree, serialized values).
     """
-    bound = max_group_order()
+    require_order(group.name, group.order)
     n = group.order
-    if n > bound:
-        raise ValueError(
-            "group order %d exceeds character table bound %d" % (n, bound)
-        )
     classes = conjugacy_classes(group)
     k = len(classes)
     exponent = lcm(*classes.rep_orders)

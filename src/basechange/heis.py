@@ -32,8 +32,8 @@ from math import gcd
 from operator import mul
 
 from .cyclo import ONE, ZERO, Cyclotomic, dot, root_of_unity, root_sum
-from .ffield import _is_prime, make_field, norm_one_generator, require_odd_prime
-from .grpcore import GroupTable, _nullspace, orbits
+from .ffield import make_field, norm_one_generator, require_odd_prime
+from .grpcore import GroupTable, _nullspace, orbits, require_order
 from .rankone import embed_quadratic_torus
 from .report import Check, Report, counterexample_check
 
@@ -47,8 +47,7 @@ class SymplecticSpace:
     tuples, or their codes for the tables (see the module docstring)."""
 
     def __init__(self, p: int, a: int):
-        if not _is_prime(p) or p == 2:
-            raise ValueError("p must be an odd prime")
+        require_odd_prime(p)
         if a < 1:
             raise ValueError("a must be a positive integer")
         self.p = p
@@ -156,6 +155,7 @@ def build_extraspecial(p: int, a: int = 1) -> ExtraspecialGroup:
     """The extraspecial group of order p^(2a+1) and exponent p, with its
     invariants verified exactly: the center and the exponent on every
     element, the commutator pairing on every x against every generator."""
+    require_order("Heis", p ** (2 * a + 1))
     space = SymplecticSpace(p, a)  # p must be an odd prime
     G = ExtraspecialGroup(space)
     table = G.group
@@ -204,9 +204,16 @@ def build_extraspecial(p: int, a: int = 1) -> ExtraspecialGroup:
     return G
 
 
-@lru_cache(maxsize=None)
 def extraspecial_group(p: int, a: int = 1) -> ExtraspecialGroup:
-    """Cached on the arguments as passed; the tori act on the space of (p, 1)."""
+    """The group of (p, a), cached on (p, a), so identity is stable; the tori
+    act on the space of (p, 1).  The size bound is checked on every call,
+    hit or miss."""
+    require_order("Heis", p ** (2 * a + 1))
+    return _extraspecial_group(p, a)
+
+
+@lru_cache(maxsize=None)
+def _extraspecial_group(p: int, a: int) -> ExtraspecialGroup:
     return build_extraspecial(p, a)
 
 
@@ -442,8 +449,15 @@ class HeisRep:
         return dot(column, self._phases(exps))
 
 
-@lru_cache(maxsize=None)
 def heisenberg_rep(p: int, a: int = 1, theta_exp: int = 1) -> HeisRep:
+    """The representation cached on (p, a, theta_exp); the size bound is
+    checked on every call, hit or miss."""
+    require_order("Heis", p ** (2 * a + 1))
+    return _heisenberg_rep(p, a, theta_exp)
+
+
+@lru_cache(maxsize=None)
+def _heisenberg_rep(p: int, a: int, theta_exp: int) -> HeisRep:
     return HeisRep(extraspecial_group(p, a), theta_exp)
 
 

@@ -61,15 +61,6 @@ def mat_inv(F: FField, x: Mat2) -> Mat2:
     return (mi[d], mi[neg[b]], mi[neg[c]], mi[a])
 
 
-def mat_frobenius(F: FField, x: Mat2, times: int = 1) -> Mat2:
-    return tuple(F.frobenius(e, times) for e in x)
-
-
-def mat_transpose(x: Mat2) -> Mat2:
-    a, b, c, d = x
-    return (a, c, b, d)
-
-
 # -- group builders ---------------------------------------------------
 
 # The order of each family over GF(q), known before any field is built.
@@ -129,7 +120,9 @@ class UnitarySpec:
 
 def conj_transpose(spec: UnitarySpec, g: Mat2) -> Mat2:
     """g-bar-transpose, bar = entrywise x -> x^q."""
-    return mat_transpose(mat_frobenius(spec.field, g, spec.sub.k))
+    frob, k = spec.field.frobenius, spec.sub.k
+    a, b, c, d = g
+    return (frob(a, k), frob(c, k), frob(b, k), frob(d, k))
 
 
 def is_unitary(spec: UnitarySpec, g: Mat2) -> bool:

@@ -14,7 +14,6 @@ from .ffield import MultChar, NormOneChar
 from .grpcore import (
     conjugacy_classes,
     inner_product,
-    max_group_order,
     require_order,
     restrict,
     trivial_character,
@@ -136,20 +135,13 @@ def suite_norm_bijection(q: int = 3) -> Report:
     """The norm g -> g tau(g) induces a bijection from twisted-conjugacy
     classes of GL2 over the quadratic extension onto the ordinary classes
     meeting the unitary group."""
-    order = ORDERS["GL2"](q * q)  # known before any field is built
-    bound = max_group_order()
-    if order > bound:
+    try:
+        require_order("GL2", ORDERS["GL2"](q * q))  # before any field is built
+    except ValueError as e:
         return Report(
             suite="norm_bijection",
             params={"q": q},
-            checks=[
-                Check(
-                    name="size_bound",
-                    status="skipped",
-                    details="group order %d exceeds exact-enumeration bound %d"
-                    % (order, bound),
-                )
-            ],
+            checks=[Check(name="size_bound", status="skipped", details=str(e))],
         )
     spec = UnitarySpec(q)
     G = build_gl2(spec.field)

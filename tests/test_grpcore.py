@@ -756,7 +756,7 @@ class TestCharacterTable:
 
     def test_size_bound_error(self, monkeypatch):
         monkeypatch.setenv("BASECHANGE_MAX_GROUP", "10")
-        with pytest.raises(ValueError, match="exceeds character table bound 10"):
+        with pytest.raises(ValueError, match="exceeds size bound 10"):
             character_table(cyclic(12))
 
     def test_env_override(self, monkeypatch):

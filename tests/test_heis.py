@@ -84,9 +84,9 @@ class TestSymplecticSpace:
             assert any(sp.pairing(v, w) != 0 for w in vecs)
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError, match="odd prime"):
+        with pytest.raises(ValueError, match="odd characteristic only"):
             SymplecticSpace(2, 1)
-        with pytest.raises(ValueError, match="odd prime"):
+        with pytest.raises(ValueError, match="p must be prime"):
             SymplecticSpace(9, 1)
         with pytest.raises(ValueError, match="positive"):
             SymplecticSpace(3, 0)
@@ -126,7 +126,31 @@ class TestExtraspecialGroup:
             build_extraspecial(2, 1)
 
     def test_cached(self):
-        assert extraspecial_group(3, 1) is extraspecial_group(3, 1)
+        # One cache entry per group, however (p, a) is spelled.
+        assert extraspecial_group(3) is extraspecial_group(3, 1) is extraspecial_group(p=3, a=1)
+
+    def test_one_cache_entry_per_rep(self):
+        assert heisenberg_rep(3) is heisenberg_rep(3, 1) is heisenberg_rep(p=3, a=1)
+
+
+class TestSizeBound:
+    """Every door to a Heisenberg group refuses it over the size bound, on
+    every call: a cache hit under a larger bound is not served."""
+
+    MESSAGE = "Heis order 125 exceeds size bound 100"
+
+    @pytest.mark.parametrize("build,args", [(build_extraspecial, (5, 1)), (split_torus_action, (5, 4))])
+    def test_builders(self, build, args, monkeypatch):
+        monkeypatch.setenv("BASECHANGE_MAX_GROUP", "100")
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            build(*args)
+
+    @pytest.mark.parametrize("door", [extraspecial_group, heisenberg_rep])
+    def test_cached_doors_after_a_hit(self, door, monkeypatch):
+        door(5, 1)
+        monkeypatch.setenv("BASECHANGE_MAX_GROUP", "100")
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            door(5, 1)
 
 
 def is_basis_vector(v) -> bool:

@@ -64,7 +64,8 @@ def _called_names(tree):
 
 class TestSizeGate:
     """One gate decides whether a group is too large: grpcore.require_order
-    formats the refusal, and every family context is reached through
+    is the only code that refuses a group for its size and the only wording
+    of the refusal, and every family context is reached through
     cuspchar.family_context, which checks the bound on every lookup."""
 
     MODULES = sorted(p.name for p in SRC.glob("*.py"))
@@ -79,13 +80,39 @@ class TestSizeGate:
         assert not called & {"gl2_context", "sl2_context", "u2_context"}
 
     def test_the_bound_is_read_only_by_the_gate_and_its_two_readers(self):
-        # cli rejects a malformed bound up front; the normbij skip quotes it.
+        # cli rejects a malformed bound up front; grpcore holds the gate.
         readers = [
             m
             for m in self.MODULES
             if "max_group_order" in _called_names(ast.parse((SRC / m).read_text()))
         ]
-        assert readers == ["cli.py", "grpcore.py", "verify.py"]
+        assert readers == ["cli.py", "grpcore.py"]
+
+    def test_inside_grpcore_only_the_gate_reads_the_bound(self):
+        tree = ast.parse((SRC / "grpcore.py").read_text())
+        readers = [
+            fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and "max_group_order" in _called_names(fn)
+        ]
+        assert readers == ["require_order"]
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_no_other_literal_words_a_size_refusal(self, module):
+        tree = ast.parse((SRC / module).read_text())
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and node.body
+            and isinstance(node.body[0], ast.Expr)
+        }
+        words = [
+            n.value
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in docstrings
+            and "exceeds" in n.value and "bound" in n.value
+        ]
+        assert words == (["%s order %d exceeds size bound %d"] if module == "grpcore.py" else [])
 
     def test_the_old_gates_are_gone(self):
         from basechange import cuspchar, rankone, verify

@@ -105,8 +105,12 @@ class TestNormBijection:
         rpt = suite_norm_bijection(5)
         assert rpt.passed
         assert len(rpt.checks) == 1
-        assert rpt.checks[0].status == "skipped"
-        assert "374400" in rpt.checks[0].details
+        assert rpt.checks[0].to_dict() == {
+            "name": "size_bound",
+            "status": "skipped",
+            "details": "GL2 order 374400 exceeds size bound 10000",
+            "counterexample": None,
+        }
 
 
 class TestRestriction:
