@@ -8,8 +8,13 @@ points one after another, and its output is deterministic; the only
 recognized environment variable is BASECHANGE_MAX_GROUP (size bound
 override, a positive integer).
 
+The grammar lives in ``usage``.  A canonical command (``SUB [POSITIONAL]
+(--flag VALUE)...``) is read straight from its table; only help, usage
+errors and other spellings argparse accepts (``--q=5``, an abbreviated or
+repeated flag) load ``argparse``.
+
 Each command is one short process, so ``main`` first moves the import-time
-heap (``site``, ``argparse``, this package) to the collector's permanent
+heap (``site``, this package) to the collector's permanent
 generation with ``gc.freeze()``: no collection, the interpreter's exit
 collections included, walks those objects again.  Objects a command builds
 are still collected as usual.  An in-process caller that runs ``main`` many
@@ -18,99 +23,18 @@ times can call ``gc.unfreeze()`` afterwards.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 
-from .cuspchar import FAMILIES, family_context, gl2_cuspidal, sl2_cuspidal, u2_cuspidal
-from .ffield import MAX_FIELD_SIZE, MultChar, NormOneChar, _factorize
+from .cuspchar import family_context, gl2_cuspidal, sl2_cuspidal, u2_cuspidal
+from .ffield import MultChar, NormOneChar
 from .grpcore import max_group_order, table_to_csv, table_to_json
 from .report import report_to_json
+from .usage import FAMILY_CHOICES, SUITE_ALIASES, build_parser, parse_argv
 from .verify import SUITES, suite_heisenberg
 
-_SUITE_ALIASES = {
-    "level0": "level0_basechange",
-    "normbij": "norm_bijection",
-    "restriction": "restriction_sl2",
-    "endoscopic": "endoscopic_finite",
-    "heis": "heisenberg",
-}
-
-_FAMILIES = tuple(FAMILIES)
-
-
-def _int_or_zero(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
-
-
-def _odd_prime_power(raw: str) -> int:
-    # The size bound comes first, so no huge q reaches the factorization.
-    q = _int_or_zero(raw)
-    if q < 3 or q * q > MAX_FIELD_SIZE or q % 2 == 0 or len(_factorize(q)) != 1:
-        raise argparse.ArgumentTypeError(
-            "q must be an odd prime power with q^2 <= %d, got %r" % (MAX_FIELD_SIZE, raw)
-        )
-    return q
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="basechange",
-        description="Exact verification laboratory for cuspidal characters "
-        "of rank-one groups over small finite fields.",
-        epilog="exit codes: 0 every check passed, 1 a check failed, "
-        "2 invalid arguments, 3 internal error",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_table = sub.add_parser(
-        "chartable", help="print the character table of a standard family"
-    )
-    p_table.add_argument("family", choices=_FAMILIES)
-    p_table.add_argument("--q", type=_odd_prime_power, default=3, help="base field size (odd prime power)")
-    p_table.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_table.add_argument("--out", default=None, help="output path (default stdout)")
-
-    p_cusp = sub.add_parser(
-        "cuspidal", help="print one cuspidal character built by formula"
-    )
-    p_cusp.add_argument("family", choices=_FAMILIES)
-    p_cusp.add_argument("--q", type=_odd_prime_power, default=3, help="base field size (odd prime power)")
-    p_cusp.add_argument(
-        "--theta",
-        default=None,
-        help="parameter: an exponent for sl2/gl2, a comma pair s1,s2 for u2 "
-        "(defaults: 1, 1, and 0,1)",
-    )
-    p_cusp.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_cusp.add_argument("--out", default=None, help="output path (default stdout)")
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument(
-        "suite",
-        choices=sorted(_SUITE_ALIASES) + sorted(SUITES),
-        help="suite name (short or full)",
-    )
-    p_verify.add_argument("--q", type=_odd_prime_power, help="base field size (odd prime power, default 3)")
-    p_verify.add_argument("--out", default=None, help="report path (default stdout)")
-
-    p_heis = sub.add_parser(
-        "heis", help="run the extraspecial-group checks for one configuration"
-    )
-    p_heis.add_argument("--p", type=int, required=True, help="odd prime")
-    p_heis.add_argument(
-        "--a", type=int, default=1, help="half-rank of the space (only 1 is supported)"
-    )
-    p_heis.add_argument("--d", type=int, required=True, help="torus order")
-    p_heis.add_argument(
-        "--realization", choices=("split", "nonsplit"), required=True
-    )
-    p_heis.add_argument("--out", default=None, help="report path (default stdout)")
-
-    return parser
+# The grammar's family choices, the registry's names in its order.
+_FAMILIES = FAMILY_CHOICES
 
 
 def _emit(text: str, out_path: str | None):
@@ -188,7 +112,7 @@ def _cmd_cuspidal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suite_id = _SUITE_ALIASES.get(args.suite, args.suite)
+    suite_id = SUITE_ALIASES.get(args.suite, args.suite)
     if suite_id == "heisenberg":
         if args.q is not None:
             raise ValueError("verify heis takes no --q: the heis suite runs its five fixed tuples")
@@ -223,11 +147,14 @@ def main(argv=None) -> int:
     at the call (the import-time heap) before the arguments are parsed; an
     in-process caller that runs ``main`` many times can ``gc.unfreeze()``."""
     gc.freeze()
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parse_argv(argv)
+    if args is None:  # help, a usage error or another spelling argparse reads
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            return int(e.code or 0)
     try:
         max_group_order()  # reject a malformed BASECHANGE_MAX_GROUP up front
         return _COMMANDS[args.subcommand](args)

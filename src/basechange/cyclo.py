@@ -44,7 +44,6 @@ c * (root_of_unity(n, a) + ...) has.
 
 from __future__ import annotations
 
-import numbers
 import re
 from functools import lru_cache
 from math import gcd, lcm
@@ -257,7 +256,11 @@ class Cyclotomic:
     def _coerce(value):
         if isinstance(value, Cyclotomic):
             return value
-        if isinstance(value, int) or isinstance(value, numbers.Rational):
+        if isinstance(value, int):
+            return Cyclotomic.rational(value)
+        import numbers  # only for a non-int operand, such as a Fraction
+
+        if isinstance(value, numbers.Rational):
             return Cyclotomic.rational(value)
         return None
 
@@ -360,14 +363,17 @@ class Cyclotomic:
         if isinstance(other, Cyclotomic):
             a, b = self._match(other)
             return a._den == b._den and a._num == b._num
+        if not isinstance(other, int):
+            import numbers  # only for a non-int operand, such as a Fraction
+
+            if not isinstance(other, numbers.Rational):
+                return NotImplemented
         # Both sides are in lowest terms with a positive denominator.
-        if isinstance(other, int) or isinstance(other, numbers.Rational):
-            return (
-                self.is_rational()
-                and self._num[0] == other.numerator
-                and self._den == other.denominator
-            )
-        return NotImplemented
+        return (
+            self.is_rational()
+            and self._num[0] == other.numerator
+            and self._den == other.denominator
+        )
 
     # -- Galois action ------------------------------------------------
 

@@ -32,11 +32,16 @@ def max_group_order() -> int:
     return bound
 
 
+class SizeBoundError(ValueError):
+    """A group over the size bound; a malformed bound is a plain ValueError."""
+
+
 def require_order(name: str, order: int):
-    """Raise unless a group of this order is within the size bound."""
+    """Raise SizeBoundError unless a group of this order is within the size
+    bound; a malformed BASECHANGE_MAX_GROUP raises a plain ValueError."""
     bound = max_group_order()
     if order > bound:
-        raise ValueError("%s order %d exceeds size bound %d" % (name, order, bound))
+        raise SizeBoundError("%s order %d exceeds size bound %d" % (name, order, bound))
 
 
 def product_column(group: "GroupTable", kb) -> list[int]:
@@ -119,10 +124,11 @@ class GroupTable:
         if self._generators is None:
             rng = random.Random(_CHECK_SEED)
             reached = [self.id]
-            seen = {self.id}
+            seen = bytearray(self.order)
+            seen[self.id] = 1
             while len(reached) < self.order:
                 g = rng.randrange(self.order)
-                if g in seen:
+                if seen[g]:
                     continue
                 col = self._columns[g] = self._column(g)
                 # The old closure is closed under the old generators, so it
@@ -130,14 +136,14 @@ class GroupTable:
                 new = []
                 for x in reached:
                     y = col[x]
-                    if y not in seen:
-                        seen.add(y)
+                    if not seen[y]:
+                        seen[y] = 1
                         new.append(y)
                 for x in new:
                     for col_h in self._columns.values():
                         y = col_h[x]
-                        if y not in seen:
-                            seen.add(y)
+                        if not seen[y]:
+                            seen[y] = 1
                             new.append(y)
                 reached += new
             self._generators = tuple(self._columns)

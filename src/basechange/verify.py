@@ -12,6 +12,7 @@ from __future__ import annotations
 from .cyclo import ZERO
 from .ffield import MultChar, NormOneChar
 from .grpcore import (
+    SizeBoundError,
     conjugacy_classes,
     inner_product,
     require_order,
@@ -137,7 +138,7 @@ def suite_norm_bijection(q: int = 3) -> Report:
     meeting the unitary group."""
     try:
         require_order("GL2", ORDERS["GL2"](q * q))  # before any field is built
-    except ValueError as e:
+    except SizeBoundError as e:
         return Report(
             suite="norm_bijection",
             params={"q": q},
@@ -494,7 +495,7 @@ def _run_heis_tuple(tup) -> list[Check]:
     require_rank_one(a)
     try:
         require_order("Heis", p ** (2 * a + 1))
-    except ValueError as e:
+    except SizeBoundError as e:
         return [Check(name="%s:size" % prefix, status="skipped", details=str(e))]
     try:
         action = torus_realization(p, d, realization)

@@ -277,6 +277,12 @@ class TestOrbitEngine:
         assert first == build_gl2(make_field(3)).generators()
         assert s4().generators() == s4().generators()
 
+    def test_generators_are_the_recorded_draws(self):
+        # The seeded draws fix these tuples; the closure walk must not move them.
+        assert build_gl2(make_field(5)).generators() == (9, 218)
+        assert build_u2(rankone.UnitarySpec(5)).generators() == (19, 436)
+        assert extraspecial_group(7).group.generators() == (9, 218)
+
     def test_partition_does_not_depend_on_the_generating_set(self, gl2_q3):
         G = gl2_q3
         F = make_field(3)

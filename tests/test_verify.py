@@ -112,6 +112,12 @@ class TestNormBijection:
             "counterexample": None,
         }
 
+    def test_a_malformed_bound_raises(self, monkeypatch):
+        # Only a group over the bound is a skipped check.
+        monkeypatch.setenv("BASECHANGE_MAX_GROUP", "abc")
+        with pytest.raises(ValueError, match="BASECHANGE_MAX_GROUP must be a positive integer, got 'abc'"):
+            suite_norm_bijection(3)
+
 
 class TestRestriction:
     @pytest.mark.parametrize("q", [3, 5])
@@ -242,6 +248,12 @@ class TestHeisenbergSuite:
         assert len(rpt.checks) == 1
         assert rpt.checks[0].status == "skipped"
         assert "realization impossible" in rpt.checks[0].details
+
+    def test_a_malformed_bound_raises(self, monkeypatch):
+        # Only a group over the bound is a skipped check.
+        monkeypatch.setenv("BASECHANGE_MAX_GROUP", "abc")
+        with pytest.raises(ValueError, match="BASECHANGE_MAX_GROUP must be a positive integer, got 'abc'"):
+            suite_heisenberg([(3, 1, 2, "split")])
 
     @pytest.mark.parametrize("realization", ["split", "nonsplit"])
     @pytest.mark.parametrize("p", [9, 15])
