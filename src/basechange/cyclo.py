@@ -361,8 +361,15 @@ class Cyclotomic:
 
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
-            a, b = self._match(other)
-            return a._den == b._den and a._num == b._num
+            # Equal iff their keys at the lcm order are equal (module
+            # docstring, Keys); a key's denominator is the value's own, so
+            # it is compared before any numerator is promoted.
+            if self._den != other._den:
+                return False
+            if self._n == other._n:
+                return self._num == other._num
+            m = lcm(self._n, other._n)
+            return self._num_at(m) == other._num_at(m)
         if not isinstance(other, int):
             import numbers  # only for a non-int operand, such as a Fraction
 

@@ -266,6 +266,17 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
     return True
 
 
+def _has_root(poly: list[int], p: int) -> bool:
+    # Some x in F_p with poly(x) = 0, by Horner's rule at every x.
+    for x in range(p):
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * x + c) % p
+        if not acc:
+            return True
+    return False
+
+
 class FField:
     """GF(p^k) with flat arithmetic tables and a fixed generator."""
 
@@ -290,10 +301,13 @@ class FField:
     @staticmethod
     def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
         # Lexicographically smallest monic irreducible, coefficients
-        # (c0,...,c_{k-1}) compared low-to-high degree first.
+        # (c0,...,c_{k-1}) compared low-to-high degree first.  A reducible
+        # polynomial of degree 2 or 3 has a linear factor, so there it is
+        # irreducible exactly when it has no root in F_p.
+        by_roots = k in (2, 3)
         for coeffs in product(range(p), repeat=k):
             poly = list(coeffs) + [1]
-            if _is_irreducible(poly, p):
+            if not _has_root(poly, p) if by_roots else _is_irreducible(poly, p):
                 return tuple(poly)
         raise AssertionError("no irreducible polynomial found")
 

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import os
 import random
+from itertools import compress, count, repeat
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import mul, ne
 
 from .cyclo import ZERO, Cyclotomic, _reduce_dense, dot, euler_phi
 from .ffield import _is_prime, _poly_roots, _primitive_root
@@ -50,14 +51,43 @@ def product_column(group: "GroupTable", kb) -> list[int]:
     return [index[mul_key(k, kb)] for k in group.elements]
 
 
+def product_pairs(group: "GroupTable", xs, ys) -> list[int]:
+    """The default product kernel: one ``mul_key`` product and one index
+    lookup per pair."""
+    index, key = group.index, group.elements.__getitem__
+    return [index[k] for k in map(group._mul_key, map(key, xs), map(key, ys))]
+
+
+def _triples(n: int) -> tuple[list[int], list[int], list[int]]:
+    # The associativity sample: min(300, n²) triples (i, j, k), drawn in
+    # that order from one generator of fixed seed, as three index lists.
+    # Each draw is the one randrange(n) makes, at a third of its cost:
+    # n.bit_length() random bits, drawn again while they read n or more.
+    bits, k = random.Random(_CHECK_SEED).getrandbits, n.bit_length()
+    draws = []
+    for _ in range(3 * min(300, n * n)):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        draws.append(r)
+    return draws[0::3], draws[1::3], draws[2::3]
+
+
 class GroupTable:
     """A finite group as sorted canonical keys plus index-level mul/inv.
 
-    ``column_kernel(group, kb)`` lists the index of x·b for every x, raising
-    KeyError off the carrier; a family passes one that tabulates b once
-    and then looks products up (``rankone``, ``heis``)."""
+    Two kernels, each raising KeyError off the carrier, take the long runs
+    of products: ``column_kernel(group, kb)`` lists the index of x·b for
+    every x, and ``product_kernel(group, xs, ys)`` the index of x·y for each
+    pair of indices.  A family passes kernels that skip the general path:
+    a column tabulates b once and then looks products up, and a product
+    runs the family's formula inline or, when codes are indices, needs no
+    lookup (``rankone``, ``heis``)."""
 
-    def __init__(self, keys, mul_key, inv_key, id_key, name: str = "G", column_kernel=product_column):
+    def __init__(
+        self, keys, mul_key, inv_key, id_key, name: str = "G",
+        column_kernel=product_column, product_kernel=product_pairs,
+    ):
         self.name = name
         self.elements = sorted(keys)
         self.index = {k: i for i, k in enumerate(self.elements)}
@@ -65,6 +95,7 @@ class GroupTable:
             raise ValueError("duplicate element keys")
         self._mul_key = mul_key
         self._kernel = column_kernel
+        self._products = product_kernel
         if id_key not in self.index:
             raise ValueError("identity not in carrier")
         self.id = self.index[id_key]
@@ -83,28 +114,54 @@ class GroupTable:
     def _check_axioms(self):
         """Identity and inverse axioms on every element, closure through
         ``generators()`` (its docstring has the proof), associativity on
-        300 sampled triples: 2n + 1200 products and 1 + |gens| kernel
-        columns.  The identity's column is built directly, not through
-        ``column()``, and e·x = x is checked by product before the closure:
-        under a false identity axiom the closure need not end."""
-        for i, right in enumerate(self._column(self.id)):
-            if self.mul(self.id, i) != i or right != i:
-                raise ValueError("identity axiom fails")
-            if self.mul(i, self.inv_table[i]) != self.id:
-                raise ValueError("inverse axiom fails")
+        300 sampled triples: 2n + 1200 products in batches of at most n,
+        one alive at a time, and 1 + |gens| kernel columns.  The identity's
+        column is built directly, not through ``column()``, and e·x = x is
+        checked before the closure: under a false identity axiom the closure
+        need not end.  A batch that fails, by raising or by comparing
+        unequal, is replayed one product at a time, so that the first
+        failing element names the fault."""
+        n, e, inv = self.order, self.id, self.inv_table
+        try:
+            holds = (
+                not any(map(ne, self._column(e), count()))
+                and not any(map(ne, self.products(repeat(e, n), range(n)), count()))
+                and self.products(range(n), inv).count(e) == n
+            )
+        except ValueError:  # off the carrier: replayed below
+            holds = False
+        if not holds:
+            for i, right in enumerate(self._column(e)):
+                if self.mul(e, i) != i or right != i:
+                    raise ValueError("identity axiom fails")
+                if self.mul(i, inv[i]) != e:
+                    raise ValueError("inverse axiom fails")
+            raise AssertionError("product kernel disagrees with mul")
         self.generators()
-        rng = random.Random(_CHECK_SEED)
-        n = self.order
-        for _ in range(min(300, n * n)):
-            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            if self.mul(self.mul(i, j), k) != self.mul(i, self.mul(j, k)):
-                raise ValueError("associativity spot-check fails")
+        i, j, k = _triples(n)
+        try:
+            holds = self.products(self.products(i, j), k) == self.products(i, self.products(j, k))
+        except ValueError:  # off the carrier: replayed below
+            holds = False
+        if not holds:
+            for a, b, c in zip(i, j, k):
+                if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
+                    raise ValueError("associativity spot-check fails")
+            raise AssertionError("product kernel disagrees with mul")
 
     # -- index-level group operations ---------------------------------
 
     def mul(self, i: int, j: int) -> int:
         try:
             return self.index[self._mul_key(self.elements[i], self.elements[j])]
+        except KeyError:
+            raise ValueError("not closed under multiplication") from None
+
+    def products(self, xs, ys) -> list[int]:
+        """The index of x·y for each pair of indices x in xs and y in ys,
+        zipped, from the product kernel; ``mul`` is the single product."""
+        try:
+            return self._products(self, xs, ys)
         except KeyError:
             raise ValueError("not closed under multiplication") from None
 
@@ -120,32 +177,36 @@ class GroupTable:
         until the closure of the identity under them is the whole group.
         This proves closure: every x·g is formed by the column kernel, which
         raises off the carrier, so S·g ⊆ S, and by associativity
-        S·(g1⋯gm) ⊆ S.  Each generator's column is kept."""
+        S·(g1⋯gm) ⊆ S.  Each generator's column is kept; the closure is
+        marked in a bytearray, so no |G|-long list of it is kept beside."""
         if self._generators is None:
+            n = self.order
             rng = random.Random(_CHECK_SEED)
-            reached = [self.id]
-            seen = bytearray(self.order)
+            seen = bytearray(n)
             seen[self.id] = 1
-            while len(reached) < self.order:
-                g = rng.randrange(self.order)
+            reached = 1
+            while reached < n:
+                g = rng.randrange(n)
                 if seen[g]:
                     continue
                 col = self._columns[g] = self._column(g)
                 # The old closure is closed under the old generators, so it
                 # needs products with g only; what is new needs them all.
                 new = []
-                for x in reached:
-                    y = col[x]
+                for y in compress(col, bytes(seen)):
                     if not seen[y]:
                         seen[y] = 1
                         new.append(y)
                 for x in new:
+                    if reached + len(new) == n:
+                        break  # the whole group: nothing is left to mark
                     for col_h in self._columns.values():
                         y = col_h[x]
                         if not seen[y]:
                             seen[y] = 1
                             new.append(y)
-                reached += new
+                reached += len(new)
+                del new  # before the next column is built
             self._generators = tuple(self._columns)
         return self._generators
 
@@ -476,8 +537,8 @@ def _class_row(group, classes, ci: int, j: int, r: int) -> list[int]:
     class_of = classes.class_of
     yj = classes.representatives[j]
     counts = [0] * len(classes)
-    for x in classes.classes[ci]:
-        counts[class_of[group.mul(x, yj)]] += 1
+    for z in group.products(classes.classes[ci], repeat(yj)):
+        counts[class_of[z]] += 1
     return [(sizes[j] * hits // sizes[l]) % r for l, hits in enumerate(counts)]
 
 

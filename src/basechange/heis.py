@@ -113,7 +113,9 @@ class ExtraspecialGroup:
         self.id_key = 0
         name = "Heis(p=%d,a=%d)" % (space.p, space.a)
         order = space.p ** (2 * space.a + 1)
-        self.group = GroupTable(range(order), self.mul_key, self.inv_key, self.id_key, name, self.column)
+        self.group = GroupTable(
+            range(order), self.mul_key, self.inv_key, self.id_key, name, self.column, self.products
+        )
         self.center_keys = list(range(space.p))
 
     def column(self, group: GroupTable, h) -> list[int]:
@@ -127,6 +129,14 @@ class ExtraspecialGroup:
         ys = list(zip(sums[y2::P], half_dots[x2 * P : x2 * P + P]))
         table = [((X + Y) * p, e - f) for X, e in xs for Y, f in ys]
         return [c + (z + e) % p for c, e in table for z in range(p)]
+
+    def products(self, group: GroupTable, xs, ys) -> list[int]:
+        """The product kernel: codes are indices, so the codes of the
+        products are their indices, range-checked instead of looked up."""
+        out = list(map(self.mul_key, xs, ys))
+        if out and not 0 <= min(out) <= max(out) < group.order:
+            raise KeyError("product off the carrier")
+        return out
 
     def mul_key(self, g, h):
         # <v, w> = x·y' - y·x' for v = (x, y) and w = (x', y').

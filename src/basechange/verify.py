@@ -157,8 +157,8 @@ def suite_norm_bijection(q: int = 3) -> Report:
     T = tau_permutation(G, spec)
     for oi, orbit in enumerate(partition):
         target = images[oi]
-        for member in orbit:
-            if classes.class_of[G.mul(member, T[member])] != target:
+        for member, norm in zip(orbit, G.products(orbit, map(T.__getitem__, orbit))):
+            if classes.class_of[norm] != target:
                 well_failures.append((oi, member))
                 break
 

@@ -214,7 +214,49 @@ class TestGaloisAction:
         assert prom.galois(3) == prom
 
 
+def promoted_eq(x, y):
+    """Equality by definition: both values promoted to the lcm order."""
+    m = lcm(x.order, y.order)
+    a, b = x.promote(m), y.promote(m)
+    return a._den == b._den and a._num == b._num
+
+
+@st.composite
+def mixed_order_pairs(draw):
+    # Orders 1, p, 2p, 12 and 56; denominators up to 6; zeros; and pairs of
+    # one value at two orders, which are equal.
+    orders = st.sampled_from([1, 3, 5, 7, 6, 10, 14, 12, 56])
+
+    def value(n):
+        if draw(st.booleans()):
+            return Cyclotomic(n, 1, (0,) * euler_phi(n))
+        coeffs = draw(st.lists(small_rationals(), min_size=euler_phi(n), max_size=euler_phi(n)))
+        return Cyclotomic.from_coeffs(n, coeffs)
+
+    x = value(draw(orders))
+    if draw(st.booleans()):
+        return x, x.promote(x.order * draw(st.sampled_from([1, 2, 4, 7])))
+    return x, value(draw(orders))
+
+
 class TestPromotion:
+    @given(mixed_order_pairs())
+    @settings(max_examples=300)
+    def test_equality_across_orders_is_equality_after_promotion(self, pair):
+        x, y = pair
+        assert (x == y) == promoted_eq(x, y) == (y == x)
+
+    def test_equality_across_orders_builds_no_promoted_value(self, monkeypatch):
+        def promote(self, m):
+            raise AssertionError("promoted")
+
+        half_root = root_of_unity(56, 8) * Fraction(1, 2)
+        monkeypatch.setattr(Cyclotomic, "promote", promote)
+        assert root_of_unity(3) == root_of_unity(6, 2)
+        assert root_of_unity(56, 8) == root_of_unity(7)
+        assert half_root != root_of_unity(7) and root_of_unity(7) != half_root
+        assert Cyclotomic(12, 1, (0,) * 4) == Cyclotomic(5, 3, (0,) * 4)
+
     @given(cyclotomics(), st.sampled_from([2, 3, 4]))
     @settings(max_examples=40)
     def test_promotion_preserves_value(self, x, factor):

@@ -17,6 +17,8 @@ from basechange.ffield import (
     MultChar,
     NormOneChar,
     _factorize,
+    _has_root,
+    _is_irreducible,
     _is_prime,
     _poly_mod,
     _poly_mulmod,
@@ -71,6 +73,26 @@ class TestConstruction:
         for p, k in [(3, 1), (3, 2), (5, 2), (7, 2)]:
             F = make_field(p, k)
             assert F.element_order(F.generator) == F.q - 1
+
+    def test_moduli_by_the_root_test_are_the_rabin_moduli(self):
+        # Every p^k <= MAX_FIELD_SIZE with k <= 3: the two tests agree on
+        # each polynomial the lexicographic search reads, so the modulus is
+        # the one the Rabin test alone finds.  At p <= 7 they agree on every
+        # monic polynomial of degree 2 and 3.
+        for k in (1, 2, 3):
+            for p in (p for p in range(3, MAX_FIELD_SIZE + 1, 2) if _is_prime(p) and p**k <= MAX_FIELD_SIZE):
+                for coeffs in itertools.product(range(p), repeat=k):
+                    poly = list(coeffs) + [1]
+                    irreducible = _is_irreducible(poly, p)
+                    if k > 1:
+                        assert (not _has_root(poly, p)) == irreducible, (p, poly)
+                    if irreducible:
+                        break
+                assert FField._smallest_irreducible(p, k) == tuple(poly), (p, k)
+        for p, k in itertools.product((3, 5, 7), (2, 3)):
+            for coeffs in itertools.product(range(p), repeat=k):
+                poly = list(coeffs) + [1]
+                assert (not _has_root(poly, p)) == _is_irreducible(poly, p), (p, poly)
 
     def test_field_axioms_gf9_exhaustive(self):
         F = make_field(3, 2)

@@ -1,9 +1,12 @@
 """Tests for the generic group engine and the character-table oracle."""
 
 import contextlib
+import functools
 import itertools
 import random
 import signal
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -15,7 +18,7 @@ from conftest import power
 
 from basechange.cyclo import ONE, ZERO, Cyclotomic, euler_phi, root_of_unity
 from basechange.ffield import make_field
-from basechange.heis import extraspecial_group
+from basechange.heis import ExtraspecialGroup, SymplecticSpace, extraspecial_group
 from basechange.rankone import build_gl2, build_sl2, build_u2, mat_id, mat_inv, mat_mul
 from basechange import ffield, grpcore, rankone
 from basechange.grpcore import (
@@ -26,6 +29,8 @@ from basechange.grpcore import (
     _lift_table as lift_table,
     _nullspace,
     _class_row,
+    _CHECK_SEED,
+    _triples,
     character_table,
     conjugacy_classes,
     fusion,
@@ -410,6 +415,110 @@ class TestColumns:
         assert sorted(cls.classes) == raw
         # Beyond the orbits, only the representatives' orders take products.
         assert calls[0] == sum(o - 1 for o in cls.rep_orders)
+
+
+# The groups whose product kernels are compared with mul: the matrix
+# kernel, codes as indices, and the default kernel (S4).
+PRODUCT_GROUPS = {
+    "SL2(3)": lambda: build_sl2(make_field(3)),
+    "SL2(5)": lambda: build_sl2(make_field(5)),
+    "GL2(3)": lambda: build_gl2(make_field(3)),
+    "GL2(5)": lambda: build_gl2(make_field(5)),
+    "U2(3)": lambda: build_u2(rankone.UnitarySpec(3)),
+    "U2(5)": lambda: build_u2(rankone.UnitarySpec(5)),
+    "Heis(3)": lambda: extraspecial_group(3).group,
+    "Heis(5)": lambda: extraspecial_group(5).group,
+    "Heis(3, a=2)": lambda: extraspecial_group(3, 2).group,
+    "S4": s4,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def product_group(name):
+    return PRODUCT_GROUPS[name]()
+
+
+def replay_law(n, off_at, fails_at):
+    """Z_n whose e·x leaves the carrier at x = off_at and is wrong, but in
+    the carrier, at x = fails_at; every other product is the sum."""
+
+    def law(a, b):
+        if a == 0 and b == off_at:
+            return n + b
+        if a == 0 and b == fails_at:
+            return (b + 1) % n
+        return (a + b) % n
+
+    return law
+
+
+class TestProducts:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_products_are_the_single_products(self, data):
+        G = product_group(data.draw(st.sampled_from(sorted(PRODUCT_GROUPS))))
+        index = st.integers(0, G.order - 1)
+        xs = data.draw(st.lists(index, max_size=40))
+        ys = data.draw(st.lists(index, min_size=len(xs), max_size=len(xs)))
+        assert G.products(xs, ys) == [G.mul(x, y) for x, y in zip(xs, ys)]
+        assert G.products(iter(xs), iter(ys)) == G.products(xs, ys)
+
+    def test_the_first_failing_element_names_the_fault(self):
+        # The batched identity check sees both faults at once; as one
+        # product at a time would, the one at the smaller element is named.
+        with deadline(1):
+            with pytest.raises(ValueError, match="^not closed under multiplication$"):
+                GroupTable(range(12), replay_law(12, off_at=3, fails_at=7), lambda a: -a % 12, 0)
+            with pytest.raises(ValueError, match="^identity axiom fails$"):
+                GroupTable(range(12), replay_law(12, off_at=7, fails_at=3), lambda a: -a % 12, 0)
+
+    @pytest.mark.parametrize("n", [27, 120, 5760])
+    def test_associativity_triples_are_the_seeded_draws(self, n):
+        rng = random.Random(_CHECK_SEED)
+        draws = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(300)]
+        assert list(zip(*_triples(n))) == draws
+
+    def test_the_associativity_batches_are_the_triples(self):
+        # Two n-long identity and inverse batches, then x·y over (i, j),
+        # then (x·y)·z, then y·z over (j, k), then x·(y·z).
+        calls = []
+
+        def kernel(group, xs, ys):
+            xs, ys = list(xs), list(ys)
+            calls.append((xs, ys))
+            return grpcore.product_pairs(group, xs, ys)
+
+        for n in (27, 120):
+            calls.clear()
+            GroupTable(range(n), lambda a, b: (a + b) % n, lambda a: -a % n, 0, product_kernel=kernel)
+            i, j, k = _triples(n)
+            assert [len(xs) for xs, _ in calls] == [n, n, 300, 300, 300, 300]
+            assert calls[2] == (i, j) and calls[4] == (j, k)
+            assert calls[3][1] == k and calls[5][0] == i
+
+    def test_the_heis_kernel_reads_no_index(self, monkeypatch):
+        G = ExtraspecialGroup(SymplecticSpace(3, 1))
+        table = G.group
+        xs = list(range(table.order))
+        expected = [table.mul(x, y) for x, y in zip(xs, reversed(xs))]
+        monkeypatch.delattr(table, "index")
+        assert table.products(xs, reversed(xs)) == expected
+        monkeypatch.setattr(G, "mul_key", lambda g, h: g + h)
+        with pytest.raises(ValueError, match="^not closed under multiplication$"):
+            table.products([table.order - 1], [1])
+
+    def test_building_gl2_q9_holds_at_most_one_batch(self):
+        # The peak of the build over the finished table: one |G|-long list.
+        F = make_field(3, 2)
+        tracemalloc.start()
+        try:
+            G = build_gl2(F)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.order == 5760
+        assert peak - current <= sys.getsizeof([None] * G.order)
+
 
 class TestConjClasses:
     def test_abelian_all_singletons(self):
