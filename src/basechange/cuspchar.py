@@ -29,7 +29,7 @@ from .rankone import (
     build_sl2,
     build_u2,
     embed_quadratic_torus,
-    mat_mul,
+    encode,
     mat_scalar,
     u2_torus_element,
 )
@@ -106,14 +106,16 @@ class _LinearContext(_Context):
     def __init__(self, q: int, k0, l, group, centre, offsets, torus):
         super().__init__(q, k0, l, group)
         embed, F, cls, G = embed_quadratic_torus(l, k0), k0, self.classes, group
-        self.central = {z: cls.class_of[G.index[mat_scalar(F, z)]] for z in centre}
-        self.unipotent = {
-            (z, b): cls.class_of[G.index[mat_mul(F, mat_scalar(F, z), (F.one, b, F.zero, F.one))]]
+        self.central = {z: cls.class_of[G.index[encode(F, mat_scalar(F, z))]] for z in centre}
+        self.unipotent = {  # z·n(b) = ((z, z·b), (0, z))
+            (z, b): cls.class_of[G.index[encode(F, (z, F.mul(z, b), F.zero, z))]]
             for z in centre
             for b in offsets
         }
         rational = set(l.embedding(k0))
-        self.elliptic = {x: cls.class_of[G.index[embed(x)]] for x in torus if x not in rational}
+        self.elliptic = {
+            x: cls.class_of[G.index[encode(F, embed(x))]] for x in torus if x not in rational
+        }
         # One of x, x^q per elliptic class (x^q = x^-1 on the norm-one
         # torus): the formulas agree on both.
         self.elliptic_reps = {ci: x for x, ci in self.elliptic.items()}
@@ -162,7 +164,7 @@ class _U2Context(_Context):
         for u1 in self.l1:
             for u2 in self.l1:
                 g = u2_torus_element(self.spec, u1, u2)
-                self.torus_class[(u1, u2)] = cls.class_of[G.index[g]]
+                self.torus_class[(u1, u2)] = cls.class_of[G.index[encode(self.l, g)]]
         self.central = {u: self.torus_class[(u, u)] for u in self.l1}
         self.torus_classes = sorted(set(self.torus_class.values()))
 

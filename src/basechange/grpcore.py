@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import random
+from functools import partial
 from itertools import compress, count, repeat
 from math import gcd, isqrt, lcm
 from operator import mul, ne
@@ -58,6 +59,13 @@ def product_pairs(group: "GroupTable", xs, ys) -> list[int]:
     return [index[k] for k in map(group._mul_key, map(key, xs), map(key, ys))]
 
 
+def _found(indices: list) -> list:
+    """indices, or KeyError if a list index over codes gave None for one."""
+    if None in indices:
+        raise KeyError("key off the carrier")
+    return indices
+
+
 def _triples(n: int) -> tuple[list[int], list[int], list[int]]:
     # The associativity sample: min(300, n²) triples (i, j, k), drawn in
     # that order from one generator of fixed seed, as three index lists.
@@ -82,26 +90,33 @@ class GroupTable:
     pair of indices.  A family passes kernels that skip the general path:
     a column tabulates b once and then looks products up, and a product
     runs the family's formula inline or, when codes are indices, needs no
-    lookup (``rankone``, ``heis``)."""
+    lookup (``rankone``, ``heis``).  A family may pass sorted keys with their
+    ``index`` (a dict, or a list or range over codes, None off the carrier),
+    a batch ``inv_key`` on the key list, and ``decode`` to print a key."""
 
     def __init__(
         self, keys, mul_key, inv_key, id_key, name: str = "G",
-        column_kernel=product_column, product_kernel=product_pairs,
+        column_kernel=product_column, product_kernel=product_pairs, index=None, decode=None,
     ):
         self.name = name
-        self.elements = sorted(keys)
-        self.index = {k: i for i, k in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
-            raise ValueError("duplicate element keys")
+        if index is None:
+            keys = sorted(keys)
+            index = {k: i for i, k in enumerate(keys)}
+            if len(index) != len(keys):
+                raise ValueError("duplicate element keys")
+            inv_key = partial(map, inv_key)
+        self.elements, self.index = keys, index
+        self.decode = decode or (lambda key: key)
         self._mul_key = mul_key
         self._kernel = column_kernel
         self._products = product_kernel
-        if id_key not in self.index:
-            raise ValueError("identity not in carrier")
-        self.id = self.index[id_key]
+        try:
+            self.id = _found([index[id_key]])[0]
+        except KeyError:
+            raise ValueError("identity not in carrier") from None
         self.order = len(self.elements)
         try:
-            self.inv_table = [self.index[inv_key(k)] for k in self.elements]
+            self.inv_table = _found([index[k] for k in inv_key(keys)])
         except KeyError:
             raise ValueError("not closed under inversion") from None
         # Index tables derived from the group once: its classes, rankone's
@@ -152,10 +167,7 @@ class GroupTable:
     # -- index-level group operations ---------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        try:
-            return self.index[self._mul_key(self.elements[i], self.elements[j])]
-        except KeyError:
-            raise ValueError("not closed under multiplication") from None
+        return self.products((i,), (j,))[0]
 
     def products(self, xs, ys) -> list[int]:
         """The index of x·y for each pair of indices x in xs and y in ys,
@@ -270,18 +282,19 @@ class ConjClasses:
         n, ident = group.order, group.id
         raw = orbits(group, [(group.inv_table[g], g) for g in group.generators()])
         # Each representative walked once through x⁰ … x^(o−1): o − 1
-        # products, the last of which returns to the identity.  In a group
-        # o ≤ n; a law the sampled associativity check missed may never
-        # return, so a walk past n elements is refused.
-        walks = []
-        for c in raw:
-            walk, x = [ident], c[0]
-            while x != ident:
+        # products, the last of which returns to the identity; the walks
+        # step together, one batch of products per step.  In a group o ≤ n;
+        # a law the sampled associativity check missed may never return, so
+        # a walk past n elements is refused.
+        walks = [[ident] for _ in raw]
+        live = [(walk, c[0], c[0]) for walk, c in zip(walks, raw) if c[0] != ident]
+        while live:
+            if len(live[0][0]) == n:
+                raise AssertionError("power walk does not return to the identity")
+            for walk, _, x in live:
                 walk.append(x)
-                if len(walk) > n:
-                    raise AssertionError("power walk does not return to the identity")
-                x = group.mul(x, c[0])
-            walks.append(walk)
+            steps = group.products([x for _, _, x in live], [rep for _, rep, _ in live])
+            live = [(walk, rep, y) for (walk, rep, _), y in zip(live, steps) if y != ident]
         # Deterministic order: element order, then size, then least index.
         perm = sorted(range(len(raw)), key=lambda i: (len(walks[i]), len(raw[i]), raw[i][0]))
         self.classes = tuple(raw[i] for i in perm)
@@ -403,14 +416,12 @@ def fusion(sub: GroupTable, group: GroupTable) -> tuple[int, ...]:
     if sub.key(sub.id) != group.key(group.id):
         raise ValueError("H is not a subgroup of G (identity differs)")
     try:
-        embed = [group.index[k] for k in sub.elements]
+        embed = _found([group.index[k] for k in sub.elements])
     except KeyError:
         raise ValueError("H is not a subgroup of G") from None
     for s in sub.generators():
-        gs = embed[s]
-        for x, xs in zip(embed, sub.column(s)):
-            if group.mul(x, gs) != embed[xs]:
-                raise ValueError("H multiplication disagrees with G")
+        if group.products(embed, repeat(embed[s])) != [embed[xs] for xs in sub.column(s)]:
+            raise ValueError("H multiplication disagrees with G")
     class_of = conjugacy_classes(group).class_of
     fused = tuple(class_of[embed[rep]] for rep in conjugacy_classes(sub).representatives)
     sub.derived[("fusion", group)] = fused
@@ -865,7 +876,7 @@ def _cyclotomic_mod(value: Cyclotomic, exponent: int, zgen: int, r: int) -> int:
 
 def table_to_csv(group: GroupTable, chars: list[ClassFunction]) -> str:
     classes = conjugacy_classes(group)
-    rep_keys = [repr(group.key(rep)) for rep in classes.representatives]
+    rep_keys = [repr(group.decode(group.key(rep))) for rep in classes.representatives]
     lines = ["class," + ",".join('"%s"' % key for key in rep_keys)]
     lines.append("size," + ",".join(str(s) for s in classes.sizes))
     for i, cf in enumerate(chars):
@@ -880,7 +891,7 @@ def table_to_json(group: GroupTable, chars: list[ClassFunction]) -> dict:
         "order": group.order,
         "classes": [
             {
-                "representative": repr(group.key(rep)),
+                "representative": repr(group.decode(group.key(rep))),
                 "size": classes.sizes[ci],
                 "element_order": classes.rep_orders[ci],
                 "centralizer_order": classes.centralizer_orders[ci],

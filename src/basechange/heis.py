@@ -26,7 +26,7 @@ central-kernel twists are recoverable by tensoring with a character.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import gcd
 from operator import mul
@@ -113,8 +113,9 @@ class ExtraspecialGroup:
         self.id_key = 0
         name = "Heis(p=%d,a=%d)" % (space.p, space.a)
         order = space.p ** (2 * space.a + 1)
-        self.group = GroupTable(
-            range(order), self.mul_key, self.inv_key, self.id_key, name, self.column, self.products
+        self.group = GroupTable(  # the codes are their own indices
+            range(order), self.mul_key, partial(map, self.inv_key), self.id_key, name,
+            self.column, self.products, range(order),
         )
         self.center_keys = list(range(space.p))
 
@@ -308,8 +309,10 @@ class TorusAction:
 
 
 def _require_realizable(p: int, d: int, m: int):
-    require_odd_prime(p)  # a composite p is named before d | m is tested
-    if d < 1 or m % d != 0:
+    require_odd_prime(p)  # a composite p is named before d is tested
+    if d < 1:
+        raise ValueError("torus order d must be a positive integer, got %d" % d)
+    if m % d != 0:
         raise ValueError(
             "realization impossible for (p=%d, d=%d): split needs d | p-1 = %d, "
             "nonsplit needs d | p+1 = %d" % (p, d, p - 1, p + 1)

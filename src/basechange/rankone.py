@@ -3,21 +3,40 @@ quasi-split unitary group U2 of a quadratic pair, together with the twisting
 involution tau, twisted conjugacy, the cyclic norm, and quadratic torus
 embeddings.
 
-Matrices are row-major 4-tuples (a, b, c, d) of field element indices.
+Matrices are row-major 4-tuples (a, b, c, d) of field element indices; group
+tables key them by code ((a·Q + b)·Q + c)·Q + d over GF(Q), in tuple order.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import product
+from functools import lru_cache, partial
+from itertools import compress, product, repeat
 
 from .ffield import FField, quadratic_pair
-from .grpcore import GroupTable, conjugacy_classes, orbits, require_order
+from .grpcore import GroupTable, _found, conjugacy_classes, orbits, require_order
 
 Mat2 = tuple[int, int, int, int]
 
 
 # -- matrix helpers ---------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _row_tables(F: FField):
+    """(a, b, F._mul[a], F._mul[b]) for each row code a·Q + b, and F._add
+    times Q; no table over pairs of row codes, Q⁴ long at GF(169)."""
+    Q, M, times_q = F.q, F._mul, [v * F.q for v in F.elements()]
+    rows = [(a, b, M[a], M[b]) for a, b in map(divmod, range(Q * Q), repeat(Q))]
+    return rows, [[times_q[v] for v in row] for row in F._add]
+
+
+def encode(F: FField, x: Mat2) -> int:
+    a, b, c, d = x
+    return ((a * F.q + b) * F.q + c) * F.q + d
+
+
+def decode(F: FField, code: int) -> Mat2:
+    return divmod(code // F.q**2, F.q) + divmod(code % F.q**2, F.q)
 
 
 def mat_id(F: FField) -> Mat2:
@@ -36,30 +55,29 @@ def mat_mul(F: FField, x: Mat2, y: Mat2) -> Mat2:
     return (A[ma[e]][mb[g]], A[ma[f]][mb[h]], A[mc[e]][md[g]], A[mc[f]][md[h]])
 
 
-def mat_column(F: FField, G: GroupTable, y: Mat2) -> list[int]:
+def mat_column(F: FField, G: GroupTable, y: int) -> list[int]:
     """The column kernel of matrix groups: [index of x·y for x in G].  The
-    row products (a, b)·y are tabulated once, Q^2 pairs, and x = (a, b, c, d)
-    gives x·y = rows[a][b] + rows[c][d], formed and looked up in one step."""
-    e, f, g, h = y
-    A, M = F._add, F._mul
-    rows = [
-        [(Ae[bg], Af[bh]) for bg, bh in zip(M[g], M[h])]
-        for Ae, Af in ((A[ae], A[af]) for ae, af in zip(M[e], M[f]))
-    ]
-    index = G.index
-    return [index[rows[a][b] + rows[c][d]] for a, b, c, d in G.elements]
+    row products r·y are tabulated once, for the Q² row codes r, so x·y is
+    rows[x // Q²]·Q² + rows[x % Q²], formed and looked up in one step."""
+    (R, AQ), A, Q2 = _row_tables(F), F._add, F.q * F.q
+    (e, f, _, _), (g, h, _, _) = R[y // Q2], R[y % Q2]
+    rows = [AQ[ma[e]][mb[g]] + A[ma[f]][mb[h]] for _, _, ma, mb in R]
+    up, index = [r * Q2 for r in rows], G.index
+    return _found([index[up[x // Q2] + rows[x % Q2]] for x in G.elements])
 
 
 def mat_products(F: FField, G: GroupTable, xs, ys) -> list[int]:
-    """The product kernel of matrix groups: [index of x·y for each pair].
-    It writes mat_mul's formula out inline over F's tables: calling a
-    shared function per pair made the batch a fifth slower (GL2(9))."""
-    A, M, key, index = F._add, F._mul, G.elements.__getitem__, G.index
-    return [
-        index[(A[ma[e]][mb[g]], A[ma[f]][mb[h]], A[mc[e]][md[g]], A[mc[f]][md[h]])]
-        for (a, b, c, d), (e, f, g, h) in zip(map(key, xs), map(key, ys))
-        for ma, mb, mc, md in ((M[a], M[b], M[c], M[d]),)
-    ]
+    """The product kernel of matrix groups: [index of x·y for each pair],
+    mat_mul's formula inline over the row tables (a call per pair made a
+    batch a fifth slower)."""
+    (R, AQ), A, Q2 = _row_tables(F), F._add, F.q * F.q
+    index, key = G.index, G.elements.__getitem__
+    return _found([
+        index[(AQ[ma[e]][mb[g]] + A[ma[f]][mb[h]]) * Q2 + AQ[mc[e]][md[g]] + A[mc[f]][md[h]]]
+        for x, y in zip(map(key, xs), map(key, ys))
+        for (_, _, ma, mb), (_, _, mc, md) in ((R[x // Q2], R[x % Q2]),)
+        for (e, f, _, _), (g, h, _, _) in ((R[y // Q2], R[y % Q2]),)
+    ])
 
 
 def mat_det(F: FField, x: Mat2) -> int:
@@ -67,10 +85,18 @@ def mat_det(F: FField, x: Mat2) -> int:
     return F._add[F._mul[a][d]][F._neg[F._mul[b][c]]]
 
 
+def mat_inverses(F: FField, xs):
+    """The code of x⁻¹ = det(x)⁻¹·((d, -b), (-c, a)) for each code x in xs."""
+    A, M, N, R, Q, inv = F._add, F._mul, F._neg, _row_tables(F)[0], F.q, F.inv
+    return (
+        ((mi[d] * Q + mi[N[b]]) * Q + mi[N[c]]) * Q + mi[a]
+        for (a, b, _, _), (c, d, _, _) in ((R[x // (Q * Q)], R[x % (Q * Q)]) for x in xs)
+        for mi in (M[inv(A[M[a][d]][N[M[b][c]]])],)
+    )
+
+
 def mat_inv(F: FField, x: Mat2) -> Mat2:
-    a, b, c, d = x
-    mi, neg = F._mul[F.inv(mat_det(F, x))], F._neg
-    return (mi[d], mi[neg[b]], mi[neg[c]], mi[a])
+    return decode(F, next(mat_inverses(F, (encode(F, x),))))
 
 
 # -- group builders ---------------------------------------------------
@@ -83,23 +109,29 @@ ORDERS = {
 }
 
 
-def matrix_group(F: FField, keys, name: str) -> GroupTable:
-    """A GroupTable of invertible 2x2 matrices over F, with mat_column and
-    mat_products as its kernels."""
+def matrix_group(F: FField, codes: list[int], name: str) -> GroupTable:
+    """A GroupTable on sorted codes of invertible matrices, indexed by a list
+    over the Q⁴ codes when half are elements (GL2), else by a dict (SL2, U2)."""
+    index = [None] * F.q**4 if 2 * len(codes) >= F.q**4 else {}
+    for i, c in enumerate(codes):
+        index[c] = i
     return GroupTable(
-        keys, partial(mat_mul, F), partial(mat_inv, F), mat_id(F), name,
-        partial(mat_column, F), partial(mat_products, F),
+        codes, lambda x, y: encode(F, mat_mul(F, decode(F, x), decode(F, y))),
+        partial(mat_inverses, F), encode(F, mat_id(F)), name, partial(mat_column, F),
+        partial(mat_products, F), index, partial(decode, F),
     )
 
 
 def _enumerate_gl2_subgroup(F: FField, family: str, det_ok) -> GroupTable:
     """The matrices over F whose determinant passes det_ok, as a GroupTable
-    of the family's order."""
+    of the family's order, one list of determinants per first row."""
     expected = ORDERS[family](F.q)
     require_order(family, expected)
-    # A generator, so no second list of the keys outlives the sort.
-    keys = (m for m in product(F.elements(), repeat=4) if det_ok(mat_det(F, m)))
-    G = matrix_group(F, keys, "%s(%d)" % (family, F.q))
+    A, N, Q2, codes = F._add, F._neg, F.q * F.q, []
+    for r, (_, _, ma, mb) in enumerate(_row_tables(F)[0]):
+        dets = [A[ma[d]][N[mb[c]]] for c in F.elements() for d in F.elements()]
+        codes += compress(range(r * Q2, r * Q2 + Q2), map(det_ok, dets))
+    G = matrix_group(F, codes, "%s(%d)" % (family, F.q))
     if G.order != expected:
         raise AssertionError("%s enumeration has wrong order" % family)
     return G
@@ -107,12 +139,12 @@ def _enumerate_gl2_subgroup(F: FField, family: str, det_ok) -> GroupTable:
 
 def build_gl2(F: FField) -> GroupTable:
     """All invertible 2x2 matrices over F as a GroupTable."""
-    return _enumerate_gl2_subgroup(F, "GL2", lambda det: det != F.zero)
+    return _enumerate_gl2_subgroup(F, "GL2", F.zero.__ne__)
 
 
 def build_sl2(F: FField) -> GroupTable:
     """The determinant-one subgroup of GL2(F)."""
-    return _enumerate_gl2_subgroup(F, "SL2", lambda det: det == F.one)
+    return _enumerate_gl2_subgroup(F, "SL2", F.one.__eq__)
 
 
 class UnitarySpec:
@@ -139,6 +171,15 @@ def conj_transpose(spec: UnitarySpec, g: Mat2) -> Mat2:
     return (frob(a, k), frob(c, k), frob(b, k), frob(d, k))
 
 
+def _bar_transposes(spec: UnitarySpec, codes):
+    """The code of x-bar-transpose for each code x of rows r1 and r2: it is
+    S[r1]·Q + S[r2], with S[a·Q + b] = bar(a)·Q² + bar(b)."""
+    F, R = spec.field, _row_tables(spec.field)[0]
+    fr, Q2 = [F.frobenius(x, spec.sub.k) for x in F.elements()], F.q * F.q
+    S = [fr[a] * Q2 + fr[b] for a, b, _, _ in R]
+    return (S[x // Q2] * F.q + S[x % Q2] for x in codes)
+
+
 def is_unitary(spec: UnitarySpec, g: Mat2) -> bool:
     F = spec.field
     return mat_mul(F, mat_mul(F, conj_transpose(spec, g), spec.gram), g) == spec.gram
@@ -161,18 +202,22 @@ def build_u2(spec: UnitarySpec) -> GroupTable:
     iso_cols = {
         (a, c) for a, c in product(F.elements(), repeat=2) if A[M[bar[a]][c]][M[bar[c]][a]] == F.zero
     }
-    candidates = []
+    Q, candidates, one_minus = F.q, [], [F.sub(F.one, x) for x in F.elements()]
     for a, c in iso_cols:
         if bar[a] != F.zero:  # d = (1 - bar(c)·b) / bar(a)
-            s = F.inv(bar[a])
-            solutions = [(b, M[s][F.sub(F.one, M[bar[c]][b])]) for b in F.elements()]
+            ms, mc = M[F.inv(bar[a])], M[bar[c]]
+            solutions = [(b, ms[one_minus[mc[b]]]) for b in F.elements()]
         elif bar[c] != F.zero:  # b = 1 / bar(c)
             solutions = [(F.inv(bar[c]), d) for d in F.elements()]
         else:
             continue
-        candidates += [(a, b, c, d) for b, d in solutions if (b, d) in iso_cols]
-    keys = [g for g in candidates if is_unitary(spec, g)]
-    G = matrix_group(F, keys, "U2(%d)" % spec.q)
+        candidates += [((a * Q + b) * Q + c) * Q + d for b, d in solutions if (b, d) in iso_cols]
+    G = matrix_group(F, sorted(candidates), "U2(%d)" % spec.q)
+    # The unitarity certificate, one batch: g-bar-transpose · Gram · g = Gram.
+    gram = G.index[encode(F, spec.gram)]
+    bars = map(G.index.__getitem__, _bar_transposes(spec, G.elements))
+    if G.products(G.products(bars, repeat(gram)), range(G.order)).count(gram) != G.order:
+        raise AssertionError("U2 enumeration is not unitary")
     if G.order != expected:
         raise AssertionError("U2 enumeration has wrong order")
     return G
@@ -194,13 +239,9 @@ def tau_permutation(G: GroupTable, spec: UnitarySpec) -> list[int]:
     tau(x) = J^-1 w J, and J^-1 u = (u^-1 J)^-1, so two reads of J's column."""
     key = ("tau", spec.q)
     if key not in G.derived:
-        fr = [spec.field.frobenius(x, spec.sub.k) for x in spec.field.elements()]
-        index, inv = G.index, G.inv_table
-        cj = G.column(index[spec.gram])
-        G.derived[key] = [
-            inv[cj[inv[cj[inv[index[fr[a], fr[c], fr[b], fr[d]]]]]]]
-            for a, b, c, d in G.elements
-        ]
+        index, inv, bars = G.index, G.inv_table, _bar_transposes(spec, G.elements)
+        cj = G.column(index[encode(spec.field, spec.gram)])
+        G.derived[key] = [inv[cj[inv[cj[inv[index[w]]]]]] for w in bars]
     return G.derived[key]
 
 

@@ -24,6 +24,7 @@ from .rankone import (
     UnitarySpec,
     build_gl2,
     build_u2,
+    encode,
     mat_mul,
     norm_class_map,
     tau_classes,
@@ -276,9 +277,9 @@ def suite_restriction_sl2(q: int = 3) -> Report:
     sl_classes = ctx_sl.classes
 
     def conj_class_by_h(ci: int) -> int:
-        g = sl_group.key(sl_classes.representatives[ci])
+        g = sl_group.decode(sl_group.key(sl_classes.representatives[ci]))
         moved = mat_mul(F, mat_mul(F, h, g), h_inv)
-        return sl_classes.class_of[sl_group.index[moved]]
+        return sl_classes.class_of[sl_group.index[encode(F, moved)]]
 
     two_failures = []
     for i in two_rows:
@@ -500,6 +501,8 @@ def _run_heis_tuple(tup) -> list[Check]:
     try:
         action = torus_realization(p, d, realization)
     except ValueError as e:
+        if d < 1:  # no torus of that order: a usage error, not a skip
+            raise
         return [Check(name="%s:realization" % prefix, status="skipped", details=str(e))]
     subs = (
         lemma_H_verify(p, a, d, realization, action),

@@ -7,7 +7,7 @@ import pytest
 
 from basechange import grpcore
 from basechange.ffield import make_field
-from basechange.rankone import UnitarySpec, build_gl2, build_sl2, build_u2
+from basechange.rankone import UnitarySpec, build_gl2, build_sl2, build_u2, encode
 
 # The acceptance tests record one (status, detail) verdict per criterion
 # number here; the terminal-summary hook prints them as a block at the end
@@ -38,6 +38,17 @@ def power(group, g: int, e: int) -> int:
         base = group.mul(base, base)
         e >>= 1
     return result
+
+
+def matrices(group) -> list:
+    """A matrix group's elements as tuples, in index order: its keys
+    decoded."""
+    return [group.decode(k) for k in group.elements]
+
+
+def find(group, field, m) -> int:
+    """The index of the matrix m, a tuple over field, in a matrix group."""
+    return group.index[encode(field, m)]
 
 
 def retract(field, a: int, sub) -> int:

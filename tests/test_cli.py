@@ -402,6 +402,14 @@ class TestHeis:
         assert "realization impossible" in err
 
     @pytest.mark.parametrize("realization", ["split", "nonsplit"])
+    @pytest.mark.parametrize("d", ["0", "-4"])
+    def test_torus_order_below_one_exits_2(self, d, realization, capsys):
+        code, out, err = run(["heis", "--p", "3", "--d", d, "--realization", realization], capsys)
+        assert (code, out, err) == (
+            2, "", "error: torus order d must be a positive integer, got %s\n" % d
+        )
+
+    @pytest.mark.parametrize("realization", ["split", "nonsplit"])
     @pytest.mark.parametrize("p", [9, 15])
     def test_composite_p_is_named(self, p, realization, capsys):
         # Named before any divisibility test: d = 4 divides p - 1 = 8 but not

@@ -14,12 +14,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import power
+from conftest import find, matrices, power
 
 from basechange.cyclo import ONE, ZERO, Cyclotomic, euler_phi, root_of_unity
 from basechange.ffield import make_field
 from basechange.heis import ExtraspecialGroup, SymplecticSpace, extraspecial_group
-from basechange.rankone import build_gl2, build_sl2, build_u2, mat_id, mat_inv, mat_mul
+from basechange.rankone import (
+    build_gl2,
+    build_sl2,
+    build_u2,
+    decode,
+    encode,
+    mat_id,
+    mat_inv,
+    mat_mul,
+    mat_products,
+)
 from basechange import ffield, grpcore, rankone
 from basechange.grpcore import (
     ClassFunction,
@@ -198,10 +208,18 @@ def engine_groups(gl2_q3, u2_q3):
     return [s4(), d4(), gl2_q3, build_sl2(make_field(5)), u2_q3, extraspecial_group(3).group]
 
 
+def in_carrier(group, key):
+    """Whether key is an element's key: a list index over codes marks the
+    other codes None."""
+    if isinstance(group.index, list):
+        return group.index[key] is not None
+    return key in group.index
+
+
 def closed_by_brute_force(group):
     """Closure by definition: every key product lies in the carrier."""
     return all(
-        group._mul_key(a, b) in group.index for a in group.elements for b in group.elements
+        in_carrier(group, group._mul_key(a, b)) for a in group.elements for b in group.elements
     )
 
 
@@ -261,7 +279,7 @@ class TestClosure:
             calls += 1
             return mat_mul(F, x, y)
 
-        keys = build_gl2(F).elements
+        keys = matrices(build_gl2(F))
         G = GroupTable(keys, counted, lambda x: mat_inv(F, x), mat_id(F), name="GL2(5)")
         assert G.order == 480
         assert calls <= (3 + 2 * len(G.generators())) * G.order + 1200
@@ -292,9 +310,9 @@ class TestOrbitEngine:
         G = gl2_q3
         F = make_field(3)
         other = [
-            G.index[(F.one, F.one, F.zero, F.one)],
-            G.index[(F.one, F.zero, F.one, F.one)],
-            G.index[(F.generator, F.zero, F.zero, F.one)],
+            find(G, F, (F.one, F.one, F.zero, F.one)),
+            find(G, F, (F.one, F.zero, F.one, F.one)),
+            find(G, F, (F.generator, F.zero, F.zero, F.one)),
         ]
         assert len(closure(G, other)) == G.order
         assert set(other) != set(G.generators())
@@ -322,7 +340,7 @@ def counted_gl2(q):
         calls[0] += 1
         return mat_mul(F, x, y)
 
-    keys = build_gl2(F).elements
+    keys = matrices(build_gl2(F))
     G = GroupTable(keys, counted, lambda x: mat_inv(F, x), mat_id(F), name="GL2(%d)" % q)
     return G, calls
 
@@ -353,13 +371,15 @@ class TestColumns:
     def test_matrix_group_build_and_classes_cost(self, monkeypatch):
         # Left identity and inverse loops, 300 associativity triples and
         # the representatives' orders; every column comes from the kernel.
+        # The products are counted pair by pair through the kernel.
         calls = [0]
 
-        def counted(F, x, y):
-            calls[0] += 1
-            return mat_mul(F, x, y)
+        def counted(F, G, xs, ys):
+            xs = list(xs)
+            calls[0] += len(xs)
+            return mat_products(F, G, xs, ys)
 
-        monkeypatch.setattr(rankone, "mat_mul", counted)
+        monkeypatch.setattr(rankone, "mat_products", counted)
         G = build_gl2(make_field(3, 2))
         cls = conjugacy_classes(G)
         assert G.order == 5760
@@ -368,7 +388,8 @@ class TestColumns:
     def test_kernel_rejects_a_carrier_missing_an_inverse_pair(self):
         F = make_field(3)
         g = (F.one, F.one, F.zero, F.one)
-        keys = [k for k in build_gl2(F).elements if k not in (g, mat_inv(F, g))]
+        dropped = (encode(F, g), encode(F, mat_inv(F, g)))
+        keys = [k for k in build_gl2(F).elements if k not in dropped]
         raised = []
 
         def kernel(G, y):
@@ -380,8 +401,9 @@ class TestColumns:
 
         with pytest.raises(ValueError, match="not closed under multiplication"):
             GroupTable(
-                keys, lambda x, y: mat_mul(F, x, y), lambda x: mat_inv(F, x), mat_id(F),
-                column_kernel=kernel,
+                keys, lambda x, y: encode(F, mat_mul(F, decode(F, x), decode(F, y))),
+                lambda x: encode(F, mat_inv(F, decode(F, x))),
+                encode(F, mat_id(F)), column_kernel=kernel,
             )
         assert raised
 
@@ -461,6 +483,8 @@ class TestProducts:
         xs = data.draw(st.lists(index, max_size=40))
         ys = data.draw(st.lists(index, min_size=len(xs), max_size=len(xs)))
         assert G.products(xs, ys) == [G.mul(x, y) for x, y in zip(xs, ys)]
+        by_key = [G.index[G._mul_key(G.key(x), G.key(y))] for x, y in zip(xs, ys)]
+        assert G.products(xs, ys) == by_key
         assert G.products(iter(xs), iter(ys)) == G.products(xs, ys)
 
     def test_the_first_failing_element_names_the_fault(self):
@@ -809,11 +833,12 @@ class TestFusion:
     def test_a_second_restrict_makes_no_product(self, monkeypatch):
         calls = [0]
 
-        def counted(F, x, y):
-            calls[0] += 1
-            return mat_mul(F, x, y)
+        def counted(F, G, xs, ys):
+            xs = list(xs)
+            calls[0] += len(xs)
+            return mat_products(F, G, xs, ys)
 
-        monkeypatch.setattr(rankone, "mat_mul", counted)
+        monkeypatch.setattr(rankone, "mat_products", counted)
         F = make_field(5)
         G, H = build_gl2(F), build_sl2(F)
         chi, psi = trivial_character(G), trivial_character(H)

@@ -31,7 +31,7 @@ from basechange.heis import (
     torus_action_consequences,
     torus_realization,
 )
-from basechange.verify import DEFAULT_HEIS_TUPLES
+from basechange.verify import DEFAULT_HEIS_TUPLES, suite_heisenberg
 
 TUPLES = [
     (3, 1, 2, "split"),
@@ -106,6 +106,18 @@ class TestExtraspecialGroup:
                 G.mul_key(z_key, g) == G.mul_key(g, z_key)
                 for g in G.group.elements
             )
+
+    def test_codes_are_their_own_indices(self):
+        # Heis(7): no |G|-entry dict anywhere in the table; Heis(3): mul,
+        # which reads the index, is mul_key on every pair.
+        table = extraspecial_group(7, 1).group
+        assert table.index == range(table.order) == table.elements
+        assert not any(
+            isinstance(v, dict) and len(v) >= table.order for v in vars(table).values()
+        )
+        G = extraspecial_group(3, 1)
+        codes = G.group.elements
+        assert all(G.group.mul(g, h) == G.mul_key(g, h) for g in codes for h in codes)
 
     def test_commutator_realizes_pairing(self):
         G = extraspecial_group(3, 1)
@@ -247,6 +259,17 @@ class TestTorusRealizations:
     def test_nonsplit_needs_divisor_of_p_plus_one(self):
         with pytest.raises(ValueError, match=r"split needs d \| p-1 = 4, nonsplit needs d \| p\+1 = 6"):
             nonsplit_torus_action(5, 4)
+
+    @pytest.mark.parametrize("d", [0, -4])
+    @pytest.mark.parametrize("realization", ["split", "nonsplit"])
+    def test_torus_order_below_one_is_named(self, d, realization):
+        # -4 divides both p - 1 = 2 and p + 1 = 4: the divisibility rule
+        # alone would let it through.
+        message = "^torus order d must be a positive integer, got %d$" % d
+        with pytest.raises(ValueError, match=message):
+            torus_realization(3, d, realization)
+        with pytest.raises(ValueError, match=message):
+            suite_heisenberg([(3, 1, d, realization)])
 
     def test_impossible_both_ways(self):
         with pytest.raises(ValueError, match=r"realization impossible for \(p=3, d=5\)"):

@@ -1,22 +1,30 @@
 """Tests for matrix groups, the involution tau, and torus embeddings."""
 
+import gc
 import itertools
 import random
+import tracemalloc
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import norm
+from conftest import find, matrices, norm
 
 from basechange import rankone
 from basechange.ffield import make_field, norm_one_subgroup
-from basechange.grpcore import conjugacy_classes
+from basechange.grpcore import GroupTable, character_table, conjugacy_classes, table_to_csv
 from basechange.rankone import (
     UnitarySpec,
     build_gl2,
     build_sl2,
     build_u2,
+    ORDERS,
     conj_transpose,
+    decode,
     embed_quadratic_torus,
+    encode,
     is_unitary,
     mat_det,
     mat_id,
@@ -101,12 +109,12 @@ class TestBuilders:
 
     def test_identity_matrix_is_identity(self, gl2_q3, u2_q3):
         F3 = make_field(3)
-        assert gl2_q3.key(gl2_q3.id) == mat_id(F3)
+        assert gl2_q3.decode(gl2_q3.key(gl2_q3.id)) == mat_id(F3)
         F9 = make_field(3, 2)
-        assert u2_q3.key(u2_q3.id) == mat_id(F9)
+        assert u2_q3.decode(u2_q3.key(u2_q3.id)) == mat_id(F9)
 
     def test_u2_elements_are_unitary(self, u2_q3, spec_q3):
-        assert all(is_unitary(spec_q3, k) for k in u2_q3.elements)
+        assert all(is_unitary(spec_q3, k) for k in matrices(u2_q3))
 
     def test_size_bounds(self):
         with pytest.raises(ValueError, match="size bound"):
@@ -126,13 +134,13 @@ class TestTau:
 
     def test_tau_fixes_unitary_and_norm_squares(self, spec_q3, u2_q3):
         F9 = spec_q3.field
-        for k in u2_q3.elements:
+        for k in matrices(u2_q3):
             assert tau(spec_q3, k) == k
             assert norm_tau(spec_q3, k) == mat_mul(F9, k, k)
 
     def test_fixed_points_are_exactly_u2(self, spec_q3, gl2_q9, u2_q3):
-        fixed = {k for k in gl2_q9.elements if tau(spec_q3, k) == k}
-        assert fixed == set(u2_q3.elements)
+        fixed = {k for k in matrices(gl2_q9) if tau(spec_q3, k) == k}
+        assert fixed == set(matrices(u2_q3))
         assert len(fixed) == 96
 
     def test_tau_inverts_only_its_argument(self, spec_q3, gl2_q9, monkeypatch):
@@ -141,19 +149,19 @@ class TestTau:
         assert mat_mul(F9, spec_q3.gram_inv, spec_q3.gram) == mat_id(F9)
         calls = []
         monkeypatch.setattr(rankone, "mat_inv", lambda F, x: calls.append(x) or mat_inv(F, x))
-        for k in gl2_q9.elements[:50]:
+        for k in matrices(gl2_q9)[:50]:
             tau(spec_q3, k)
         assert spec_q3.gram not in calls and len(calls) == 50
 
     def test_tau_permutation_is_tau(self, spec_q3, gl2_q9):
         G = gl2_q9
         T = tau_permutation(G, spec_q3)
-        assert T == [G.index[tau(spec_q3, G.key(x))] for x in range(G.order)]
+        assert T == [find(G, spec_q3.field, tau(spec_q3, k)) for k in matrices(G)]
         assert [T[y] for y in T] == list(range(G.order))
         assert tau_permutation(G, spec_q3) is T
 
     def test_tau_involution_all_elements(self, spec_q3, gl2_q9):
-        for k in gl2_q9.elements:
+        for k in matrices(gl2_q9):
             assert tau(spec_q3, tau(spec_q3, k)) == k
 
     def test_tau_homomorphism(self, spec_q3, gl2_q9):
@@ -183,7 +191,7 @@ class TestTau:
                 break
         assert len(closure) == G.order
         F9 = spec_q3.field
-        tau_idx = [G.index[tau(spec_q3, G.key(i))] for i in range(G.order)]
+        tau_idx = [find(G, F9, tau(spec_q3, k)) for k in matrices(G)]
         for g in range(G.order):
             for s in gens:
                 assert tau_idx[G.mul(g, s)] == G.mul(tau_idx[g], tau_idx[s])
@@ -203,7 +211,7 @@ class TestTwistedClasses:
     def test_orbits_equal_the_full_twisted_scan(self, partition, gl2_q9, spec_q3):
         # h^-1 x tau(h) over every h, for a handful of seeds.
         G = gl2_q9
-        tau_of = [G.index[tau(spec_q3, G.key(h))] for h in range(G.order)]
+        tau_of = [find(G, spec_q3.field, tau(spec_q3, k)) for k in matrices(G)]
         orbit_of = {x: orbit for orbit in partition for x in orbit}
         rng = random.Random(314159)
         for x in [G.id] + [rng.randrange(G.order) for _ in range(5)]:
@@ -225,8 +233,8 @@ class TestTwistedClasses:
         F9 = spec_q3.field
         rng = random.Random(271828)
         for _ in range(500):
-            g = G.key(rng.randrange(G.order))
-            h = G.key(rng.randrange(G.order))
+            g = G.decode(G.key(rng.randrange(G.order)))
+            h = G.decode(G.key(rng.randrange(G.order)))
             hi = mat_inv(F9, h)
             twisted = mat_mul(F9, mat_mul(F9, hi, g), tau(spec_q3, h))
             lhs = norm_tau(spec_q3, twisted)
@@ -304,8 +312,8 @@ class TestQuadraticTorus:
         i = embed_quadratic_torus(F9, F3)
         classes = conjugacy_classes(gl2_q3)
         for x in F9.nonzero():
-            a = classes.class_of[gl2_q3.index[i(x)]]
-            b = classes.class_of[gl2_q3.index[i(F9.frobenius(x))]]
+            a = classes.class_of[find(gl2_q3, F3, i(x))]
+            b = classes.class_of[find(gl2_q3, F3, i(F9.frobenius(x)))]
             assert a == b
 
 
@@ -321,7 +329,7 @@ class TestU2Torus:
         F9, F3 = spec_q3.field, spec_q3.sub
         for u1 in norm_one_subgroup(F9, F3):
             for u2 in norm_one_subgroup(F9, F3):
-                assert u2_torus_element(spec_q3, u1, u2) in u2_q3.index
+                assert encode(F9, u2_torus_element(spec_q3, u1, u2)) in u2_q3.index
 
     def test_torus_rejects_non_norm_one(self, spec_q3):
         with pytest.raises(ValueError, match="norm-one"):
@@ -331,7 +339,7 @@ class TestU2Torus:
         F9, F3 = spec_q3.field, spec_q3.sub
         for u in norm_one_subgroup(F9, F3):
             g = mat_scalar(F9, u)
-            assert g in u2_q3.index
+            assert encode(F9, g) in u2_q3.index
             assert u2_torus_element(spec_q3, u, u) == g
 
 
@@ -351,3 +359,127 @@ class TestUnitarySpecFields:
         with pytest.raises(ValueError) as exc:
             build_u2(UnitarySpec(11))
         assert str(exc.value) == "U2 order 15840 exceeds size bound 10000"
+
+
+# -- element codes ----------------------------------------------------
+
+# Every field with Q <= 25 (an odd characteristic).
+SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1), (5, 2)]
+
+
+def reference_group(F, keys, name):
+    """The tuple-key reference build: matrices as 4-tuples on the generic
+    GroupTable path (sorted keys, a dict index, one key product per pair),
+    with products and inverses written with field methods."""
+    return GroupTable(keys, partial(_method_mul, F), partial(_method_inv, F), mat_id(F), name)
+
+
+def reference_closure(F, generators):
+    """The closure of the identity under right multiplication by the
+    generators, as tuples."""
+    seen, frontier = {mat_id(F)}, [mat_id(F)]
+    for x in frontier:
+        for g in generators:
+            y = _method_mul(F, x, g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def reference_build(family, q):
+    """The code-keyed table of the family over GF(q) (GF(q^2) for U2), its
+    tuple-key reference and the field.  GL2 and SL2 are enumerated by the
+    determinant; U2 is the closure of the code table's generators, which is
+    U2 when each element is unitary and the order is U2's."""
+    if family == "U2":
+        spec = UnitarySpec(q)
+        F, G = spec.field, build_u2(spec)
+        keys = reference_closure(F, [G.decode(G.key(g)) for g in G.generators()])
+        assert len(keys) == ORDERS["U2"](q) and all(is_unitary(spec, k) for k in keys)
+    else:
+        F = make_field(*{9: (3, 2)}.get(q, (q, 1)))
+        G = (build_gl2 if family == "GL2" else build_sl2)(F)
+        det_ok = (lambda det: det != F.zero) if family == "GL2" else (lambda det: det == F.one)
+        keys = [m for m in itertools.product(F.elements(), repeat=4) if det_ok(_method_det(F, m))]
+    return G, reference_group(F, keys, G.name), F
+
+
+class TestCodes:
+    @given(st.sampled_from(SMALL_FIELDS), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_encode_and_decode_round_trip_in_tuple_order(self, pk, data):
+        F = make_field(*pk)
+        entry = st.integers(0, F.q - 1)
+        matrix = st.tuples(entry, entry, entry, entry)
+        x, y = data.draw(matrix), data.draw(matrix)
+        assert decode(F, encode(F, x)) == x
+        assert (encode(F, x) < encode(F, y)) == (x < y)
+        code = data.draw(st.integers(0, F.q**4 - 1))
+        assert encode(F, decode(F, code)) == code
+
+    @pytest.mark.parametrize(
+        "family,q",
+        [(f, q) for f in ("SL2", "GL2", "U2") for q in (3, 5, 7)] + [("GL2", 9)],
+    )
+    def test_the_tuple_key_reference_build_agrees(self, family, q):
+        G, R, F = reference_build(family, q)
+        assert matrices(G) == R.elements
+        assert G.inv_table == R.inv_table
+        assert G.generators() == R.generators()
+        cls, ref = conjugacy_classes(G), conjugacy_classes(R)
+        assert cls.classes == ref.classes and cls.powers == ref.powers
+        chars, ref_chars = character_table(G), character_table(R)
+        assert [c.serialize() for c in chars] == [c.serialize() for c in ref_chars]
+        assert table_to_csv(G, chars) == table_to_csv(R, ref_chars)
+
+    def test_tau_permutation_agrees_with_the_tuple_formula(self, spec_q3, gl2_q9):
+        F = spec_q3.field
+        R = reference_group(F, matrices(gl2_q9), "GL2(9)")
+
+        def tau_of(g):
+            w = _method_inv(F, conj_transpose(spec_q3, g))
+            return _method_mul(F, _method_mul(F, spec_q3.gram_inv, w), spec_q3.gram)
+
+        assert tau_permutation(gl2_q9, spec_q3) == [R.index[tau_of(k)] for k in R.elements]
+
+    @pytest.mark.parametrize("build", [build_gl2, build_sl2])
+    def test_a_singular_product_is_off_the_carrier(self, build, monkeypatch):
+        # With multiplication rows that read zero, every product kernel
+        # forms the zero matrix: None in GL2's list index, absent from
+        # SL2's dict.
+        F = make_field(3)
+        G = build(F)
+        other = next(b for b in range(G.order) if b not in G.generators())
+        rows, add_q = rankone._row_tables(F)
+        zero = [F.zero] * F.q
+        zeroed = [(a, b, zero, zero) for a, b, _, _ in rows]
+        monkeypatch.setattr(rankone, "_row_tables", lambda F: (zeroed, add_q))
+        for product in (
+            lambda: G.products([0, 1], [1, 0]),
+            lambda: G.column(other),
+            lambda: G.mul(0, 1),
+        ):
+            with pytest.raises(ValueError, match="^not closed under multiplication$"):
+                product()
+
+    def test_gl2_q9_retains_codes_not_tuples(self):
+        # At most 0.8 MB retained; with a 4-tuple key and a dict entry per
+        # element the table held 1.05 MB.  The only tuples it holds are the
+        # Q^2 shared row entries.
+        F = make_field(3, 2)
+        build_gl2(F)  # the field's row entries are made once, before
+        gc.collect()
+        tracemalloc.start()
+        try:
+            G = build_gl2(F)
+            G.products([0], [0])
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= 800_000
+        assert all(type(k) is int for k in G.elements)
+        held = [*vars(G).values(), *G.derived.values()]
+        held += [x for v in held if isinstance(v, tuple) for x in v]
+        tuples = {id(x) for v in held if isinstance(v, list) for x in v if type(x) is tuple}
+        assert len(tuples) <= F.q**2 < G.order
