@@ -1,7 +1,8 @@
-"""Generic finite-group machinery: enumeration into index tables, conjugacy
-classes, class functions, induction/restriction, and an exact character-table
-oracle (class-sum eigenvector method over a large prime field, lifted to
-cyclotomic integers).  Independent of any character formula it validates.
+"""Generic finite-group machinery: enumeration into index tables, orbits of
+twisted conjugacy x -> g⁻¹·x·φ(g) (classes at φ = 1), class functions,
+induction/restriction, and an exact character-table oracle (class-sum
+eigenvector method over a large prime field, lifted to cyclotomic
+integers).  Independent of any character formula it validates.
 """
 
 from __future__ import annotations
@@ -134,8 +135,9 @@ class GroupTable:
         column is built directly, not through ``column()``, and e·x = x is
         checked before the closure: under a false identity axiom the closure
         need not end.  A batch that fails, by raising or by comparing
-        unequal, is replayed one product at a time, so that the first
-        failing element names the fault."""
+        unequal, is replayed one ``mul`` at a time, the family's own formula,
+        so that the first failing element names the fault, and a kernel
+        that disagrees with the formula is named as such."""
         n, e, inv = self.order, self.id, self.inv_table
         try:
             holds = (
@@ -146,8 +148,8 @@ class GroupTable:
         except ValueError:  # off the carrier: replayed below
             holds = False
         if not holds:
-            for i, right in enumerate(self._column(e)):
-                if self.mul(e, i) != i or right != i:
+            for i in range(n):
+                if self.mul(e, i) != i or self.mul(i, e) != i:
                     raise ValueError("identity axiom fails")
                 if self.mul(i, inv[i]) != e:
                     raise ValueError("inverse axiom fails")
@@ -167,11 +169,15 @@ class GroupTable:
     # -- index-level group operations ---------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        return self.products((i,), (j,))[0]
+        """The index of x·y from the family's formula, not the kernels."""
+        try:
+            return _found([self.index[self._mul_key(self.elements[i], self.elements[j])]])[0]
+        except KeyError:
+            raise ValueError("not closed under multiplication") from None
 
     def products(self, xs, ys) -> list[int]:
         """The index of x·y for each pair of indices x in xs and y in ys,
-        zipped, from the product kernel; ``mul`` is the single product."""
+        zipped, from the product kernel."""
         try:
             return self._products(self, xs, ys)
         except KeyError:
@@ -239,23 +245,23 @@ class GroupTable:
         return "GroupTable(%s, order=%d)" % (self.name, self.order)
 
 
-def orbits(group: GroupTable, moves, seeds=None) -> list[tuple[int, ...]]:
-    """Orbits of the maps x -> a x b, for index pairs (a, b) in moves, as
-    sorted tuples in order of least seed (every element when seeds is None).
+def orbits(group: GroupTable, twist=None, seeds=None) -> list[tuple[int, ...]]:
+    """Orbits of x -> g⁻¹·x·φ(g), g in group.generators(), for φ = twist an
+    endomorphism of the group on indices (the identity when None), as sorted
+    tuples in order of least seed (every element when seeds is None).
 
-    Each orbit is its seed's closure under the moves.  When the moves are a
-    generating set's images under a group action, that closure is the whole
-    orbit under the group: every move permutes a finite set, so its inverse
-    is one of its powers.  Each move is composed once into a permutation,
-    a x b = inv[column(a⁻¹)[inv[column(b)[x]]]], so the closure is one
-    lookup per move and element, and a move whose a⁻¹ and b are generators
-    costs no product at all.
+    h -> (x -> h⁻¹·x·φ(h)) is a right action of the group, so each seed's
+    closure under the generators' moves is its whole orbit: every move
+    permutes a finite set, so its inverse is one of its powers.  Each move
+    is composed once into a permutation, g⁻¹·x·φ(g) =
+    inv[column(g)[inv[column(φ(g))[x]]]], so the closure is one lookup per
+    move and element, and conjugacy (φ the identity) costs no product.
     """
-    inv = group.inv_table
-    perms = []
-    for a, b in moves:
-        ca = group.column(inv[a])
-        perms.append([inv[ca[inv[y]]] for y in group.column(b)])
+    inv, perms = group.inv_table, []
+    for g in group.generators():
+        cg = group.column(g)
+        cphi = cg if twist is None else group.column(twist(g))
+        perms.append([inv[cg[inv[y]]] for y in cphi])
     seen = bytearray(group.order)
     out = []
     for seed in range(group.order) if seeds is None else seeds:
@@ -280,7 +286,7 @@ class ConjClasses:
     def __init__(self, group: GroupTable):
         self.group = group
         n, ident = group.order, group.id
-        raw = orbits(group, [(group.inv_table[g], g) for g in group.generators()])
+        raw = orbits(group)
         # Each representative walked once through x⁰ … x^(o−1): o − 1
         # products, the last of which returns to the identity; the walks
         # step together, one batch of products per step.  In a group o ≤ n;

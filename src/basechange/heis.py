@@ -18,10 +18,11 @@ operators adds exponents, so the homomorphism certificate is integer
 arithmetic.  Cyclotomic values appear only in the trace identity and where
 an operator meets a dense one (the intertwiner A, whose entries are root
 sums, and its powers, tuples of Cyclotomic entries).  The d extensions
-share s0 with (s0 A)^d = I and the powers A^j, the upper half formed on
-first read; an extension operator is a scaled power.  Every assertion is
-exact.  The torus is modeled as acting faithfully (order d, gcd(d,p)=1);
-central-kernel twists are recoverable by tensoring with a character.
+share s0 with (s0 A)^d = I and the chain A^0 ... A^h, h = ceil(d/2), that
+extend formed; an extension operator is a scaled power, A^h A^(j-h) above
+the chain, formed on each call.  Every assertion is exact.  The torus is
+modeled as acting faithfully (order d, gcd(d,p)=1); central-kernel twists
+are recoverable by tensoring with a character.
 """
 
 from __future__ import annotations
@@ -518,44 +519,32 @@ def _verify_intertwines(rep: HeisRep, action: TorusAction, A):
     return True
 
 
-class _Powers:
-    """A^0 ... A^(d-1) from the chain A^0 ... A^h that extend formed: each
-    A^j above it is A^h A^(j-h), formed on first read."""
-
-    def __init__(self, chain, d: int):
-        self._ops, self._h = (chain + [None] * d)[:d], len(chain) - 1
-
-    def __len__(self):
-        return len(self._ops)
-
-    def __getitem__(self, j: int):
-        ops, j = self._ops, range(len(self._ops))[j]
-        if ops[j] is None:
-            ops[j] = _mmul(ops[self._h], ops[j - self._h])
-        return ops[j]
-
-
 class Extension:
     """One of the d extensions of a Heisenberg representation to the
     semidirect product with the torus, labeled by the torus character
     separating it from the others: lambda_c(t^j) = zeta_d^(cj) s0^j A^j.
-    The scalar s0, the bare powers A^0 ... A^(d-1) of the intertwiner A and
-    the d traces tr lambda_0(t^j) are shared by all d extensions, and
-    tr lambda_c(t^j) = zeta_d^(cj) tr lambda_0(t^j): lambda_0 decides the
-    sign law, trace moduli and multiplicity multiset of every label."""
+    The scalar s0, the chain A^0 ... A^h, h = ceil(d/2), of bare powers of
+    the intertwiner A that extend formed and the d traces tr lambda_0(t^j)
+    are shared by all d extensions, and tr lambda_c(t^j) = zeta_d^(cj)
+    tr lambda_0(t^j): lambda_0 decides the sign law, trace moduli and
+    multiplicity multiset of every label."""
 
-    def __init__(self, rep: HeisRep, action: TorusAction, label: int, s0, powers, traces):
+    def __init__(self, rep: HeisRep, action: TorusAction, label: int, s0, chain, traces):
         self.rep = rep
         self.action = action
         self.label = label
         self.s0 = s0
-        self.powers = powers
+        self.chain = chain
         self.traces = traces
 
     def op(self, j: int):
+        """lambda_c(t^j); a bare power above the chain is A^h A^(j-h),
+        formed on each call."""
         j %= self.action.order
+        chain, h = self.chain, len(self.chain) - 1
+        bare = chain[j] if j <= h else _mmul(chain[h], chain[j - h])
         scalar = root_of_unity(self.action.order, self.label * j) * self.s0**j
-        return _mscale(scalar, self.powers[j])
+        return _mscale(scalar, bare)
 
     def trace(self, j: int) -> Cyclotomic:
         j %= self.action.order
@@ -597,8 +586,7 @@ def extend(rep: HeisRep, action: TorusAction) -> list[Extension]:
     if s0**d * c0 != ONE:
         raise AssertionError("normalized operator is not of order d")
     traces = tuple(s0**j * t for j, t in enumerate(bare))
-    powers = _Powers(chain, d)
-    return [Extension(rep, action, c, s0, powers, traces) for c in range(d)]
+    return [Extension(rep, action, c, s0, chain, traces) for c in range(d)]
 
 
 def multiplicities(ext: Extension) -> dict[int, int]:
@@ -641,13 +629,6 @@ def expected_multiplicity_multiset(p: int, a: int, d: int) -> list[int]:
 
 
 # -- the sign law and the action's consequences -----------------------
-
-
-def _twisted_moves(G: GroupTable, action: TorusAction, j: int):
-    # x -> k x (t^j . k)^-1 for k = h^-1, h in a generating set: a left action
-    # of the group, since t^j acts by an automorphism (see TorusAction), and
-    # the move x -> h^-1 x (t^j . h) reads h's own column (grpcore.orbits).
-    return [(G.inv(h), G.index[action.act_key(G.key(h), j)]) for h in G.generators()]
 
 
 def require_rank_one(a: int):
@@ -735,12 +716,9 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str, action: TorusAction
     # lambda(t) is s0 A^(1 mod d) up to a root of unity, and the nonzero
     # scalar decides no zero: take traces against the bare power.
     support_bad = None
-    bare, scale = exts[0].powers[1 % d], exts[0].s0 ** (1 % d)
-    G = group.group
-    center = [G.index[k] for k in group.center_keys]
-    into_center = {
-        x for orbit in orbits(G, _twisted_moves(G, action, 1), seeds=center) for x in orbit
-    }
+    bare, scale = exts[0].chain[1 % d], exts[0].s0 ** (1 % d)
+    G, twist = group.group, partial(action.act_key, j=1)
+    into_center = {x for orbit in orbits(G, twist, seeds=group.center_keys) for x in orbit}
     # (v, z) = (0, z)(v, 0) and eta(0, z) = theta(z) I (see multiplicities),
     # so the trace at (v, z) is theta(z) times the trace at (v, 0), the
     # element met first in code order.
@@ -818,12 +796,12 @@ def torus_action_consequences(group: ExtraspecialGroup, action: TorusAction):
     # Semidirect-product conjugacy: conjugating ((0,z), t^j) by ((h), t^m)
     # gives ((h (0,z) (t^j . h)^-1), t^j); the torus part of the conjugator
     # drops out because the center is action-invariant.  So for each j the
-    # central elements must lie in distinct orbits of x -> h x (t^j . h)^-1.
+    # central elements must lie in distinct orbits of x -> h x (t^j . h)^-1,
+    # which are those of x -> h^-1 x (t^j . h).  Codes are indices.
     sep_bad = None
-    G = group.group
-    center = [G.index[k] for k in group.center_keys]
+    center = group.center_keys
     for j in range(d):
-        for orbit in orbits(G, _twisted_moves(G, action, j), seeds=center):
+        for orbit in orbits(group.group, partial(action.act_key, j=j), seeds=center):
             hits = sorted(set(orbit).intersection(center))
             if len(hits) > 1:
                 sep_bad = ((group.decode(hits[0]), j), (group.decode(hits[1]), j))

@@ -252,8 +252,7 @@ def tau_classes(G: GroupTable, spec: UnitarySpec) -> list[tuple[int, ...]]:
     Since tau is a homomorphism, h -> (x -> h^-1 x tau(h)) is a right group
     action, so the orbits under the moves of G.generators() are exact.
     """
-    T = tau_permutation(G, spec)
-    return orbits(G, [(G.inv(g), T[g]) for g in G.generators()])
+    return orbits(G, tau_permutation(G, spec).__getitem__)
 
 
 def norm_class_map(

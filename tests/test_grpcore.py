@@ -306,7 +306,7 @@ class TestOrbitEngine:
         assert build_u2(rankone.UnitarySpec(5)).generators() == (19, 436)
         assert extraspecial_group(7).group.generators() == (9, 218)
 
-    def test_partition_does_not_depend_on_the_generating_set(self, gl2_q3):
+    def test_partition_does_not_depend_on_the_generating_set(self, gl2_q3, monkeypatch):
         G = gl2_q3
         F = make_field(3)
         other = [
@@ -316,18 +316,43 @@ class TestOrbitEngine:
         ]
         assert len(closure(G, other)) == G.order
         assert set(other) != set(G.generators())
-        by_default = orbits(G, [(G.inv(g), g) for g in G.generators()])
-        assert orbits(G, [(G.inv(g), g) for g in other]) == by_default
+        by_default = orbits(G)
+        monkeypatch.setattr(G, "_generators", tuple(other))
+        assert orbits(G) == by_default
         # Every element is a generating set too: that is the full scan.
-        assert orbits(G, [(G.inv(g), g) for g in range(G.order)]) == by_default
+        monkeypatch.setattr(G, "_generators", tuple(range(G.order)))
+        assert orbits(G) == by_default
 
     def test_orbits_from_seeds(self):
         G = s4()
-        moves = [(G.inv(g), g) for g in G.generators()]
-        every = orbits(G, moves)
+        every = orbits(G)
         seeds = [G.order - 1, 0, G.order - 1]
-        picked = orbits(G, moves, seeds=seeds)
+        picked = orbits(G, seeds=seeds)
         assert picked == [c for c in every if G.order - 1 in c] + [c for c in every if 0 in c]
+
+    def test_untwisted_orbits_are_the_classes(self, engine_groups):
+        for G in engine_groups:
+            assert sorted(orbits(G)) == sorted(conjugacy_classes(G).classes), G.name
+
+    def test_twisted_orbits_equal_the_full_scan(self, gl2_q3):
+        # phi = transpose-inverse, an outer automorphism of GL2(3): the
+        # orbit of x is {h^-1 x phi(h) : h in G}, scanned over every h.
+        G, F = gl2_q3, make_field(3)
+        phi = [
+            find(G, F, mat_inv(F, (a, c, b, d))) for a, b, c, d in map(G.decode, G.elements)
+        ]
+        scan = {
+            tuple(sorted({G.mul(G.mul(G.inv(h), x), phi[h]) for h in range(G.order)}))
+            for x in range(G.order)
+        }
+        twisted = orbits(G, phi.__getitem__)
+        assert sorted(twisted) == sorted(scan)
+        assert twisted != orbits(G)
+        # Seeds keep their order; a seed met in an earlier orbit is skipped.
+        seeds = [G.order - 1, 0, G.order - 1, 5]
+        by_seed = {x: orbit for orbit in twisted for x in orbit}
+        expected = list(dict.fromkeys(by_seed[x] for x in seeds))
+        assert orbits(G, phi.__getitem__, seeds=seeds) == expected
 
 
 
@@ -429,9 +454,8 @@ class TestColumns:
 
     def test_conjugacy_classes_make_no_orbit_products(self):
         G, calls = counted_gl2(5)
-        moves = [(G.inv(g), g) for g in G.generators()]
         calls[0] = 0
-        raw = orbits(G, moves)
+        raw = orbits(G)
         assert calls[0] == 0
         cls = conjugacy_classes(G)
         assert sorted(cls.classes) == raw

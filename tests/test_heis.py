@@ -1,6 +1,7 @@
 """Extraspecial groups, torus actions, Heisenberg representations and their
 extensions: frozen expected values plus structural property checks."""
 
+from functools import partial
 from itertools import product
 
 import pytest
@@ -15,7 +16,6 @@ from basechange.heis import (
     HeisRep,
     _mtrace,
     _verify_intertwines,
-    _twisted_moves,
     SymplecticSpace,
     TorusAction,
     build_extraspecial,
@@ -524,14 +524,15 @@ class TestOrbitChecksAgreeWithScans:
         # coset_trace_support: y is conjugate into the center iff some h
         # moves it there.
         scanned = {y for y in G.elements if twisted_scan(E, action, y, 1) & center}
-        found = {G.key(x) for orbit in orbits(G, _twisted_moves(G, action, 1), seeds) for x in orbit}
+        twist = partial(action.act_key, j=1)
+        found = {G.key(x) for orbit in orbits(G, twist, seeds) for x in orbit}
         assert found == scanned
         # torus_center_conjugacy_separated: each central element's orbit
         # under every torus power, and no orbit holding two of them.
         for j in range(d):
-            moves = _twisted_moves(G, action, j)
+            twist = partial(action.act_key, j=j)
             for z in E.center_keys:
-                (orbit,) = orbits(G, moves, seeds=[G.index[z]])
+                (orbit,) = orbits(G, twist, seeds=[G.index[z]])
                 assert {G.key(x) for x in orbit} == twisted_scan(E, action, z, j)
                 assert twisted_scan(E, action, z, j) & center == {z}
 
@@ -729,12 +730,12 @@ class TestExtensionStorage:
 
     def test_extensions_share_the_normalized_powers(self):
         # The normalized powers are s0^j A^j on one shared chain of bare
-        # powers, scaled by op(j) on demand.
+        # powers A^0 ... A^h, h = ceil(d/2), scaled by op(j) on demand.
         exts = extend(heisenberg_rep(3, 1), torus_realization(3, 4, "nonsplit"))
-        assert all(e.powers is exts[0].powers for e in exts)
+        assert all(e.chain is exts[0].chain for e in exts)
         assert all(e.s0 is exts[0].s0 for e in exts)
         assert all(e.traces is exts[0].traces for e in exts)
-        assert len(exts[0].powers) == 4
+        assert len(exts[0].chain) == (4 + 1) // 2 + 1
         for e in exts:
             for j in range(1, 5):
                 assert e.trace(j) == _mtrace(e.op(j))
@@ -745,10 +746,13 @@ class TestExtensionStorage:
         # Newton's identities on the chain's traces give the determinant
         # that elimination gives, and s0 = det(A)^-alpha c0^-beta from it.
         ext = extend(heisenberg_rep(p, a), torus_realization(p, d, realization))[0]
-        A, n = ext.powers[1], ext.rep.dim
-        c0 = dense_mul(ext.powers[d - 1], A)[0][0]
+        A, n = ext.chain[1], ext.rep.dim
+        # Label 0's op(j) is s0^j A^j: the bare powers A^0 ... A^(d-1).
+        powers = [heis._mscale(ext.s0 ** (-j), ext.op(j)) for j in range(d)]
+        assert powers[: len(ext.chain)] == ext.chain[:d]
+        c0 = dense_mul(powers[d - 1], A)[0][0]
         det = _mdet(A)
-        assert heis._newton_det([_mtrace(op) for op in ext.powers], c0, n) == det
+        assert heis._newton_det([_mtrace(op) for op in powers], c0, n) == det
         alpha = pow(n, -1, d)
         assert ext.s0 == det ** (-alpha) * c0 ** (-((1 - alpha * n) // d))
 
@@ -761,18 +765,20 @@ class TestExtensionStorage:
         # those of the chain of all d products.
         rep = heisenberg_rep(p, a)
         exts = extend(rep, torus_realization(p, d, realization))
-        s0, powers, h = exts[0].s0, exts[0].powers, (d + 1) // 2
+        s0, chain, h = exts[0].s0, exts[0].chain, (d + 1) // 2
         full = [heis._meye(rep.dim)]
         while len(full) <= d:
-            full.append(heis._mmul(full[-1], powers[1]))
+            full.append(heis._mmul(full[-1], chain[1]))
+        assert chain == full[: h + 1]
         assert full[d] == heis._mscale(s0 ** (-d), full[0])
-        assert heis._mmul(powers[h], powers[d - h]) == full[d]
+        assert heis._mmul(chain[h], chain[d - h]) == full[d]
         assert list(exts[0].traces) == [s0**j * _mtrace(full[j]) for j in range(d)]
         for ext in (exts[0], exts[-1]):
             for j in range(d):
                 scalar = root_of_unity(d, ext.label * j) * s0**j
                 assert ext.op(j) == heis._mscale(scalar, full[j])
-        assert [powers[j] for j in range(d)] == full[:d]
+        bare = [heis._mscale(s0 ** (-j), exts[0].op(j)) for j in range(d)]
+        assert bare == full[:d]
 
     @pytest.mark.parametrize("exps,d", [((0, 1, 2), 3), ((0, 1, 1, 0, 1), 2), ((1, 3), 5)])
     def test_newton_det_of_a_diagonal(self, exps, d):
@@ -785,7 +791,7 @@ class TestExtensionStorage:
 
     @pytest.mark.parametrize("realization", ["split", "nonsplit"])
     def test_order_one_torus_wraps_to_the_identity(self, realization):
-        # At d = 1 the chain holds A^0 alone, and op(1) is op(0) = I.
+        # At d = 1 every torus power is t^0, and op(1) is op(0) = I.
         rep = heisenberg_rep(3, 1)
         (ext,) = extend(rep, torus_realization(3, 1, realization))
         ident = tuple(tuple(ONE if i == j else ZERO for j in range(3)) for i in range(3))

@@ -447,21 +447,40 @@ class TestCodes:
     def test_a_singular_product_is_off_the_carrier(self, build, monkeypatch):
         # With multiplication rows that read zero, every product kernel
         # forms the zero matrix: None in GL2's list index, absent from
-        # SL2's dict.
+        # SL2's dict.  mul reads the family formula, mat_mul, instead.
         F = make_field(3)
         G = build(F)
         other = next(b for b in range(G.order) if b not in G.generators())
         rows, add_q = rankone._row_tables(F)
         zero = [F.zero] * F.q
         zeroed = [(a, b, zero, zero) for a, b, _, _ in rows]
-        monkeypatch.setattr(rankone, "_row_tables", lambda F: (zeroed, add_q))
-        for product in (
-            lambda: G.products([0, 1], [1, 0]),
-            lambda: G.column(other),
-            lambda: G.mul(0, 1),
-        ):
-            with pytest.raises(ValueError, match="^not closed under multiplication$"):
-                product()
+        with monkeypatch.context() as m:
+            m.setattr(rankone, "_row_tables", lambda F: (zeroed, add_q))
+            for product in (
+                lambda: G.products([0, 1], [1, 0]),
+                lambda: G.column(other),
+            ):
+                with pytest.raises(ValueError, match="^not closed under multiplication$"):
+                    product()
+        monkeypatch.setattr(rankone, "mat_mul", lambda F, x, y: (F.zero,) * 4)
+        with pytest.raises(ValueError, match="^not closed under multiplication$"):
+            G.mul(0, 1)
+
+    def test_a_kernel_off_the_formula_is_named(self, monkeypatch):
+        # A product kernel that gives a wrong index, but one in the carrier,
+        # for e·x at one x: the batch compares unequal, and the replay
+        # through the family formula finds every axiom holding.
+        F = make_field(3)
+        real = rankone.mat_products
+
+        def wrong(F, G, xs, ys):
+            xs, ys = list(xs), list(ys)
+            out = real(F, G, xs, ys)
+            return [2 if (x, y) == (G.id, 1) else z for x, y, z in zip(xs, ys, out)]
+
+        monkeypatch.setattr(rankone, "mat_products", wrong)
+        with pytest.raises(AssertionError, match="^product kernel disagrees with mul$"):
+            build_gl2(F)
 
     def test_gl2_q9_retains_codes_not_tuples(self):
         # At most 0.8 MB retained; with a 4-tuple key and a dict entry per
