@@ -13,6 +13,13 @@ The grammar lives in ``usage``.  A canonical command (``SUB [POSITIONAL]
 errors and other spellings argparse accepts (``--q=5``, an abbreviated or
 repeated flag) load ``argparse``.
 
+Each command loads only the modules it runs: ``chartable`` and
+``cuspidal`` load this module, ``usage``, ``report`` and ``cuspchar`` with
+its layers (``cyclo``, ``ffield``, ``grpcore``, ``rankone``); ``verify``
+adds ``verify``, imported inside ``_cmd_verify``, and ``heis`` (the command,
+or the heis suite) adds ``heis``, which ``verify`` imports on the suite's
+first call.
+
 Each command is one short process, so ``main`` first moves the import-time
 heap (``site``, this package) to the collector's permanent
 generation with ``gc.freeze()``: no collection, the interpreter's exit
@@ -31,7 +38,6 @@ from .ffield import MultChar, NormOneChar
 from .grpcore import max_group_order, table_to_csv, table_to_json
 from .report import report_to_json
 from .usage import FAMILY_CHOICES, SUITE_ALIASES, build_parser, parse_argv
-from .verify import SUITES, suite_heisenberg
 
 # The grammar's family choices, the registry's names in its order.
 _FAMILIES = FAMILY_CHOICES
@@ -112,6 +118,8 @@ def _cmd_cuspidal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SUITES, suite_heisenberg
+
     suite_id = SUITE_ALIASES.get(args.suite, args.suite)
     if suite_id == "heisenberg":
         if args.q is not None:
@@ -124,6 +132,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_heis(args) -> int:
+    from .verify import suite_heisenberg
+
     # The suite validates the configuration before any field or group is
     # built; a configuration it skips is a usage error here.
     report = suite_heisenberg([(args.p, args.a, args.d, args.realization)])

@@ -44,7 +44,6 @@ c * (root_of_unity(n, a) + ...) has.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -487,16 +486,15 @@ def dot(xs, ys, weights=None, conj: bool = False, den: int = 1) -> Cyclotomic:
 ZERO = Cyclotomic.rational(0)
 ONE = Cyclotomic.rational(1)
 
-_SERIAL_RE = re.compile(r"^cyc\((\d+)\)\[(.*)\]$")
-
 
 def parse(text: str) -> Cyclotomic:
     """Inverse of Cyclotomic.serialize; round-trips bit-exactly."""
-    m = _SERIAL_RE.match(text.strip())
-    if not m:
-        raise ValueError("not a serialized cyclotomic: %r" % text)
+    import re
     from fractions import Fraction
 
+    m = re.match(r"^cyc\((\d+)\)\[(.*)\]$", text.strip())
+    if not m:
+        raise ValueError("not a serialized cyclotomic: %r" % text)
     n = int(m.group(1))
     body = m.group(2)
     coeffs = [Fraction(part) for part in body.split(",")] if body else []

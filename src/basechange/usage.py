@@ -17,7 +17,6 @@ from types import SimpleNamespace
 
 from .cuspchar import FAMILIES
 from .ffield import MAX_FIELD_SIZE, _factorize
-from .verify import SUITES
 
 SUITE_ALIASES = {
     "level0": "level0_basechange",
@@ -77,7 +76,10 @@ COMMANDS = {
         "help": "run a verification suite",
         "positional": (
             "suite",
-            {"choices": sorted(SUITE_ALIASES) + sorted(SUITES), "help": "suite name (short or full)"},
+            {
+                "choices": sorted(SUITE_ALIASES) + sorted(SUITE_ALIASES.values()),
+                "help": "suite name (short or full)",
+            },
         ),
         "flags": {
             "--q": {"type": odd_prime_power, "help": "base field size (odd prime power, default 3)"},

@@ -908,6 +908,54 @@ class TestModuleEntry:
             "[]\n756938d36e46b7cf606dc53cb6bc525a3956c89a8f3012d2f142050bb87f2273\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv,layers",
+        [
+            ("chartable sl2 --q 3", ()),
+            ("chartable u2 --q 3 --format json", ()),
+            ("cuspidal gl2 --q 3 --theta 1", ()),
+            ("verify level0 --q 3", ("verify",)),
+            ("verify restriction --q 3", ("verify",)),
+            ("verify endoscopic --q 3", ("verify",)),
+            ("verify normbij --q 3", ("verify",)),
+            ("verify heis", ("heis", "verify")),
+            ("heis --p 3 --d 4 --realization nonsplit", ("heis", "verify")),
+        ],
+    )
+    def test_each_command_loads_only_its_layers(self, argv, layers):
+        # The package namespace is lazy: a command loads the modules it
+        # runs, and heis and verify only where a suite needs them.
+        code = (
+            "import contextlib, io, sys\n"
+            "from basechange.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(%r.split()) == 0\n"
+            "print(sorted(m[11:] for m in sys.modules if m.startswith('basechange.')))\n"
+        ) % argv
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        common = ("cli", "cuspchar", "cyclo", "ffield", "grpcore", "rankone", "report", "usage")
+        assert proc.stdout == "%r\n" % sorted(common + layers)
+
+    def test_every_public_name_resolves_to_its_module(self):
+        code = (
+            "import sys\n"
+            "import basechange\n"
+            "assert not [m for m in sys.modules if m.startswith('basechange.')]\n"
+            "star = {}\n"
+            "exec('from basechange import *', star)\n"
+            "assert sorted(set(star) - {'__builtins__'}) == basechange.__all__\n"
+            "for name in basechange.__all__:\n"
+            "    module = sys.modules['basechange.' + basechange._MODULE_OF[name]]\n"
+            "    assert star[name] is getattr(module, name) is getattr(basechange, name), name\n"
+            "    assert getattr(star[name], '__module__', module.__name__) == module.__name__\n"
+            "assert set(basechange.__all__) <= set(dir(basechange))\n"
+            "print(len(basechange.__all__))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "42\n"
+
     def test_main_freezes_the_import_time_heap(self, capsys):
         # The exit collections of a one-command process skip frozen objects.
         assert main(["chartable", "sl2", "--q", "3"]) == 0
