@@ -14,25 +14,27 @@ Counterexamples decode codes back to (v, z) tuples.
 
 Each eta(g) is stored as a monomial operator, a shift of GF(p)^a with one
 phase exponent e mod p per point, the phase being zeta_p^e: composing
-operators adds exponents, so the homomorphism certificate is integer
-arithmetic.  Cyclotomic values appear only in the trace identity and where
-an operator meets a dense one (the intertwiner A, whose entries are root
-sums, and its powers, tuples of Cyclotomic entries).  The d extensions
-share s0 with (s0 A)^d = I and the chain A^0 ... A^h, h = ceil(d/2), that
-extend formed; an extension operator is a scaled power, A^h A^(j-h) above
-the chain, formed on each call.  Every assertion is exact.  The torus is
-modeled as acting faithfully (order d, gcd(d,p)=1); central-kernel twists
-are recoverable by tensoring with a character.
+operators adds exponents, so the homomorphism certificate and the trace
+identity are integer arithmetic.  The intertwiner A and its powers are
+PackedOp: each entry one int, the histogram of its zeta_p exponents.  A
+value becomes a Cyclotomic only where it is reported or compared: A^d =
+c0 I and the d traces tr A^j (s0 and every label's traces follow, of order
+lcm(d, p)), what trace_product returns, and the views PackedOp.matrix,
+Extension.chain and op, which no caller in the package reads.  The chain
+A^0 ... A^h, h = ceil(d/2), is shared; an extension operator is a scaled
+power, A^h A^(j-h) above the chain, formed on each call.  Every assertion
+is exact.  The torus is modeled as acting faithfully (order d, gcd(d,p)=1);
+central-kernel twists are recoverable by tensoring with a character.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from itertools import product
-from math import gcd
+from functools import cached_property, lru_cache, partial
+from itertools import accumulate, chain as concat, product
+from math import gcd, lcm
 from operator import mul
 
-from .cyclo import ONE, ZERO, Cyclotomic, dot, root_of_unity, root_sum
+from .cyclo import ONE, Cyclotomic, dot, root_of_unity
 from .ffield import make_field, norm_one_generator, require_odd_prime
 from .grpcore import GroupTable, _nullspace, orbits, require_order
 from .rankone import embed_quadratic_torus
@@ -348,33 +350,74 @@ def torus_realization(p: int, d: int, realization: str) -> TorusAction:
     raise ValueError("unknown realization: %r (want split or nonsplit)" % realization)
 
 
-# -- dense matrix helpers ---------------------------------------------
+# -- packed dense operators -------------------------------------------
 
 
-def _meye(n: int):
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+class PackedOp:
+    """An n x n operator over Z[X]/(X^p - 1), X = zeta_p: entry (i, j) is one
+    int whose W-bit slot e counts zeta_p^e; ``bound`` caps every row's mass
+    (sum of counts).  No count is negative, so a row of X Y has mass at most
+    bound(X) bound(Y), and a slot of an entry, of a sum of n or of an
+    unfolded product at most n times that: products need 2 n bound(X)
+    bound(Y) < 2^W, so no slot reaches 2^(W-1) and none carries.  Two values
+    within the p slots are equal in Q(zeta_p) iff X fixes their difference."""
+
+    __slots__ = ("p", "width", "rows", "bound")
+
+    def __init__(self, p: int, width: int, rows, bound: int):
+        self.p, self.width, self.rows, self.bound = p, width, rows, bound
+
+    def _product_bound(self, other: PackedOp) -> int:
+        if 2 * len(self.rows) * self.bound * other.bound >= 1 << self.width:
+            raise OverflowError("packed slots of width %d would carry" % self.width)
+        return self.bound * other.bound
+
+    def fold(self, z: int) -> int:  # z mod X^p - 1, for z of at most 2p - 1 slots
+        return (z & ((1 << self.p * self.width) - 1)) + (z >> self.p * self.width)
+
+    def __matmul__(self, other: PackedOp) -> PackedOp:
+        bound, fold, cols = self._product_bound(other), self.fold, tuple(zip(*other.rows))
+        rows = tuple(tuple(fold(sum(map(mul, row, col))) for col in cols) for row in self.rows)
+        return PackedOp(self.p, self.width, rows, bound)
+
+    def trace(self, other: PackedOp | None = None) -> int:  # tr self, or tr(self other)
+        if other is None:
+            return sum(row[i] for i, row in enumerate(self.rows))
+        self._product_bound(other)
+        return self.fold(sum(map(mul, concat(*self.rows), concat(*zip(*other.rows)))))
+
+    def rotate(self, z: int, e: int) -> int:  # z X^e
+        w, e = self.width, e % self.p
+        return ((z << e * w) & ((1 << self.p * w) - 1)) + (z >> (self.p - e) * w)
+
+    def same(self, x: int, y: int) -> bool:  # the kernel is Z(1 + X + ... + X^(p-1))
+        within = (x | y) >> self.p * self.width == 0
+        return x == y or within and self.rotate(x, 1) + y == self.rotate(y, 1) + x
+
+    def is_scalar(self, c: int) -> bool:
+        rows = enumerate(self.rows)
+        return all(self.same(z, c if i == j else 0) for i, row in rows for j, z in enumerate(row))
+
+    def value(self, z: int) -> Cyclotomic:  # minus slot p-1 everywhere: mod Phi_p
+        counts = [z >> e * self.width & ((1 << self.width) - 1) for e in range(self.p)]
+        return Cyclotomic(self.p, 1, tuple(c - counts[-1] for c in counts[:-1]))
+
+    def matrix(self):
+        return tuple(tuple(map(self.value, row)) for row in self.rows)
 
 
-def _mmul(x, y):
-    cols = tuple(zip(*y))
-    return tuple(tuple(dot(row, col) for col in cols) for row in x)
-
-
-def _mscale(c: Cyclotomic, x):
-    return tuple(tuple(c * e for e in row) for row in x)
-
-
-def _mtrace(x) -> Cyclotomic:
-    return sum((x[i][i] for i in range(len(x))), ZERO)
+class _Chain(list):  # A^0 ... A^h as extend formed them, decoded once for every label
+    decoded = cached_property(lambda self: [op.matrix() for op in self])
 
 
 def _newton_det(traces, c0: Cyclotomic, n: int) -> Cyclotomic:
     """det A of n x n A with A^d = c0 I, traces[j] = tr A^j (j < d): Newton's
-    k e_k = sum_i (-1)^(i-1) e_(k-i) p_i, p_i = c0^(i // d) tr A^(i mod d)."""
-    d, e = len(traces), [ONE]
-    sums = [c0 ** (i // d) * traces[i % d] for i in range(1, n + 1)]
+    k e_k = sum_i (-1)^(i-1) e_(k-i) p_i, with p_i = c0 p_(i-d) from i = d on."""
+    d, e, sums = len(traces), [ONE], list(traces)
+    while len(sums) <= n:
+        sums.append(c0 * sums[-d])
     for k in range(1, n + 1):
-        e.append(dot(e[::-1], sums[:k], [(-1) ** i for i in range(k)], den=k))
+        e.append(dot(e[::-1], sums[1 : k + 1], [(-1) ** i for i in range(k)], den=k))
     return e[n]
 
 
@@ -410,26 +453,25 @@ class HeisRep:
         x, y = divmod(v, n)
         half_dots = self.group.space.half_dots
         base = z + half_dots[x * n + y]
-        exps = tuple(t * (base + 2 * h) % p for h in half_dots[y * n : y * n + n])
+        exps = tuple([t * (base + 2 * h) % p for h in half_dots[y * n : y * n + n]])
         return (x, exps)
-
-    def _phases(self, exps) -> list[Cyclotomic]:
-        return [root_of_unity(self.p, e) for e in exps]
 
     def _compose(self, m1, m2):
         x1, e1 = m1
         x2, e2 = m2
         p, shift = self.p, self._shifts[x1]
-        return (shift[x2], tuple((e + e2[s]) % p for e, s in zip(e1, shift)))
+        return (shift[x2], tuple([(e + e2[s]) % p for e, s in zip(e1, shift)]))
 
     def _verify_trace_identity(self):
-        # tr eta(v, z) = p^a theta(z) if v = 0 else 0: the irreducibility
-        # certificate, checked on every element.
+        # tr eta(v, z) = p^a theta(z) if v = 0 else 0, the irreducibility
+        # certificate, on each diagonal's exponent histogram c (empty unless
+        # x = 0): sum c_e zeta^e = 0 iff c is constant.
         for key, (x, exps) in enumerate(self._mono):
             v, z = divmod(key, self.p)
-            trace = root_sum(self.p, 1, exps) if x == 0 else ZERO
-            expected = self.dim * self.theta(z) if v == 0 else ZERO
-            if trace != expected:
+            hist = [0] * self.p if x else [exps.count(e) for e in range(self.p)]
+            if v == 0:
+                hist[self.theta_exp * z % self.p] -= self.dim
+            if len(set(hist)) != 1:
                 raise AssertionError("trace identity fails at %r" % (self.group.decode(key),))
 
     def _verify_homomorphism(self):
@@ -447,20 +489,14 @@ class HeisRep:
                 if self._compose(g, h) != mono[gs]:
                     raise AssertionError("representation is not a homomorphism")
 
-    def matrix(self, key):
-        x, exps = self._mono[key]
-        n = self.dim
-        rows = [[ZERO] * n for _ in range(n)]
-        for row, s, phase in zip(rows, self._shifts[x], self._phases(exps)):
-            row[s] = phase
-        return tuple(tuple(r) for r in rows)
-
-    def trace_product(self, dense, key) -> Cyclotomic:
+    def trace_product(self, dense: PackedOp, key) -> Cyclotomic:
         """tr(dense * eta(key)), using the one-entry-per-row structure:
-        the sum of dense[v+x][v] * phase(v)."""
+        the sum of dense[v+x][v] zeta^exps[v], shifted, folded once and
+        read as a Cyclotomic."""
         x, exps = self._mono[key]
-        column = [dense[s][v] for v, s in enumerate(self._shifts[x])]
-        return dot(column, self._phases(exps))
+        rows, w = dense.rows, dense.width
+        terms = (rows[s][v] << e * w for v, (s, e) in enumerate(zip(self._shifts[x], exps)))
+        return dense.value(dense.fold(sum(terms)))
 
 
 def heisenberg_rep(p: int, a: int = 1, theta_exp: int = 1) -> HeisRep:
@@ -478,10 +514,11 @@ def _heisenberg_rep(p: int, a: int, theta_exp: int) -> HeisRep:
 # -- intertwiners and extensions --------------------------------------
 
 
-def intertwiner(rep: HeisRep, action: TorusAction, seed=None):
-    """A dense operator A with A eta(g) A^-1 = eta(t g), built by averaging
-    eta(t g) B eta(g)^-1 over the group for a matrix-unit seed B."""
-    n, p = rep.dim, rep.p
+def intertwiner(rep: HeisRep, action: TorusAction, seed=None) -> PackedOp:
+    """A dense operator A with A eta(g) A^-1 = eta(t g): the sum of eta(t g) B eta(g)^-1 over the
+    lifts g = (v, 0) (the center would only multiply it by p) for a matrix-unit seed B, packed: a
+    row of A^j has mass at most b^j, b A's (see PackedOp), so 2 n b^d < 2^W admits A^d."""
+    n, p, d = rep.dim, rep.p, action.order
     # The code of -x for x in GF(p)^a is that of -(0, x), below n.
     negs, shifts, perm = rep.group.space.negs, rep._shifts, action.perm(1)
     seeds = [seed] if seed is not None else list(product(range(n), repeat=2))
@@ -492,15 +529,17 @@ def intertwiner(rep: HeisRep, action: TorusAction, seed=None):
             x2, f2 = rep._mono[v * p]
             i = shifts[negs[x1]][r]
             j = shifts[negs[x2]][c]
-            exps[i][j].append(f1[i] - f2[j])
-        # the central coordinate only rescales the average by p
-        A = tuple(tuple(root_sum(p, p, e) for e in row) for row in exps)
-        if not all(e.is_zero() for row in A for e in row):
+            exps[i][j].append((f1[i] - f2[j]) % p)
+        bound = max(sum(map(len, row)) for row in exps)
+        width = (2 * n * bound**d).bit_length()
+        rows = tuple(tuple(sum(1 << e * width for e in cell) for cell in row) for row in exps)
+        A = PackedOp(p, width, rows, bound)
+        if not A.is_scalar(0):
             return A
     raise ValueError("intertwiner averaging yielded zero for every seed")
 
 
-def _verify_intertwines(rep: HeisRep, action: TorusAction, A):
+def _verify_intertwines(rep: HeisRep, action: TorusAction, A: PackedOp):
     """A eta(g) = eta(t g) A, checked on the generators only: both sides are
     multiplicative in g, since eta is a homomorphism (HeisRep certifies it)
     and t acts by an automorphism (TorusAction certifies it), so the g
@@ -512,9 +551,8 @@ def _verify_intertwines(rep: HeisRep, action: TorusAction, A):
         # (eta(t s) A)[i][l] = zeta^texps[i] A[i + tx][l]; divide by the latter phase.
         shifted = rep._shifts[x]
         for i, ti in enumerate(rep._shifts[tx]):
-            row = A[ti]
-            phases = rep._phases(e - texps[i] for e in exps)
-            if any(A[i][w] * phases[w] != row[l] for w, l in enumerate(shifted)):
+            row, row_t, f = A.rows[i], A.rows[ti], texps[i]
+            if not all(A.same(A.rotate(z, e - f), row_t[l]) for z, e, l in zip(row, exps, shifted)):
                 return False
     return True
 
@@ -523,32 +561,32 @@ class Extension:
     """One of the d extensions of a Heisenberg representation to the
     semidirect product with the torus, labeled by the torus character
     separating it from the others: lambda_c(t^j) = zeta_d^(cj) s0^j A^j.
-    The scalar s0, the chain A^0 ... A^h, h = ceil(d/2), of bare powers of
-    the intertwiner A that extend formed and the d traces tr lambda_0(t^j)
-    are shared by all d extensions, and tr lambda_c(t^j) = zeta_d^(cj)
-    tr lambda_0(t^j): lambda_0 decides the sign law, trace moduli and
-    multiplicity multiset of every label."""
+    All d share the scalar s0, the packed chain ``powers`` A^0 ... A^h, h =
+    ceil(d/2), and the traces tr lambda_0(t^j), of order lcm(d, p), as
+    tr lambda_c(t^j) = zeta_d^(cj) tr lambda_0(t^j): lambda_0 decides the
+    sign law, trace moduli and multiplicity multiset of every label.  The
+    views ``chain`` and ``op`` decode operators to Cyclotomic matrices."""
 
-    def __init__(self, rep: HeisRep, action: TorusAction, label: int, s0, chain, traces):
-        self.rep = rep
-        self.action = action
-        self.label = label
-        self.s0 = s0
-        self.chain = chain
-        self.traces = traces
+    def __init__(self, rep: HeisRep, action: TorusAction, label: int, s0, powers: _Chain, traces):
+        self.rep, self.action, self.label = rep, action, label
+        self.s0, self.powers, self.traces = s0, powers, traces
 
-    def op(self, j: int):
-        """lambda_c(t^j); a bare power above the chain is A^h A^(j-h),
-        formed on each call."""
+    chain = property(lambda self: self.powers.decoded)
+
+    def bare(self, j: int) -> PackedOp:  # A^j: in the chain, or A^h A^(j-h) formed on each call
         j %= self.action.order
-        chain, h = self.chain, len(self.chain) - 1
-        bare = chain[j] if j <= h else _mmul(chain[h], chain[j - h])
+        powers, h = self.powers, len(self.powers) - 1
+        return powers[j] if j <= h else powers[h] @ powers[j - h]
+
+    def op(self, j: int):  # lambda_c(t^j), decoded
+        j %= self.action.order
         scalar = root_of_unity(self.action.order, self.label * j) * self.s0**j
-        return _mscale(scalar, bare)
+        return tuple(tuple(scalar * e for e in row) for row in self.bare(j).matrix())
 
     def trace(self, j: int) -> Cyclotomic:
-        j %= self.action.order
-        return root_of_unity(self.action.order, self.label * j) * self.traces[j]
+        d, m = self.action.order, lcm(self.action.order, self.rep.p)
+        j, k = j % d, self.label * j % d
+        return self.traces[j] if k == 0 else root_of_unity(m, k * m // d) * self.traces[j]
 
 
 def extend(rep: HeisRep, action: TorusAction) -> list[Extension]:
@@ -563,29 +601,30 @@ def extend(rep: HeisRep, action: TorusAction) -> list[Extension]:
     A = intertwiner(rep, action)
     if not _verify_intertwines(rep, action, A):
         raise AssertionError("averaged operator fails to intertwine")
-    # A^0 ... A^h, h = ceil(d/2), by h - 1 products; above it tr A^j =
-    # tr(A^h A^(j-h)), one dot of n^2 terms.  A^d = A^h A^(d-h) = c0 I
-    # entrywise and s0^d c0 = 1 together certify (s0 A)^d = I.
+    # A^0 ... A^h, h = ceil(d/2), by h - 1 packed products; above it tr A^j
+    # = tr(A^h A^(j-h)), n^2 products.  A^d = A^h A^(d-h) = c0 I entrywise
+    # and s0^d c0 = 1 together certify (s0 A)^d = I.
     n, h = rep.dim, (d + 1) // 2
-    chain = [_meye(n), A]
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    chain = _Chain([PackedOp(p, A.width, identity, 1), A])
     while len(chain) <= h:
-        chain.append(_mmul(chain[-1], A))
-    top = _mmul(chain[h], chain[d - h])
-    c0 = top[0][0]
-    if c0.is_zero() or top != _mscale(c0, _meye(n)):
+        chain.append(chain[-1] @ A)
+    top = chain[h] @ chain[d - h]
+    c0 = top.rows[0][0]
+    if top.same(c0, 0) or not top.is_scalar(c0):
         raise AssertionError("A^d is not a nonzero scalar")
-    entries = [e for row in chain[h] for e in row]
-    bare = [_mtrace(op) for op in chain[:d]] + [
-        dot(entries, [e for col in zip(*chain[j - h]) for e in col]) for j in range(h + 1, d)
-    ]
+    packed = [op.trace() for op in chain[:d]]
+    packed += [chain[h].trace(chain[j - h]) for j in range(h + 1, d)]
+    bare, c0 = [top.value(t) for t in packed], top.value(c0)
     # alpha*dim + beta*d = 1; s0 is the same for every such pair, as
     # det(A)^d = c0^dim.
     alpha = pow(n, -1, d)
     beta = (1 - alpha * n) // d
     s0 = _newton_det(bare, c0, n) ** (-alpha) * c0 ** (-beta)
-    if s0**d * c0 != ONE:
+    scales = list(accumulate([s0] * d, mul))  # s0 ... s0^d; the traces then go to lcm(d, p)
+    if scales[-1] * c0 != ONE:
         raise AssertionError("normalized operator is not of order d")
-    traces = tuple(s0**j * t for j, t in enumerate(bare))
+    traces = tuple(t.promote(lcm(d, p)) for t in bare[:1] + list(map(mul, scales, bare[1:])))
     return [Extension(rep, action, c, s0, chain, traces) for c in range(d)]
 
 
@@ -666,13 +705,12 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str, action: TorusAction
     # As tr lambda_c(t^j) = zeta_d^(cj) tr lambda_0(t^j), label c hits
     # character xi + c wherever label 0 hits xi, has the same trace moduli
     # and the multiplicities of label 0 rotated by c.
-    ext0 = exts[0]
+    # Traces and characters eps zeta_d^k = eps zeta_m^(k m/d) share the order m = lcm(d, p).
+    ext0, m = exts[0], lcm(d, p)
+    values = [ext0.trace(j) for j in range(d)]
     eps = -1 if (p**a + 1) % d == 0 else 1
-    hits = [
-        xi
-        for xi in range(d)
-        if all(ext0.trace(j) == eps * root_of_unity(d, xi * j) for j in range(1, d))
-    ]
+    chars = [r if eps == 1 else -r for r in map(partial(root_of_unity, m), range(0, m, m // d))]
+    hits = [xi for xi in range(d) if all(values[j] == chars[xi * j % d] for j in range(1, d))]
     if len(hits) == 1:
         matched, bad = {c: (hits[0] + c) % d for c in range(d)}, None
     else:
@@ -688,8 +726,8 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str, action: TorusAction
 
     modulus_bad = None
     for j in range(1, d):
-        if ext0.trace(j).abs_square() != ONE:
-            modulus_bad = (0, j, ext0.trace(j).serialize())
+        if values[j].abs_square() != ONE:
+            modulus_bad = (0, j, values[j].serialize())
             break
     checks.append(
         counterexample_check(
@@ -716,7 +754,7 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str, action: TorusAction
     # lambda(t) is s0 A^(1 mod d) up to a root of unity, and the nonzero
     # scalar decides no zero: take traces against the bare power.
     support_bad = None
-    bare, scale = exts[0].chain[1 % d], exts[0].s0 ** (1 % d)
+    bare = exts[0].bare(1)
     G, twist = group.group, partial(action.act_key, j=1)
     into_center = {x for orbit in orbits(G, twist, seeds=group.center_keys) for x in orbit}
     # (v, z) = (0, z)(v, 0) and eta(0, z) = theta(z) I (see multiplicities),
@@ -726,9 +764,11 @@ def lemma_H_verify(p: int, a: int, d: int, realization: str, action: TorusAction
         z = y % p
         if z == 0:
             trace = rep.trace_product(bare, y)
+            nonzero = not trace.is_zero()
         # theta(z) is a unit: the trace at (v, 0) alone decides zero.
         reachable = y in into_center
-        if reachable != (not trace.is_zero()):
+        if reachable != nonzero:
+            scale = exts[0].s0 ** (1 % d)
             support_bad = (group.decode(y), reachable, (rep.theta(z) * scale * trace).serialize())
             break
     checks.append(

@@ -692,6 +692,14 @@ class TestInternalError:
         assert out == ""
         assert err == "internal error: AssertionError: multiplicity is not an integer for label 0\n"
 
+    def test_a_packed_product_without_its_fold_exits_3(self, monkeypatch, capsys):
+        # X^p = 1 dropped from every packed product: A^d leaves Q(zeta_p)'s
+        # p slots, and the scalar certificate refuses it.
+        monkeypatch.setattr(heis.PackedOp, "fold", lambda self, z: z)
+        code, out, err = run(["heis", "--p", "7", "--d", "8", "--realization", "nonsplit"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "internal error: AssertionError: A^d is not a nonzero scalar\n"
+
     @staticmethod
     def _off_by_one(real, pick):
         def perturbed(*args):

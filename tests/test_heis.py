@@ -5,16 +5,18 @@ from functools import partial
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import power
 
 from basechange import heis
-from basechange.cyclo import ONE, ZERO, Cyclotomic, root_of_unity
+from basechange.cyclo import ONE, ZERO, Cyclotomic, dot, root_of_unity
 from basechange.grpcore import orbits, product_column
 from basechange.heis import (
     ExtraspecialGroup,
     HeisRep,
-    _mtrace,
+    PackedOp,
     _verify_intertwines,
     SymplecticSpace,
     TorusAction,
@@ -61,6 +63,58 @@ EXPECTED_EPSILON = {
 def commutator_key(G, g, h):
     """g h g^-1 h^-1 by the group law on codes."""
     return G.mul_key(G.mul_key(g, h), G.mul_key(G.inv_key(g), G.inv_key(h)))
+
+
+# Dense Cyclotomic matrix helpers: the reference that the packed operators
+# of heis are compared against.
+
+
+def _meye(n: int):
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+def _mmul(x, y):
+    cols = tuple(zip(*y))
+    return tuple(tuple(dot(row, col) for col in cols) for row in x)
+
+
+def _mtrace(x) -> Cyclotomic:
+    return sum((x[i][i] for i in range(len(x))), ZERO)
+
+
+def _mscale(c: Cyclotomic, x):
+    return tuple(tuple(c * e for e in row) for row in x)
+
+
+def eta_matrix(rep, key):
+    """eta(key) as a dense Cyclotomic matrix, from its monomial."""
+    x, exps = rep._mono[key]
+    rows = [[ZERO] * rep.dim for _ in range(rep.dim)]
+    for row, s, e in zip(rows, rep._shifts[x], exps):
+        row[s] = root_of_unity(rep.p, e)
+    return tuple(tuple(r) for r in rows)
+
+
+def pack(matrix, p: int, width: int = 16) -> PackedOp:
+    """A matrix over Z[zeta_p] (entries of order 1 or p, integral) as a
+    PackedOp: each entry's power-basis coefficients with a zero slot p-1,
+    lifted by a constant to nonnegative counts (the all-ones histogram is
+    0 in Q(zeta_p))."""
+    rows, bound = [], 0
+    for row in matrix:
+        counts = []
+        for x in row:
+            den, num = x.key(p)
+            assert den == 1
+            low = min(num + (0,))
+            counts.append([c - low for c in num + (0,)])
+        rows.append(tuple(sum(c << e * width for e, c in enumerate(cs)) for cs in counts))
+        bound = max(bound, sum(map(sum, counts)))
+    return PackedOp(p, width, tuple(rows), bound)
+
+
+def slots(op: PackedOp, z: int) -> list[int]:
+    return [z >> e * op.width & ((1 << op.width) - 1) for e in range(op.p)]
 
 
 class TestSymplecticSpace:
@@ -335,7 +389,7 @@ class TestHeisRep:
         rep = heisenberg_rep(3, 1)
         zero_v = rep.group.space.zero
         for z in range(3):
-            m = rep.matrix(rep.group.encode((zero_v, z)))
+            m = eta_matrix(rep, rep.group.encode((zero_v, z)))
             for i in range(rep.dim):
                 for j in range(rep.dim):
                     expected = rep.theta(z) if i == j else 0
@@ -345,8 +399,8 @@ class TestHeisRep:
         rep = heisenberg_rep(3, 1)
         group = rep.group
         for key in list(group.group.elements)[:9]:
-            m = rep.matrix(key)
-            mi = rep.matrix(group.inv_key(key))
+            m = eta_matrix(rep, key)
+            mi = eta_matrix(rep, group.inv_key(key))
             for i in range(rep.dim):
                 for j in range(rep.dim):
                     acc = sum(
@@ -357,10 +411,10 @@ class TestHeisRep:
 
     def test_trace_product_matches_dense_trace(self):
         rep = heisenberg_rep(3, 1)
-        dense = rep.matrix(rep.group.encode(((1, 2), 1)))
+        dense = eta_matrix(rep, rep.group.encode(((1, 2), 1)))
         for key in map(rep.group.encode, [((0, 0), 0), ((1, 0), 2), ((2, 1), 0)]):
-            prod_trace = rep.trace_product(dense, key)
-            m = rep.matrix(key)
+            prod_trace = rep.trace_product(pack(dense, 3), key)
+            m = eta_matrix(rep, key)
             direct = sum(
                 (
                     dense[i][k] * m[k][i]
@@ -397,8 +451,8 @@ class TestExtensions:
     def test_seed_independence_up_to_scalar(self):
         rep = heisenberg_rep(3, 1)
         act = torus_realization(3, 4, "nonsplit")
-        a1 = intertwiner(rep, act, seed=(0, 0))
-        a2 = intertwiner(rep, act, seed=(1, 2))
+        a1 = intertwiner(rep, act, seed=(0, 0)).matrix()
+        a2 = intertwiner(rep, act, seed=(1, 2)).matrix()
         n = rep.dim
         for i in range(n):
             for j in range(n):
@@ -642,7 +696,7 @@ class TestGeneratingSetCertificates:
     def test_dense_matrices_multiply_on_all_pairs(self):
         rep = heisenberg_rep(3, 1)
         G = rep.group
-        mats = {k: rep.matrix(k) for k in G.group.elements}
+        mats = {k: eta_matrix(rep, k) for k in G.group.elements}
         for g in G.group.elements:
             for h in G.group.elements:
                 assert dense_mul(mats[g], mats[h]) == mats[G.mul_key(g, h)]
@@ -653,8 +707,9 @@ class TestGeneratingSetCertificates:
         action = torus_realization(p, d, realization)
         A = intertwiner(rep, action)
         assert _verify_intertwines(rep, action, A)
+        A = A.matrix()
         for key in rep.group.group.elements:
-            assert dense_mul(A, rep.matrix(key)) == dense_mul(rep.matrix(action.act_key(key)), A)
+            assert dense_mul(A, eta_matrix(rep, key)) == dense_mul(eta_matrix(rep, action.act_key(key)), A)
 
     def test_perturbed_phase_breaks_the_homomorphism_at_p3(self):
         G = extraspecial_group(3, 1)
@@ -678,9 +733,10 @@ class TestGeneratingSetCertificates:
         assert _verify_intertwines(rep, action, A)
         for i in range(rep.dim):
             for j in range(rep.dim):
-                bad = [list(row) for row in A]
-                bad[i][j] = bad[i][j] + ONE
-                assert not _verify_intertwines(rep, action, tuple(map(tuple, bad)))
+                bad = [list(row) for row in A.rows]
+                bad[i][j] = bad[i][j] + 1  # + ONE: one more zeta_p^0
+                bad = PackedOp(A.p, A.width, tuple(map(tuple, bad)), A.bound + 1)
+                assert not _verify_intertwines(rep, action, bad)
 
     def test_homomorphism_cost_is_linear_in_the_order(self, monkeypatch):
         calls = 0
@@ -711,10 +767,10 @@ class TestExtensionStorage:
     @pytest.mark.parametrize("diagonal", [(1, 2, 3), (1, 1, 0)], ids=["non-scalar", "singular"])
     def test_a_non_scalar_power_is_refused(self, diagonal, monkeypatch):
         # A stand-in intertwiner whose 4th power is not a nonzero scalar.
-        A = tuple(
+        A = pack(tuple(
             tuple(Cyclotomic.rational(diagonal[i] if i == j else 0) for j in range(3))
             for i in range(3)
-        )
+        ), 3)
         monkeypatch.setattr(heis, "intertwiner", lambda rep, action: A)
         monkeypatch.setattr(heis, "_verify_intertwines", lambda rep, action, A: True)
         with pytest.raises(AssertionError, match="A\\^d is not a nonzero scalar"):
@@ -748,7 +804,7 @@ class TestExtensionStorage:
         ext = extend(heisenberg_rep(p, a), torus_realization(p, d, realization))[0]
         A, n = ext.chain[1], ext.rep.dim
         # Label 0's op(j) is s0^j A^j: the bare powers A^0 ... A^(d-1).
-        powers = [heis._mscale(ext.s0 ** (-j), ext.op(j)) for j in range(d)]
+        powers = [_mscale(ext.s0 ** (-j), ext.op(j)) for j in range(d)]
         assert powers[: len(ext.chain)] == ext.chain[:d]
         c0 = dense_mul(powers[d - 1], A)[0][0]
         det = _mdet(A)
@@ -766,18 +822,18 @@ class TestExtensionStorage:
         rep = heisenberg_rep(p, a)
         exts = extend(rep, torus_realization(p, d, realization))
         s0, chain, h = exts[0].s0, exts[0].chain, (d + 1) // 2
-        full = [heis._meye(rep.dim)]
+        full = [_meye(rep.dim)]
         while len(full) <= d:
-            full.append(heis._mmul(full[-1], chain[1]))
+            full.append(_mmul(full[-1], chain[1]))
         assert chain == full[: h + 1]
-        assert full[d] == heis._mscale(s0 ** (-d), full[0])
-        assert heis._mmul(chain[h], chain[d - h]) == full[d]
+        assert full[d] == _mscale(s0 ** (-d), full[0])
+        assert _mmul(chain[h], chain[d - h]) == full[d]
         assert list(exts[0].traces) == [s0**j * _mtrace(full[j]) for j in range(d)]
         for ext in (exts[0], exts[-1]):
             for j in range(d):
                 scalar = root_of_unity(d, ext.label * j) * s0**j
-                assert ext.op(j) == heis._mscale(scalar, full[j])
-        bare = [heis._mscale(s0 ** (-j), exts[0].op(j)) for j in range(d)]
+                assert ext.op(j) == _mscale(scalar, full[j])
+        bare = [_mscale(s0 ** (-j), exts[0].op(j)) for j in range(d)]
         assert bare == full[:d]
 
     @pytest.mark.parametrize("exps,d", [((0, 1, 2), 3), ((0, 1, 1, 0, 1), 2), ((1, 3), 5)])
@@ -809,8 +865,10 @@ class TestExtensionStorage:
             for c in range(d):
                 acc = ZERO
                 for j in range(d):
+                    # tr(op(j) eta) is the scalar of op(j) times tr(A^j eta).
+                    scalar = root_of_unity(d, ext.label * j) * ext.s0**j
                     for z in range(p):
-                        tr = rep.trace_product(ext.op(j), rep.group.encode((zero_v, z)))
+                        tr = scalar * rep.trace_product(ext.bare(j), rep.group.encode((zero_v, z)))
                         acc = acc + tr * (root_of_unity(d, c * j) * rep.theta(z)).conj()
                 full[c] = (acc / (d * p)).as_integer()
             assert multiplicities(ext) == full
@@ -820,9 +878,10 @@ class TestCosetTraces:
     @pytest.mark.parametrize("p,a,d,realization", [(3, 1, 4, "nonsplit"), (5, 1, 6, "nonsplit")])
     def test_central_factor_scales_the_trace(self, p, a, d, realization):
         # The shortcut of coset_trace_support: tr(op eta(v, z)) =
-        # theta(z) tr(op eta(v, 0)), against trace_product on every element.
+        # theta(z) tr(op eta(v, 0)), against trace_product on every element,
+        # for op the bare power that the check reads.
         rep = heisenberg_rep(p, a)
-        op1 = extend(rep, torus_realization(p, d, realization))[0].op(1)
+        op1 = extend(rep, torus_realization(p, d, realization))[0].bare(1)
         encode = rep.group.encode
         for v, z in map(rep.group.decode, rep.group.group.elements):
             scaled = rep.theta(z) * rep.trace_product(op1, encode((v, 0)))
@@ -841,6 +900,126 @@ class TestCosetTraces:
         monkeypatch.setattr(HeisRep, "trace_product", counted)
         assert lemma_H_verify(p, a, 6, "nonsplit").passed
         assert calls == p ** (2 * a)
+
+
+# -- packed operators ------------------------------------------------------
+
+
+def convolve(p, x, y):
+    """x y in Z[X]/(X^p - 1) on count lists, from the definition."""
+    out = [0] * p
+    for a, c in enumerate(x):
+        for b, e in enumerate(y):
+            out[(a + b) % p] += c * e
+    return out
+
+
+def packed(p, width, counts):
+    rows = tuple(tuple(sum(c << e * width for e, c in enumerate(cs)) for cs in row) for row in counts)
+    return PackedOp(p, width, rows, max(1, max(sum(map(sum, row)) for row in counts)))
+
+
+@st.composite
+def count_matrices(draw):
+    p, n = draw(st.sampled_from([3, 5, 7])), draw(st.integers(1, 4))
+    entries = st.lists(st.integers(0, 40), min_size=p, max_size=p)
+    square = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    return p, n, draw(square), draw(square), draw(st.integers(0, p - 1))
+
+
+class TestPackedOp:
+    """Packed arithmetic against the convolution it stands for, the slot
+    width against its bound, and the packed reference values."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(count_matrices())
+    def test_product_is_convolution_mod_x_p_minus_1(self, case):
+        p, n, xs, ys, e = case
+        bound = max(1, max(sum(map(sum, row)) for row in xs)) * max(1, max(sum(map(sum, row)) for row in ys))
+        width = (2 * n * bound).bit_length()
+        X, Y = packed(p, width, xs), packed(p, width, ys)
+        XY = X @ Y
+        expected = [
+            [[sum(col) for col in zip(*(convolve(p, xs[i][k], ys[k][j]) for k in range(n)))] for j in range(n)]
+            for i in range(n)
+        ]
+        assert [[slots(XY, z) for z in row] for row in XY.rows] == expected
+        assert slots(X, X.trace(Y)) == [sum(col) for col in zip(*(expected[i][i] for i in range(n)))]
+        assert slots(X, X.trace()) == [sum(col) for col in zip(*(xs[i][i] for i in range(n)))]
+        z = X.rows[0][0]
+        assert slots(X, X.rotate(z, e)) == [xs[0][0][(k - e) % p] for k in range(p)]
+        assert X.value(z) == sum((c * root_of_unity(p, k) for k, c in enumerate(xs[0][0])), ZERO)
+
+    def test_a_product_that_could_carry_is_refused(self):
+        # Slot counts of 15 at width 4: the product could reach 225.
+        X = PackedOp(3, 4, ((15,),), 15)
+        with pytest.raises(OverflowError, match="^packed slots of width 4 would carry$"):
+            X @ X
+        with pytest.raises(OverflowError, match="^packed slots of width 4 would carry$"):
+            X.trace(X)
+
+    @pytest.mark.parametrize("p,a,d,realization", list(DEFAULT_HEIS_TUPLES) + [(13, 1, 14, "nonsplit")])
+    def test_the_width_is_the_bound_for_a_to_the_d(self, p, a, d, realization):
+        # Every slot of A^d is at most its row bound b^d, below 2^(W-1); the
+        # guard admits A^h A^(d-h) at W and refuses it one bit narrower.
+        ext = extend(heisenberg_rep(p, a), torus_realization(p, d, realization))[0]
+        A, n, h = ext.powers[1], ext.rep.dim, (d + 1) // 2
+        assert A.width == (2 * n * A.bound**d).bit_length()
+        top = ext.bare(h) @ ext.bare(d - h)
+        assert top.bound == A.bound**d
+        assert max(max(slots(top, z)) for row in top.rows for z in row) <= top.bound < 1 << (A.width - 1)
+        narrow = [PackedOp(p, A.width - 1, A.rows, A.bound**j) for j in (h, d - h)]
+        with pytest.raises(OverflowError, match="would carry"):
+            narrow[0] @ narrow[1]
+
+    @pytest.mark.parametrize("p,d,realization", [(3, 4, "nonsplit"), (5, 4, "split")])
+    def test_intertwiner_is_the_sum_over_the_lifts(self, p, d, realization):
+        # A = sum over v of eta(t (v, 0)) E eta((v, 0))^-1, E the seed's
+        # matrix unit, by dense Cyclotomic products; a seed whose sum is zero
+        # is refused.
+        rep, action = heisenberg_rep(p), torus_realization(p, d, realization)
+        for seed in [(0, 0), (1, 2)]:
+            unit = tuple(tuple(ONE if (i, j) == seed else ZERO for j in range(p)) for i in range(p))
+            total = tuple(tuple(ZERO for _ in range(p)) for _ in range(p))
+            for v in range(p * p):
+                g = v * p
+                term = dense_mul(dense_mul(eta_matrix(rep, action.act_key(g)), unit), eta_matrix(rep, rep.group.inv_key(g)))
+                total = tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(total, term))
+            if all(x.is_zero() for row in total for x in row):
+                with pytest.raises(ValueError, match="yielded zero for every seed"):
+                    intertwiner(rep, action, seed=seed)
+            else:
+                assert intertwiner(rep, action, seed=seed).matrix() == total
+
+    @pytest.mark.parametrize("p,a,d,realization", [t for t in DEFAULT_HEIS_TUPLES if t[3] == "nonsplit"])
+    def test_a_dropped_fold_is_refused(self, p, a, d, realization, monkeypatch):
+        # Without X^p = 1 the high slots of the products stay, and A^d is no
+        # longer c0 I in Q(zeta_p).  (At the split tuples every count of A
+        # sits in slot 0, so no product reaches slot p.)
+        monkeypatch.setattr(PackedOp, "fold", lambda self, z: z)
+        with pytest.raises(AssertionError, match=r"^A\^d is not a nonzero scalar$"):
+            extend(heisenberg_rep(p, a), torus_realization(p, d, realization))
+
+    def test_a_slipped_wrap_in_trace_product_fails_coset_support(self, monkeypatch):
+        # trace_product's fold lands the wrapped slots one slot high (X^p = X,
+        # a one-slot rotation error); the folds of the other certificates
+        # are left as they are.  The check reads only whether each coset
+        # trace is zero, and under (H) none is, so it sees a wrong trace
+        # only where it reads zero: here at (3, 1, 4, nonsplit).
+        trace_product = HeisRep.trace_product
+
+        def slipped(self, z):
+            s = self.p * self.width
+            return (z & ((1 << s) - 1)) + ((z >> s) << self.width)
+
+        def slipped_trace(self, dense, key):
+            with monkeypatch.context() as m:
+                m.setattr(PackedOp, "fold", slipped)
+                return trace_product(self, dense, key)
+
+        monkeypatch.setattr(HeisRep, "trace_product", slipped_trace)
+        checks = lemma_H_verify(3, 1, 4, "nonsplit").checks
+        assert [c.name for c in checks if c.status != "pass"] == ["coset_trace_support"]
 
 
 # -- integer codes ---------------------------------------------------------
